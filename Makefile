@@ -4,7 +4,7 @@
 GO ?= go
 GOFMT ?= gofmt
 
-.PHONY: build test test-shuffle race vet fmt staticcheck determinism bench bench-smoke bench-baseline bench-hotpath bench-alloc bench-scale bench-scale-smoke bench-hyperscale bench-hyperscale-smoke bench-manager bench-manager-smoke bench-setup bench-setup-smoke bench-api bench-api-smoke scenario-gate sweep-quick ci clean
+.PHONY: build test test-shuffle race vet fmt staticcheck determinism bench bench-smoke bench-baseline bench-hotpath bench-alloc bench-scale bench-scale-smoke bench-hyperscale bench-hyperscale-smoke bench-manager bench-manager-smoke bench-setup bench-setup-smoke bench-api bench-api-smoke bench-e2e-smoke scenario-gate sweep-quick ci clean
 
 build:
 	$(GO) build ./...
@@ -183,9 +183,10 @@ bench-setup-smoke:
 		. ./internal/cluster/ ./internal/experiments/
 
 # Allocation regression gate: the steady-state evaluation tick — serial
-# and sharded — the pooled event loop, and the manager's cached control
-# step must stay allocation-free, and the full report bytes must match
-# the pre-optimization goldens. Part of `make ci`.
+# and sharded — the pooled event loop, the manager's cached control
+# step, the drain replan a migration completion runs, and every refused
+# StartMigration must stay allocation-free, and the full report bytes
+# must match the pre-optimization goldens. Part of `make ci`.
 bench-alloc:
 	$(GO) test -run 'AllocFree|ScheduleFuncPool|PreOptimizationGolden|ArchivedResults' -v \
 		./internal/cluster/ ./internal/sim/ ./internal/experiments/ ./internal/core/
@@ -209,6 +210,13 @@ bench-api:
 bench-api-smoke:
 	sh scripts/api_gate.sh
 
+# The end-to-end benchmark module (bench/, its own Go module, so the
+# root `go test ./...` skips it): vet it and run its tests — the
+# comparator rule, the CPU attribution and a tiny smoke run of every
+# workload. About 2 s. Part of `make ci`.
+bench-e2e-smoke:
+	cd bench && $(GO) vet ./... && $(GO) test ./...
+
 # The scenario gate: every file in the curated scenarios/ library must
 # parse and validate, and two of them (the chaos az-outage and the
 # hand-scripted demand-surge drill) run end-to-end with their
@@ -225,7 +233,7 @@ sweep-quick:
 
 # Everything the CI workflow runs, in the same order, for one local
 # command that predicts a green pipeline.
-ci: vet fmt build test test-shuffle race determinism bench-alloc bench-scale-smoke bench-hyperscale-smoke bench-manager-smoke bench-setup-smoke bench-api-smoke scenario-gate bench-smoke
+ci: vet fmt build test test-shuffle race determinism bench-alloc bench-scale-smoke bench-hyperscale-smoke bench-manager-smoke bench-setup-smoke bench-api-smoke bench-e2e-smoke scenario-gate bench-smoke
 
 clean:
 	$(GO) clean ./...

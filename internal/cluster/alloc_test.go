@@ -1,10 +1,13 @@
 package cluster
 
 import (
+	"errors"
 	"testing"
 	"time"
 
 	"agilepower/internal/host"
+	"agilepower/internal/migrate"
+	"agilepower/internal/power"
 	"agilepower/internal/sim"
 	"agilepower/internal/vm"
 	"agilepower/internal/workload"
@@ -85,5 +88,62 @@ func TestEvaluateAllocFreeWithMigrationOverhead(t *testing.T) {
 	})
 	if avg != 0 {
 		t.Fatalf("evaluate with migration overhead allocates %.2f times per tick, want 0", avg)
+	}
+}
+
+// TestStartMigrationRejectAllocFree pins the cost of a refused move: a
+// draining manager issues hundreds of migration requests that are
+// refused for every one that starts, so each refusal must return a
+// sentinel error without allocating — for exhausted slots, an
+// unavailable destination, too little destination memory, and an
+// anti-affinity conflict.
+func TestStartMigrationRejectAllocFree(t *testing.T) {
+	_, c := newTestCluster(t, 5)
+	small := make([]*vm.VM, 5)
+	for i := range small {
+		small[i] = addVM(t, c, 1, 0.5)
+	}
+	big, err := c.AddVM(vm.Config{VCPUs: 4, MemoryGB: 48, Trace: workload.Constant(1)}, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.AddVM(vm.Config{VCPUs: 4, MemoryGB: 32, Trace: workload.Constant(1)}, 5); err != nil {
+		t.Fatal(err)
+	}
+	db := groupVM(t, c, 3, "db")
+	groupVM(t, c, 5, "db")
+	c.Start()
+	for _, v := range small[:4] {
+		if err := c.StartMigration(v.ID(), 2); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := c.SleepHost(4, power.S3); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name string
+		vm   vm.ID
+		dst  host.ID
+		want error
+	}{
+		{"slots exhausted", small[4].ID(), 3, migrate.ErrHostSaturated},
+		{"destination unavailable", db.ID(), 4, ErrDestinationUnavailable},
+		{"memory", big.ID(), 5, host.ErrNoMemory},
+		{"anti-affinity", db.ID(), 5, ErrGroupConflict},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var err error
+			allocs := testing.AllocsPerRun(100, func() { err = c.StartMigration(tc.vm, tc.dst) })
+			if !errors.Is(err, tc.want) {
+				t.Fatalf("StartMigration(%d, %d) = %v, want %v", tc.vm, tc.dst, err, tc.want)
+			}
+			if allocs != 0 {
+				t.Fatalf("refused StartMigration allocates %v times, want 0", allocs)
+			}
+		})
+	}
+	if n := c.Migrations().Inflight(); n != 4 {
+		t.Fatalf("%d migrations in flight after refusals, want the 4 admitted", n)
 	}
 }

@@ -36,6 +36,7 @@
 package cluster
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"runtime"
@@ -49,6 +50,28 @@ import (
 	"agilepower/internal/sim"
 	"agilepower/internal/telemetry"
 	"agilepower/internal/vm"
+)
+
+// Migration rejections. StartMigration refuses a move with one of
+// these, with host.ErrNoMemory or host.ErrAlreadyReserved from the
+// destination's reservation, or with a sentinel of package migrate —
+// never a formatted error. A draining manager issues hundreds of
+// refused requests for every one that starts, so a rejection must cost
+// a few comparisons, not a string. Test with errors.Is.
+var (
+	ErrUnknownVM = errors.New("cluster: unknown vm")
+	// ErrNotPlaced — the VM is pending or has departed.
+	ErrNotPlaced = errors.New("cluster: vm has no placement")
+	// ErrSourceUnavailable — the VM's host cannot pre-copy it (crashed
+	// or transitioning).
+	ErrSourceUnavailable = errors.New("cluster: source host not available")
+	ErrUnknownHost       = errors.New("cluster: unknown destination host")
+	// ErrDestinationUnavailable — the destination sleeps, transitions
+	// or crashed.
+	ErrDestinationUnavailable = errors.New("cluster: destination host not available")
+	// ErrGroupConflict — the destination holds, or is about to receive,
+	// another member of the VM's anti-affinity group.
+	ErrGroupConflict = errors.New("cluster: anti-affinity group conflict on destination")
 )
 
 // Config describes a cluster to create.
@@ -1294,7 +1317,9 @@ func (c *Cluster) Migrating(id vm.ID) bool { return c.migrations.Migrating(id) }
 // GroupConflict reports whether placing a VM of the given
 // anti-affinity group on host h would violate the group: another
 // member is resident, or an in-flight migration is about to land one
-// there. An empty group never conflicts.
+// there. An empty group never conflicts. It only reads the in-flight
+// view (see migrate.Manager.Inflights), so it neither allocates nor
+// sorts.
 func (c *Cluster) GroupConflict(h host.ID, group string, exclude vm.ID) bool {
 	if group == "" {
 		return false
@@ -1325,40 +1350,40 @@ func (c *Cluster) GroupConflict(h host.ID, group string, exclude vm.ID) bool {
 // StartMigration begins moving a VM to dst. The VM keeps running on
 // its source (with migration CPU overhead on both ends) until the
 // pre-copy completes; the final stop-and-copy downtime is charged to
-// the VM's SLA.
+// the VM's SLA. A refused move returns a sentinel error (see
+// ErrUnknownVM) and changes nothing.
 func (c *Cluster) StartMigration(id vm.ID, dst host.ID) error {
 	v := c.vmByID(id)
 	if v == nil {
-		return fmt.Errorf("cluster: unknown vm %d", id)
+		return ErrUnknownVM
 	}
 	src, ok := c.Placement(id)
 	if !ok {
-		return fmt.Errorf("cluster: vm %d has no placement", id)
+		return ErrNotPlaced
 	}
 	if src == dst {
-		return fmt.Errorf("cluster: vm %d already on host %d", id, dst)
+		return migrate.ErrSamePlace
 	}
 	if srcHost := c.hostByID(src); srcHost == nil || !srcHost.Available() {
 		// A manager acting on a stale view can order a move off a host
 		// that has since crashed; the frozen VM cannot be pre-copied.
-		return fmt.Errorf("cluster: source host %d not available", src)
+		return ErrSourceUnavailable
 	}
 	dstHost := c.hostByID(dst)
 	if dstHost == nil {
-		return fmt.Errorf("cluster: unknown destination host %d", dst)
+		return ErrUnknownHost
 	}
 	if !dstHost.Available() {
-		return fmt.Errorf("cluster: destination host %d not available (%v/%v)",
-			dst, dstHost.Machine().State(), dstHost.Machine().Phase())
+		return ErrDestinationUnavailable
 	}
 	if c.migrations.Migrating(id) {
-		return fmt.Errorf("cluster: vm %d already migrating", id)
+		return migrate.ErrAlreadyMigrating
 	}
 	if !c.migrations.CanStart(int(src), int(dst)) {
-		return fmt.Errorf("cluster: migration slots exhausted for %d→%d", src, dst)
+		return migrate.ErrHostSaturated
 	}
 	if c.GroupConflict(dst, v.Group(), id) {
-		return fmt.Errorf("cluster: anti-affinity group %q conflict on host %d", v.Group(), dst)
+		return ErrGroupConflict
 	}
 	if err := dstHost.Reserve(id, v.MemoryGB()); err != nil {
 		return err

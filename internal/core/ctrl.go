@@ -141,7 +141,7 @@ func (m *Manager) commandResult(cmd ctrlplane.Command, err error) {
 		}
 		if ok {
 			m.stats.Sleeps++
-			delete(m.evacuating, cmd.Host)
+			m.evacuating.remove(cmd.Host)
 		} else {
 			// The park never happened: clear the intent so the settle
 			// handler does not misread a later transition, and leave the
@@ -185,7 +185,7 @@ func (m *Manager) livenessChanged(id host.ID, s ctrlplane.Status) {
 	switch s {
 	case ctrlplane.Dead:
 		m.counters.Inc(CtrCrashesObserved)
-		delete(m.evacuating, id)
+		m.evacuating.remove(id)
 		delete(m.parking, id)
 		delete(m.wakingReq, id)
 		delete(m.retries, id)

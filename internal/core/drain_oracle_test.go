@@ -1,0 +1,536 @@
+package core
+
+import (
+	"fmt"
+	"slices"
+	"sort"
+	"testing"
+	"time"
+
+	"agilepower/internal/cluster"
+	"agilepower/internal/host"
+	"agilepower/internal/sim"
+	"agilepower/internal/vm"
+	"agilepower/internal/workload"
+)
+
+// The map-based drain planner the dense one replaced, kept as the
+// differential oracle: oraclePack is the original Pack, and
+// oracleBuildBins/oraclePlanDrain the original bin builder and drain
+// planner. The dense planner must return the identical (assignment,
+// ok) on every input.
+
+type oracleBinState struct {
+	bin     Bin
+	cpuUsed float64
+	memUsed float64
+	groups  map[string]bool
+}
+
+func (b *oracleBinState) fits(it Item) bool {
+	if it.Group != "" && b.groups[it.Group] {
+		return false
+	}
+	return b.cpuUsed+it.CPU <= b.bin.CPUCap+1e-9 && b.memUsed+it.MemGB <= b.bin.MemCap+1e-9
+}
+
+func (b *oracleBinState) add(it Item) {
+	b.cpuUsed += it.CPU
+	b.memUsed += it.MemGB
+	if it.Group != "" {
+		if b.groups == nil {
+			b.groups = make(map[string]bool)
+		}
+		b.groups[it.Group] = true
+	}
+}
+
+func oraclePack(items []Item, bins []Bin, kind PackKind) (Assignment, bool) {
+	states := make([]*oracleBinState, len(bins))
+	byKey := make(map[int]*oracleBinState, len(bins))
+	for i, b := range bins {
+		st := &oracleBinState{bin: b}
+		for _, g := range b.Groups {
+			if st.groups == nil {
+				st.groups = make(map[string]bool)
+			}
+			st.groups[g] = true
+		}
+		states[i] = st
+		byKey[b.Key] = st
+	}
+	order := append([]Item(nil), items...)
+	sort.Slice(order, func(i, j int) bool {
+		if order[i].CPU != order[j].CPU {
+			return order[i].CPU > order[j].CPU
+		}
+		return order[i].Key < order[j].Key
+	})
+	assign := make(Assignment, len(items))
+	var movers []Item
+	for _, it := range order {
+		if st, ok := byKey[it.Current]; ok && st.fits(it) {
+			st.add(it)
+			assign[it.Key] = it.Current
+			continue
+		}
+		movers = append(movers, it)
+	}
+	for _, it := range movers {
+		var chosen *oracleBinState
+		switch kind {
+		case PackBFD:
+			bestSlack := 0.0
+			for _, st := range states {
+				if !st.fits(it) {
+					continue
+				}
+				slack := st.bin.CPUCap - st.cpuUsed - it.CPU
+				if chosen == nil || slack < bestSlack {
+					chosen = st
+					bestSlack = slack
+				}
+			}
+		default:
+			for _, st := range states {
+				if st.fits(it) {
+					chosen = st
+					break
+				}
+			}
+		}
+		if chosen == nil {
+			return nil, false
+		}
+		chosen.add(it)
+		assign[it.Key] = chosen.bin.Key
+	}
+	return assign, true
+}
+
+func oracleBuildBins(m *Manager, hosts []*host.Host) []Bin {
+	inboundCPU := make(map[host.ID]float64)
+	inboundMem := make(map[host.ID]float64)
+	inboundGroups := make(map[host.ID][]string)
+	for _, mig := range m.cl.Migrations().Inflights() {
+		if v, ok := m.cl.VM(mig.VM); ok {
+			dst := host.ID(mig.Dst)
+			inboundCPU[dst] += m.cl.VMDemand(v, m.cl.Engine().Now())
+			inboundMem[dst] += v.MemoryGB()
+			if g := v.Group(); g != "" {
+				inboundGroups[dst] = append(inboundGroups[dst], g)
+			}
+		}
+	}
+	bins := make([]Bin, len(hosts))
+	for i, h := range hosts {
+		cpu := h.Cores()*m.cfg.TargetUtil - inboundCPU[h.ID()]
+		mem := h.MemoryGB() - inboundMem[h.ID()]
+		if cpu < 0 {
+			cpu = 0
+		}
+		if mem < 0 {
+			mem = 0
+		}
+		bins[i] = Bin{Key: int(h.ID()), CPUCap: cpu, MemCap: mem, Groups: inboundGroups[h.ID()]}
+	}
+	return bins
+}
+
+func oraclePlanDrain(m *Manager, forecasts []float64, c census) (Assignment, bool) {
+	bins := oracleBuildBins(m, m.trustedServing(c))
+	binIdx := make(map[int]int, len(bins))
+	for i, b := range bins {
+		binIdx[b.Key] = i
+	}
+	evacIDs := make(map[host.ID]bool, len(c.evacuating))
+	for _, h := range c.evacuating {
+		evacIDs[h.ID()] = true
+	}
+	var items []Item
+	for _, v := range m.cl.VMs() {
+		if m.cl.Migrating(v.ID()) {
+			continue
+		}
+		hid, ok := m.cl.Placement(v.ID())
+		if !ok {
+			continue
+		}
+		if evacIDs[hid] {
+			items = append(items, Item{
+				Key:     int(v.ID()),
+				CPU:     forecasts[v.ID()-1],
+				MemGB:   v.MemoryGB(),
+				Current: -1,
+				Group:   v.Group(),
+			})
+			continue
+		}
+		if i, ok := binIdx[int(hid)]; ok {
+			bins[i].CPUCap -= forecasts[v.ID()-1]
+			bins[i].MemCap -= v.MemoryGB()
+			if bins[i].CPUCap < 0 {
+				bins[i].CPUCap = 0
+			}
+			if bins[i].MemCap < 0 {
+				bins[i].MemCap = 0
+			}
+			if g := v.Group(); g != "" {
+				bins[i].Groups = append(bins[i].Groups, g)
+			}
+		}
+	}
+	return oraclePack(items, bins, m.cfg.Packing)
+}
+
+// densePlan runs the dense planner and returns its plan as an
+// Assignment over the evacuees, for comparison with the oracle.
+func densePlan(m *Manager, forecasts []float64, c census) (Assignment, bool) {
+	if !m.planDrain(forecasts, c) {
+		return nil, false
+	}
+	assign := make(Assignment, len(m.drain.items))
+	for _, it := range m.drain.items {
+		dst, ok := m.drain.dest(vm.ID(it.Key))
+		if !ok {
+			return nil, false
+		}
+		assign[it.Key] = int(dst)
+	}
+	return assign, true
+}
+
+// orderReusable reports whether the order-reuse check should hit for
+// the items planDrain built: they are a subsequence of the previous
+// order that is still strictly ordered. The test holds the planner to
+// it — reuse exactly when reusable — and uses it to prove both
+// branches run.
+func orderReusable(prev []int, items []Item) bool {
+	pos := make(map[int]int, len(items))
+	for i, it := range items {
+		pos[it.Key] = i
+	}
+	var seq []Item
+	for _, k := range prev {
+		if i, ok := pos[k]; ok {
+			seq = append(seq, items[i])
+		}
+	}
+	if len(seq) != len(items) {
+		return false
+	}
+	for j := 1; j < len(seq); j++ {
+		if cmpItems(&seq[j-1], &seq[j]) >= 0 {
+			return false
+		}
+	}
+	return true
+}
+
+func sameAssignment(a, b Assignment) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for k, v := range a {
+		if w, ok := b[k]; !ok || w != v {
+			return false
+		}
+	}
+	return true
+}
+
+// TestPackMatchesOracle drives the shared packing core through Pack on
+// random instances — sticky and homeless items, anti-affinity groups
+// on items and bins, tight and infeasible capacity — under both
+// heuristics.
+func TestPackMatchesOracle(t *testing.T) {
+	rng := sim.NewRNG(42)
+	groups := []string{"", "", "a", "b", "c"}
+	for trial := 0; trial < 2000; trial++ {
+		nBins, nItems := rng.Intn(12)+1, rng.Intn(40)
+		bins := make([]Bin, nBins)
+		for i := range bins {
+			bins[i] = Bin{Key: i + 1, CPUCap: rng.Range(0, 12), MemCap: rng.Range(0, 64)}
+			if rng.Bernoulli(0.3) {
+				bins[i].Groups = []string{groups[rng.Intn(len(groups))]}
+			}
+		}
+		items := make([]Item, nItems)
+		for i := range items {
+			items[i] = Item{
+				Key:     rng.Intn(1000)*64 + i,      // unique, not ordered
+				CPU:     float64(rng.Intn(8)) * 0.5, // ties exercise the key order
+				MemGB:   rng.Range(0, 16),
+				Current: rng.Intn(nBins+4) - 2,
+				Group:   groups[rng.Intn(len(groups))],
+			}
+		}
+		for _, kind := range []PackKind{PackFFD, PackBFD} {
+			want, wantOK := oraclePack(items, bins, kind)
+			got, gotOK := Pack(items, bins, kind)
+			if gotOK != wantOK || !sameAssignment(got, want) {
+				t.Fatalf("trial %d %v: Pack = %v,%v; oracle %v,%v", trial, kind, got, gotOK, want, wantOK)
+			}
+		}
+	}
+}
+
+// drainWorld is a started cluster with random residents and in-flight
+// migrations under a manager that never runs on its own: the test
+// drives planDrain directly.
+func drainWorld(t *testing.T, seed uint64, kind PackKind) (*cluster.Cluster, *Manager, *sim.RNG) {
+	t.Helper()
+	rng := sim.NewRNG(seed)
+	eng := sim.NewEngine(seed)
+	cl, err := cluster.New(eng, cluster.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	nHosts := rng.Intn(10) + 6
+	for i := 0; i < nHosts; i++ {
+		cores := []float64{8, 16, 32}[rng.Intn(3)]
+		if _, err := cl.AddHost(host.Config{Cores: cores, MemoryGB: []float64{32, 64, 128}[rng.Intn(3)]}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	groups := []string{"", "", "", "db", "web", "cache"}
+	for i := 0; i < nHosts*4; i++ {
+		cfg := vm.Config{
+			VCPUs:    4,
+			MemoryGB: []float64{2, 4, 8}[rng.Intn(3)],
+			Trace:    workload.Constant(rng.Range(0.2, 3)),
+			Group:    groups[rng.Intn(len(groups))],
+		}
+		// Anti-affinity or memory can refuse a host; try a few.
+		for try := 0; try < 8; try++ {
+			if _, err := cl.AddVM(cfg, host.ID(rng.Intn(nHosts)+1)); err == nil {
+				break
+			}
+		}
+	}
+	m, err := NewManager(cl, Config{Policy: DPMS3, Packing: kind})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cl.Start()
+	// In-flight migrations, some carrying groups, charged to their
+	// destinations (serving or evacuating alike).
+	for i := 0; i < nHosts*2; i++ {
+		vms := cl.VMs()
+		_ = cl.StartMigration(vms[rng.Intn(len(vms))].ID(), host.ID(rng.Intn(nHosts)+1))
+	}
+	return cl, m, rng
+}
+
+// TestPlanDrainMatchesOracle compares the dense planner with the
+// oracle on randomized worlds: FFD and BFD; anti-affinity groups on
+// residents and on in-flight moves; in-flight moves charged to their
+// destinations; forecasts high enough to make plans infeasible; and
+// evacuee sets that shrink, grow and re-order between consecutive
+// calls, with forecasts that hold still or move, so the order-reuse
+// check both hits and misses.
+func TestPlanDrainMatchesOracle(t *testing.T) {
+	var hits, misses, infeasible, feasible int
+	for seed := uint64(1); seed <= 24; seed++ {
+		kind := PackFFD
+		if seed%2 == 0 {
+			kind = PackBFD
+		}
+		cl, m, rng := drainWorld(t, seed, kind)
+		hosts := cl.Hosts()
+		forecasts := make([]float64, cl.MaxVMID())
+		var evac []*host.Host
+		for call := 0; call < 60; call++ {
+			switch op := rng.Intn(6); {
+			case op == 0 || len(evac) == 0: // grow
+				if h := hosts[rng.Intn(len(hosts))]; !slices.Contains(evac, h) {
+					evac = append(evac, h)
+				}
+			case op == 1 && len(evac) > 1: // shrink
+				i := rng.Intn(len(evac))
+				evac = append(evac[:i:i], evac[i+1:]...)
+			case op == 2: // re-order
+				perm := rng.Perm(len(evac))
+				shuffled := make([]*host.Host, len(evac))
+				for i, j := range perm {
+					shuffled[i] = evac[j]
+				}
+				evac = shuffled
+			case op == 3: // new forecasts, sometimes high enough to fail
+				scale := []float64{0.25, 0.5, 1, 4}[rng.Intn(4)]
+				for i := range forecasts {
+					forecasts[i] = float64(rng.Intn(8)) * 0.25 * scale
+				}
+			case op == 4: // nudge one forecast
+				forecasts[rng.Intn(len(forecasts))] += rng.Range(-0.5, 0.5)
+			}
+			c := census{evacuating: evac}
+			for _, h := range hosts {
+				if !slices.Contains(evac, h) {
+					c.serving = append(c.serving, h)
+				}
+			}
+			for i := range forecasts {
+				forecasts[i] = max(forecasts[i], 0)
+			}
+			want, wantOK := oraclePlanDrain(m, forecasts, c)
+			prev := append([]int(nil), m.drain.prev...)
+			sorts := m.drain.sorts
+			got, gotOK := densePlan(m, forecasts, c)
+			if gotOK != wantOK || !sameAssignment(got, want) {
+				t.Fatalf("seed %d call %d: dense plan %v,%v; oracle %v,%v", seed, call, got, gotOK, want, wantOK)
+			}
+			reusable, sorted := orderReusable(prev, m.drain.items), m.drain.sorts != sorts
+			if reusable == sorted {
+				t.Fatalf("seed %d call %d: order reusable %v, but full sort run %v", seed, call, reusable, sorted)
+			}
+			if len(m.drain.items) > 1 {
+				if reusable {
+					hits++
+				} else {
+					misses++
+				}
+			}
+			if gotOK {
+				feasible++
+			} else {
+				infeasible++
+			}
+		}
+	}
+	if hits == 0 || misses == 0 || feasible == 0 || infeasible == 0 {
+		t.Fatalf("coverage: %d order-reuse hits, %d misses, %d feasible, %d infeasible plans; want all > 0",
+			hits, misses, feasible, infeasible)
+	}
+	t.Logf("%d order-reuse hits, %d misses; %d feasible, %d infeasible plans", hits, misses, feasible, infeasible)
+}
+
+// TestPlanDrainMatchesOracleLive compares the planners on the live
+// state of the parity fleets — the manager's own forecasts, census and
+// cluster, with churn, crashes, maintenance, injected faults and,
+// optionally, a lossy control plane — at every simulated minute.
+func TestPlanDrainMatchesOracleLive(t *testing.T) {
+	const horizon = 8 * time.Hour
+	compared := 0
+	for seed := uint64(1); seed <= 3; seed++ {
+		for _, withPlane := range []bool{false, true} {
+			trng := sim.NewRNG(seed * 101)
+			traces := make([]*workload.Trace, 8)
+			for i := range traces {
+				if i%2 == 0 {
+					traces[i] = workload.Diurnal(trng.Fork(), workload.DiurnalSpec{BaseCores: 0.4, PeakCores: 2.5})
+				} else {
+					traces[i] = workload.Constant(trng.Range(0.5, 2))
+				}
+			}
+			script := parityScript(seed, 16, 64, sim.Time(horizon))
+			w := buildParityWorld(t, IncrementalOn, traces, script, withPlane)
+			for at := sim.Time(time.Minute); at <= sim.Time(horizon); at += sim.Time(time.Minute) {
+				w.eng.RunUntil(at)
+				c := w.m.takeCensus()
+				if len(c.evacuating) == 0 {
+					continue
+				}
+				want, wantOK := oraclePlanDrain(w.m, w.m.fcv, c)
+				got, gotOK := densePlan(w.m, w.m.fcv, c)
+				if gotOK != wantOK || !sameAssignment(got, want) {
+					t.Fatalf("seed %d plane %v at %v: dense plan %v,%v; oracle %v,%v",
+						seed, withPlane, time.Duration(at), got, gotOK, want, wantOK)
+				}
+				compared++
+			}
+		}
+	}
+	if compared == 0 {
+		t.Fatal("no instant had a drain in progress")
+	}
+	t.Logf("compared %d live drain plans", compared)
+}
+
+// drainReplanFixture builds a fleet with a drain in progress: the
+// first evacuate hosts enter maintenance, each such entry starts what
+// migrations the slots admit, and continueMoves then runs until it
+// starts nothing more. From there on every continueMoves call re-plans
+// the whole drain and has each planned move refused — the regime of
+// the completion path, which sees hundreds of refusals per move it
+// starts.
+func drainReplanFixture(tb testing.TB, nHosts, vmsPerHost, evacuate int) *Manager {
+	tb.Helper()
+	eng := sim.NewEngine(1)
+	cl, err := cluster.New(eng, cluster.Config{})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	for i := 0; i < nHosts; i++ {
+		if _, err := cl.AddHost(host.Config{Cores: 16, MemoryGB: 256}); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	rng := sim.NewRNG(1)
+	traces := make([]*workload.Trace, 64)
+	for i := range traces {
+		traces[i] = workload.Diurnal(rng.Fork(), workload.DiurnalSpec{BaseCores: 0.1, PeakCores: 0.6})
+	}
+	for i := 0; i < nHosts*vmsPerHost; i++ {
+		cfg := vm.Config{VCPUs: 2, MemoryGB: 8, Trace: traces[i%len(traces)]}
+		if i%8 == 0 {
+			// Distinct groups among each host's residents (host IDs
+			// repeat every nHosts VMs), shared across hosts.
+			cfg.Group = fmt.Sprintf("g%d", i%53)
+		}
+		if _, err := cl.AddVM(cfg, host.ID(i%nHosts+1)); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	m, err := NewManager(cl, Config{Policy: DPMS3})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	cl.Start()
+	m.Start()
+	eng.RunUntil(time.Minute)
+	for i := 1; i <= evacuate; i++ {
+		if err := m.EnterMaintenance(host.ID(i)); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	for {
+		started := m.stats.MigrationsConsolidation
+		m.continueMoves()
+		if m.stats.MigrationsConsolidation == started {
+			break
+		}
+	}
+	if m.cl.Migrations().Inflight() == 0 || m.evacuating.len() == 0 {
+		tb.Fatal("fixture has no drain in progress")
+	}
+	return m
+}
+
+// TestDrainReplanSteadyStateAllocFree pins the completion path's
+// contract: with a drain in progress, a warmed-up continueMoves —
+// forecasts, census, bins, evacuee order, packing, every refused
+// StartMigration, the park scan and the load-balancing pass —
+// allocates nothing.
+func TestDrainReplanSteadyStateAllocFree(t *testing.T) {
+	m := drainReplanFixture(t, 64, 16, 8)
+	failed := m.stats.MigrationsFailed
+	m.continueMoves()
+	if m.stats.MigrationsFailed == failed {
+		t.Fatal("continueMoves planned no refused moves; the fixture does not exercise rejections")
+	}
+	if allocs := testing.AllocsPerRun(50, m.continueMoves); allocs != 0 {
+		t.Fatalf("drain replan allocates: %v allocs/op, want 0", allocs)
+	}
+}
+
+// BenchmarkDrainReplan measures one completion replan at hyper -quick
+// scale (256 hosts, 4,096 VMs) with 32 hosts draining.
+func BenchmarkDrainReplan(b *testing.B) {
+	m := drainReplanFixture(b, 256, 16, 32)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		m.continueMoves()
+	}
+}

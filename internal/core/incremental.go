@@ -92,6 +92,9 @@ func (m *Manager) growHostSlots() {
 	m.loads = append(m.loads, make([]float64, n-len(m.loads))...)
 	m.inbound = append(m.inbound, make([]float64, n-len(m.inbound))...)
 	m.sortLoads = append(m.sortLoads, make([]float64, n-len(m.sortLoads))...)
+	m.binOf = append(m.binOf, make([]int32, n-len(m.binOf))...)
+	m.binInCPU = append(m.binInCPU, make([]float64, n-len(m.binInCPU))...)
+	m.binInMem = append(m.binInMem, make([]float64, n-len(m.binInMem))...)
 }
 
 // newForecaster builds one forecaster from the validated spec.

@@ -1,7 +1,9 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 	"time"
 
@@ -48,7 +50,7 @@ type Manager struct {
 
 	// evacuating marks hosts being drained for parking. A host stays
 	// marked until it is parked or reclaimed by a scale-up.
-	evacuating map[host.ID]bool
+	evacuating hostSet
 
 	// sleepDelay is the resolved flap-damping delay (see
 	// Config.SleepDelay); shrinkSince tracks how long a scale-down
@@ -62,7 +64,7 @@ type Manager struct {
 	// maintenance marks hosts held out of service by an operator; they
 	// drain like evacuating hosts but are never parked or reclaimed by
 	// scale-up.
-	maintenance map[host.ID]bool
+	maintenance hostSet
 	// Panic-brake state: consecutive over-shortfall ticks and the time
 	// until which scale-down is suspended.
 	panicTicks int
@@ -110,10 +112,17 @@ type Manager struct {
 	lastObs []sim.Time   // lazy mode: when each VM was last observed
 	loads   []float64    // hostForecastLoads result, by host.ID-1
 	inbound []float64    // inboundMemory result, by host.ID-1
-	migTo   map[vm.ID]host.ID
-	cen     census  // takeCensus backing arrays
-	lbVMs   []vm.ID // balanceLoad sort scratch
-	items   []Item  // buildItems scratch
+	cen     census       // takeCensus backing arrays
+	lbVMs   []vm.ID      // balanceLoad sort scratch
+	items   []Item       // buildItems scratch
+	drain   drainScratch // planDrain scratch (see replan.go)
+	parkIDs []host.ID    // drainEvacuating park-candidate scratch
+	// buildBins scratch: binOf (by host.ID-1) holds each bin host's
+	// bin position + 1 while buildBins runs and 0 otherwise; binInCPU
+	// and binInMem (by bin position) sum in-flight inbound demand.
+	binOf    []int32
+	binInCPU []float64
+	binInMem []float64
 
 	// Incremental planning state (see incremental.go). inc gates every
 	// cache; lazyFC additionally gates the due-heap forecast
@@ -149,6 +158,8 @@ type Manager struct {
 	planK     int
 	planOK    bool
 	sortLoads []float64 // packServing per-host load scratch
+	planPk    packer    // packServing bin scratch, handed
+	planBins  []Bin     // to MinBins as planBins
 
 	// Power-feed cap (scenario power-cap events): capWatts is the feed
 	// limit, capBudget the derived active-host budget. Zero means
@@ -171,9 +182,7 @@ func NewManager(cl *cluster.Cluster, cfg Config) (*Manager, error) {
 	m := &Manager{
 		cl:          cl,
 		cfg:         cfg,
-		evacuating:  make(map[host.ID]bool),
 		wokeAt:      make(map[host.ID]sim.Time),
-		maintenance: make(map[host.ID]bool),
 		parking:     make(map[host.ID]bool),
 		wakingReq:   make(map[host.ID]bool),
 		retries:     make(map[host.ID]int),
@@ -182,7 +191,6 @@ func NewManager(cl *cluster.Cluster, cfg Config) (*Manager, error) {
 		migFails:    make(map[vm.ID]int),
 		migRetryAt:  make(map[vm.ID]sim.Time),
 		counters:    telemetry.NewCounters(),
-		migTo:       make(map[vm.ID]host.ID),
 	}
 	if cfg.PredictiveWake {
 		m.diurnal = newDiurnalModel(0.4)
@@ -242,10 +250,10 @@ func (m *Manager) EnterMaintenance(id host.ID) error {
 	mach := h.Machine()
 	switch {
 	case mach.Available():
-		m.maintenance[id] = true
-		m.evacuating[id] = true
+		m.maintenance.add(id)
+		m.evacuating.add(id)
 	case mach.Phase() == power.Settled && mach.State().IsSleep():
-		m.maintenance[id] = true
+		m.maintenance.add(id)
 	default:
 		return fmt.Errorf("core: host %d is mid-transition (%v/%v)", id, mach.State(), mach.Phase())
 	}
@@ -258,11 +266,11 @@ func (m *Manager) EnterMaintenance(id host.ID) error {
 
 // ExitMaintenance returns a host to service.
 func (m *Manager) ExitMaintenance(id host.ID) error {
-	if !m.maintenance[id] {
+	if !m.maintenance.has(id) {
 		return fmt.Errorf("core: host %d is not in maintenance", id)
 	}
-	delete(m.maintenance, id)
-	delete(m.evacuating, id)
+	m.maintenance.remove(id)
+	m.evacuating.remove(id)
 	m.invalidate()
 	if m.started {
 		m.step()
@@ -271,12 +279,12 @@ func (m *Manager) ExitMaintenance(id host.ID) error {
 }
 
 // InMaintenance reports whether the host is held for maintenance.
-func (m *Manager) InMaintenance(id host.ID) bool { return m.maintenance[id] }
+func (m *Manager) InMaintenance(id host.ID) bool { return m.maintenance.has(id) }
 
 // MaintenanceReady reports whether a maintenance host has fully
 // drained (safe to touch).
 func (m *Manager) MaintenanceReady(id host.ID) bool {
-	if !m.maintenance[id] {
+	if !m.maintenance.has(id) {
 		return false
 	}
 	h, ok := m.cl.Host(id)
@@ -405,9 +413,9 @@ func (m *Manager) checkPanic() {
 	m.invalidate()
 	// Everything wakes; evacuations (except operator maintenance)
 	// cancel.
-	for id := range m.evacuating {
-		if !m.maintenance[id] {
-			delete(m.evacuating, id)
+	for i, on := range m.evacuating.on {
+		if id := host.ID(i + 1); on && !m.maintenance.has(id) {
+			m.evacuating.remove(id)
 		}
 	}
 	c := m.takeCensus()
@@ -454,7 +462,7 @@ func (m *Manager) placePending(forecasts []float64) {
 	// Maintenance holds are respected, as are liveness suspicions.
 	candidates := append([]*host.Host(nil), m.trustedServing(c)...)
 	for _, h := range c.evacuating {
-		if !m.maintenance[h.ID()] && !m.distrusted(h.ID()) {
+		if !m.maintenance.has(h.ID()) && !m.distrusted(h.ID()) {
 			candidates = append(candidates, h)
 		}
 	}
@@ -499,7 +507,7 @@ func (m *Manager) placePending(forecasts []float64) {
 		m.stats.Provisioned++
 		loads[best.ID()-1] += forecasts[vid-1]
 		// A placed VM re-anchors an evacuating host into service.
-		delete(m.evacuating, best.ID())
+		m.evacuating.remove(best.ID())
 	}
 }
 
@@ -580,13 +588,13 @@ func (m *Manager) takeCensus() census {
 			// With a control plane the manager cannot see the crash
 			// directly; until liveness says otherwise the host keeps its
 			// last-known class (commands sent to it will bounce).
-			if m.evacuating[h.ID()] {
+			if m.evacuating.has(h.ID()) {
 				c.evacuating = append(c.evacuating, h)
 			} else {
 				c.serving = append(c.serving, h)
 			}
 		case mach.Available():
-			if m.evacuating[h.ID()] {
+			if m.evacuating.has(h.ID()) {
 				c.evacuating = append(c.evacuating, h)
 			} else {
 				c.serving = append(c.serving, h)
@@ -722,7 +730,7 @@ func (m *Manager) scaleUp(forecasts []float64, c census) bool {
 			m.counters.Inc(CtrCapDeferredWakes)
 			break
 		}
-		if m.maintenance[h.ID()] {
+		if m.maintenance.has(h.ID()) {
 			continue
 		}
 		if m.distrusted(h.ID()) || m.hostCmdPending(h.ID()) {
@@ -730,7 +738,7 @@ func (m *Manager) scaleUp(forecasts []float64, c census) bool {
 			// makes this host unreliable capacity; wake elsewhere.
 			continue
 		}
-		delete(m.evacuating, h.ID())
+		m.evacuating.remove(h.ID())
 		m.invalidate()
 		c.serving = append(c.serving, h)
 		haveCores += h.Cores()
@@ -838,7 +846,7 @@ func (m *Manager) enforcePowerCap(forecasts []float64, c census) bool {
 		if m.distrusted(h.ID()) || m.hostCmdPending(h.ID()) {
 			continue
 		}
-		m.evacuating[h.ID()] = true
+		m.evacuating.add(h.ID())
 		m.invalidate()
 		m.counters.Inc(CtrCapEvacuations)
 		acted = true
@@ -894,7 +902,7 @@ func (m *Manager) considerScaleDown(forecasts []float64, c census) {
 			m.counters.Inc(CtrStaleKeepOn)
 			continue
 		}
-		m.evacuating[h.ID()] = true
+		m.evacuating.add(h.ID())
 		m.invalidate()
 	}
 	m.shrinkOpen = false
@@ -936,7 +944,12 @@ func (m *Manager) packServing(forecasts []float64, c census) ([]*host.Host, int,
 		}
 		return hosts[i].ID() < hosts[j].ID()
 	})
-	bins := m.buildBins(hosts)
+	m.buildBins(&m.planPk, hosts)
+	bins := m.planBins[:0]
+	for _, st := range m.planPk.bins {
+		bins = append(bins, Bin{Key: st.key, CPUCap: st.cpuCap, MemCap: st.memCap, Groups: st.groups})
+	}
+	m.planBins = bins
 	k, _, ok := MinBins(items, bins, m.cfg.Packing)
 	m.planHosts = hosts
 	m.planK = k
@@ -977,35 +990,41 @@ func (m *Manager) buildItems(forecasts []float64) []Item {
 	return items
 }
 
-// buildBins converts hosts into packing bins, charging in-flight
-// inbound migrations against the destination's capacity.
-func (m *Manager) buildBins(hosts []*host.Host) []Bin {
-	inboundCPU := make(map[host.ID]float64)
-	inboundMem := make(map[host.ID]float64)
-	inboundGroups := make(map[host.ID][]string)
+// buildBins loads hosts into p as packing bins, in order: usable CPU
+// (cores × target utilization) and memory net of the in-flight
+// migrations landing on each host, whose anti-affinity groups the bin
+// carries too. Inbound demand sums in VM-ID order, the order of the
+// in-flight view.
+func (m *Manager) buildBins(p *packer, hosts []*host.Host) {
+	m.growHostSlots()
+	bins := p.resetBins(len(hosts))
+	inCPU, inMem := m.binInCPU[:len(hosts)], m.binInMem[:len(hosts)]
+	clear(inCPU)
+	clear(inMem)
+	for i, h := range hosts {
+		m.binOf[h.ID()-1] = int32(i) + 1
+	}
+	now := m.cl.Engine().Now()
 	for _, mig := range m.cl.Migrations().Inflights() {
+		b := m.binOf[mig.Dst-1] - 1
+		if b < 0 {
+			continue
+		}
 		if v, ok := m.cl.VM(mig.VM); ok {
-			dst := host.ID(mig.Dst)
-			inboundCPU[dst] += m.cl.VMDemand(v, m.cl.Engine().Now())
-			inboundMem[dst] += v.MemoryGB()
+			inCPU[b] += m.cl.VMDemand(v, now)
+			inMem[b] += v.MemoryGB()
 			if g := v.Group(); g != "" {
-				inboundGroups[dst] = append(inboundGroups[dst], g)
+				bins[b].groups = append(bins[b].groups, g)
 			}
 		}
 	}
-	bins := make([]Bin, len(hosts))
 	for i, h := range hosts {
-		cpu := h.Cores()*m.cfg.TargetUtil - inboundCPU[h.ID()]
-		mem := h.MemoryGB() - inboundMem[h.ID()]
-		if cpu < 0 {
-			cpu = 0
-		}
-		if mem < 0 {
-			mem = 0
-		}
-		bins[i] = Bin{Key: int(h.ID()), CPUCap: cpu, MemCap: mem, Groups: inboundGroups[h.ID()]}
+		m.binOf[h.ID()-1] = 0
+		st := &bins[i]
+		st.key = int(h.ID())
+		st.cpuCap = max(h.Cores()*m.cfg.TargetUtil-inCPU[i], 0)
+		st.memCap = max(h.MemoryGB()-inMem[i], 0)
 	}
-	return bins
 }
 
 // drainEvacuating moves VMs off hosts marked for evacuation and parks
@@ -1014,18 +1033,17 @@ func (m *Manager) buildBins(hosts []*host.Host) []Bin {
 // succeed even when serving hosts sit near the packing target; if the
 // evacuees genuinely do not fit, an evacuating host is reclaimed.
 func (m *Manager) drainEvacuating(forecasts []float64) {
-	if len(m.evacuating) == 0 {
+	if m.evacuating.len() == 0 {
 		return
 	}
 	c := m.takeCensus()
-	assign, ok := m.planDrain(forecasts, c)
-	if !ok {
+	if !m.planDrain(forecasts, c) {
 		// Not enough room: reclaim the evacuating host with the most
 		// VMs (cheapest to bring back to service) and retry next step.
 		// Maintenance holds are operator decisions and stay.
 		var reclaim *host.Host
 		for _, h := range c.evacuating {
-			if m.maintenance[h.ID()] {
+			if m.maintenance.has(h.ID()) {
 				continue
 			}
 			if reclaim == nil || h.NumVMs() > reclaim.NumVMs() {
@@ -1033,7 +1051,7 @@ func (m *Manager) drainEvacuating(forecasts []float64) {
 			}
 		}
 		if reclaim != nil {
-			delete(m.evacuating, reclaim.ID())
+			m.evacuating.remove(reclaim.ID())
 			m.invalidate()
 		}
 		return
@@ -1047,11 +1065,11 @@ func (m *Manager) drainEvacuating(forecasts []float64) {
 			if m.cfg.MaxMigrationsPerStep > 0 && migrated >= m.cfg.MaxMigrationsPerStep {
 				break
 			}
-			dstKey, planned := assign[int(vid)]
+			dst, planned := m.drain.dest(vid)
 			if !planned {
 				continue
 			}
-			if err := m.startMigration(vid, host.ID(dstKey)); err != nil {
+			if err := m.startMigration(vid, dst); err != nil {
 				m.stats.MigrationsFailed++
 				continue
 			}
@@ -1059,14 +1077,10 @@ func (m *Manager) drainEvacuating(forecasts []float64) {
 			migrated++
 		}
 	}
-	// Park fully drained hosts.
-	ids := make([]host.ID, 0, len(m.evacuating))
-	for id := range m.evacuating {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	for _, id := range ids {
-		if m.maintenance[id] {
+	// Park fully drained hosts, in ascending ID order.
+	m.parkIDs = m.evacuating.appendTo(m.parkIDs[:0])
+	for _, id := range m.parkIDs {
+		if m.maintenance.has(id) {
 			// Drained maintenance hosts stay on and held, not parked.
 			continue
 		}
@@ -1090,36 +1104,41 @@ func (m *Manager) drainEvacuating(forecasts []float64) {
 			// lands: commandResult counts it and clears the evacuation.
 			if err := m.sleepHost(id); err == nil && m.cp == nil {
 				m.stats.Sleeps++
-				delete(m.evacuating, id)
+				m.evacuating.remove(id)
 			}
 		}
 	}
 }
 
 // planDrain packs the VMs sitting on evacuating hosts into the
-// residual capacity of the serving hosts. Serving hosts' own VMs are
-// pre-charged against their bins (they stay put); only evacuees are
-// packing items.
-func (m *Manager) planDrain(forecasts []float64, c census) (Assignment, bool) {
-	bins := m.buildBins(m.trustedServing(c))
-	binIdx := make(map[int]int, len(bins))
-	for i, b := range bins {
-		binIdx[b.Key] = i
+// residual capacity of the serving hosts, leaving the plan in m.drain
+// (see drainScratch.dest). Serving hosts' own VMs are pre-charged
+// against their bins (they stay put), each host's in ascending VM-ID
+// order; only evacuees are packing items, and none has a home bin. It
+// reports whether every evacuee found a destination.
+func (m *Manager) planDrain(forecasts []float64, c census) bool {
+	d := &m.drain
+	hosts := m.trustedServing(c)
+	m.buildBins(&d.pk, hosts)
+	for i, h := range hosts {
+		st := &d.pk.bins[i]
+		for _, v := range h.Residents() {
+			if m.cl.Migrating(v.ID()) {
+				continue
+			}
+			st.cpuCap = max(st.cpuCap-forecasts[v.ID()-1], 0)
+			st.memCap = max(st.memCap-v.MemoryGB(), 0)
+			if g := v.Group(); g != "" {
+				st.groups = append(st.groups, g)
+			}
+		}
 	}
-	evacIDs := make(map[host.ID]bool, len(c.evacuating))
+	items := d.items[:0]
 	for _, h := range c.evacuating {
-		evacIDs[h.ID()] = true
-	}
-	var items []Item
-	for _, v := range m.cl.VMs() {
-		if m.cl.Migrating(v.ID()) {
-			continue
-		}
-		hid, ok := m.cl.Placement(v.ID())
-		if !ok {
-			continue
-		}
-		if evacIDs[hid] {
+		for _, v := range h.Residents() {
+			if m.cl.Migrating(v.ID()) {
+				continue
+			}
 			items = append(items, Item{
 				Key:     int(v.ID()),
 				CPU:     forecasts[v.ID()-1],
@@ -1127,23 +1146,11 @@ func (m *Manager) planDrain(forecasts []float64, c census) (Assignment, bool) {
 				Current: -1, // must move
 				Group:   v.Group(),
 			})
-			continue
-		}
-		if i, ok := binIdx[int(hid)]; ok {
-			bins[i].CPUCap -= forecasts[v.ID()-1]
-			bins[i].MemCap -= v.MemoryGB()
-			if bins[i].CPUCap < 0 {
-				bins[i].CPUCap = 0
-			}
-			if bins[i].MemCap < 0 {
-				bins[i].MemCap = 0
-			}
-			if g := v.Group(); g != "" {
-				bins[i].Groups = append(bins[i].Groups, g)
-			}
 		}
 	}
-	return Pack(items, bins, m.cfg.Packing)
+	d.items = items
+	d.sortItems(m.cl.MaxVMID())
+	return d.pk.pack(items, nil, m.cfg.Packing)
 }
 
 // pickLBDestination picks the load-balancing target for one VM: the
@@ -1241,17 +1248,13 @@ func (m *Manager) hostForecastLoads(forecasts []float64) []float64 {
 		return m.loads
 	}
 	m.growHostSlots()
-	loads, migratingTo := m.loads, m.migTo
+	loads, migs := m.loads, m.cl.Migrations()
 	for i := range loads {
 		loads[i] = 0
 	}
-	clear(migratingTo)
-	for _, mig := range m.cl.Migrations().Inflights() {
-		migratingTo[mig.VM] = host.ID(mig.Dst)
-	}
 	for _, v := range m.cl.VMs() {
-		if dst, ok := migratingTo[v.ID()]; ok {
-			loads[dst-1] += forecasts[v.ID()-1]
+		if mig, ok := migs.Get(v.ID()); ok {
+			loads[mig.Dst-1] += forecasts[v.ID()-1]
 			continue
 		}
 		if hid, ok := m.cl.Placement(v.ID()); ok {
@@ -1310,12 +1313,11 @@ func (m *Manager) balanceLoad(forecasts []float64) {
 		// cached view — copy into scratch before sorting by load.
 		vids := append(m.lbVMs[:0], src.VMs()...)
 		m.lbVMs = vids
-		sort.Slice(vids, func(i, j int) bool {
-			fi, fj := forecasts[vids[i]-1], forecasts[vids[j]-1]
-			if fi != fj {
-				return fi < fj
+		slices.SortFunc(vids, func(a, b vm.ID) int {
+			if c := cmp.Compare(forecasts[a-1], forecasts[b-1]); c != 0 {
+				return c
 			}
-			return vids[i] < vids[j]
+			return cmp.Compare(a, b)
 		})
 		for _, vid := range vids {
 			if loads[src.ID()-1] <= m.cfg.TargetUtil*src.Cores() {

@@ -1,7 +1,9 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 )
 
@@ -70,98 +72,192 @@ func (k PackKind) String() string {
 	}
 }
 
+// binState is one bin during a packing: its capacity, what the
+// packing has put in it so far, and the anti-affinity groups present.
+// The group list is scanned linearly — a host carries a handful of
+// groups at most — and its backing array is reused across packings.
 type binState struct {
-	bin     Bin
+	key     int
+	cpuCap  float64
+	memCap  float64
 	cpuUsed float64
 	memUsed float64
-	groups  map[string]bool
+	groups  []string
 }
 
-func (b *binState) fits(it Item) bool {
-	if it.Group != "" && b.groups[it.Group] {
-		return false
+func (b *binState) hasGroup(g string) bool {
+	for _, have := range b.groups {
+		if have == g {
+			return true
+		}
 	}
-	return b.cpuUsed+it.CPU <= b.bin.CPUCap+1e-9 && b.memUsed+it.MemGB <= b.bin.MemCap+1e-9
+	return false
 }
 
-func (b *binState) add(it Item) {
+func (b *binState) fits(it *Item) bool {
+	return b.cpuUsed+it.CPU <= b.cpuCap+1e-9 && b.memUsed+it.MemGB <= b.memCap+1e-9 &&
+		(it.Group == "" || !b.hasGroup(it.Group))
+}
+
+func (b *binState) add(it *Item) {
 	b.cpuUsed += it.CPU
 	b.memUsed += it.MemGB
 	if it.Group != "" {
-		if b.groups == nil {
-			b.groups = make(map[string]bool)
-		}
-		b.groups[it.Group] = true
+		b.groups = append(b.groups, it.Group)
 	}
+}
+
+// packer is the packing core every caller shares: Pack (and through
+// it MinBins) as a map-returning wrapper, the drain replan directly. It
+// works on item and bin positions, never on keys, so it needs no maps,
+// and it keeps its slices between packings, so a warmed-up packer
+// allocates nothing.
+type packer struct {
+	bins []binState
+	// order lists item positions in processing order: decreasing CPU,
+	// ties by ascending key (see cmpItems).
+	order []int32
+	// place is the result: place[i] is the bin position of item i.
+	place  []int32
+	movers []int32
+}
+
+// resetBins sizes the packer to n empty bins, keeping each bin's group
+// backing array, and returns them for the caller to fill in.
+func (p *packer) resetBins(n int) []binState {
+	if cap(p.bins) < n {
+		p.bins = append(p.bins[:cap(p.bins)], make([]binState, n-cap(p.bins))...)
+	}
+	p.bins = p.bins[:n]
+	for i := range p.bins {
+		b := &p.bins[i]
+		*b = binState{groups: b.groups[:0]}
+	}
+	return p.bins
+}
+
+// cmpItems is the packing order: decreasing CPU, ties by ascending
+// key. It is a strict total order on items with distinct keys, so
+// every correct sort produces the same sequence.
+func cmpItems(a, b *Item) int {
+	switch {
+	case a.CPU > b.CPU:
+		return -1
+	case a.CPU < b.CPU:
+		return 1
+	}
+	return cmp.Compare(a.Key, b.Key)
+}
+
+// sortItems sets the processing order to a full sort of items.
+func (p *packer) sortItems(items []Item) {
+	order := p.order[:0]
+	for i := range items {
+		order = append(order, int32(i))
+	}
+	slices.SortFunc(order, func(a, b int32) int { return cmpItems(&items[a], &items[b]) })
+	p.order = order
+}
+
+// ordered reports whether order lists items strictly increasing under
+// cmpItems — which makes it the one sorted order of those items.
+func ordered(items []Item, order []int32) bool {
+	for j := 1; j < len(order); j++ {
+		if cmpItems(&items[order[j-1]], &items[order[j]]) >= 0 {
+			return false
+		}
+	}
+	return true
+}
+
+// pack assigns every item to a bin in the processing order: first, if
+// home is non-nil, each item stays on its home bin (home[i] is a bin
+// position, or -1 for none) when it still fits; then the rest are
+// packed with the chosen heuristic. It reports false as soon as an
+// item fits nowhere, leaving place partly written.
+func (p *packer) pack(items []Item, home []int32, kind PackKind) bool {
+	if cap(p.place) < len(items) {
+		p.place = make([]int32, len(items))
+	}
+	p.place = p.place[:len(items)]
+	movers := p.order
+	if home != nil {
+		// Pass 1: sticky placement on the current bin.
+		movers = p.movers[:0]
+		for _, i := range p.order {
+			if h := home[i]; h >= 0 && p.bins[h].fits(&items[i]) {
+				p.bins[h].add(&items[i])
+				p.place[i] = h
+				continue
+			}
+			movers = append(movers, i)
+		}
+		p.movers = movers
+	}
+	// Pass 2: pack the movers.
+	for _, i := range movers {
+		it := &items[i]
+		chosen := int32(-1)
+		switch kind {
+		case PackBFD:
+			bestSlack := 0.0
+			for b := range p.bins {
+				st := &p.bins[b]
+				if !st.fits(it) {
+					continue
+				}
+				slack := st.cpuCap - st.cpuUsed - it.CPU
+				if chosen < 0 || slack < bestSlack {
+					chosen = int32(b)
+					bestSlack = slack
+				}
+			}
+		default: // PackFFD
+			for b := range p.bins {
+				if p.bins[b].fits(it) {
+					chosen = int32(b)
+					break
+				}
+			}
+		}
+		if chosen < 0 {
+			return false
+		}
+		p.bins[chosen].add(it)
+		p.place[i] = chosen
+	}
+	return true
 }
 
 // Pack assigns every item to a bin, keeping items on their current bin
 // when possible and packing the rest with the chosen heuristic. It
 // reports ok=false if some item cannot be placed (the chosen bin set
-// is too small).
+// is too small). Item and bin keys must be unique (see Validate).
 func Pack(items []Item, bins []Bin, kind PackKind) (Assignment, bool) {
-	states := make([]*binState, len(bins))
-	byKey := make(map[int]*binState, len(bins))
+	var p packer
+	states := p.resetBins(len(bins))
+	byKey := make(map[int]int32, len(bins))
 	for i, b := range bins {
-		st := &binState{bin: b}
-		for _, g := range b.Groups {
-			if st.groups == nil {
-				st.groups = make(map[string]bool)
-			}
-			st.groups[g] = true
-		}
-		states[i] = st
-		byKey[b.Key] = st
+		st := &states[i]
+		st.key, st.cpuCap, st.memCap = b.Key, b.CPUCap, b.MemCap
+		st.groups = append(st.groups, b.Groups...)
+		byKey[b.Key] = int32(i)
 	}
-	// Deterministic processing order: decreasing CPU, ties by key.
-	order := append([]Item(nil), items...)
-	sort.Slice(order, func(i, j int) bool {
-		if order[i].CPU != order[j].CPU {
-			return order[i].CPU > order[j].CPU
+	home := make([]int32, len(items))
+	for i, it := range items {
+		h, ok := byKey[it.Current]
+		if !ok {
+			h = -1
 		}
-		return order[i].Key < order[j].Key
-	})
-
+		home[i] = h
+	}
+	p.sortItems(items)
+	if !p.pack(items, home, kind) {
+		return nil, false
+	}
 	assign := make(Assignment, len(items))
-	var movers []Item
-	// Pass 1: sticky placement on the current bin.
-	for _, it := range order {
-		if st, ok := byKey[it.Current]; ok && st.fits(it) {
-			st.add(it)
-			assign[it.Key] = it.Current
-			continue
-		}
-		movers = append(movers, it)
-	}
-	// Pass 2: pack the movers.
-	for _, it := range movers {
-		var chosen *binState
-		switch kind {
-		case PackBFD:
-			bestSlack := 0.0
-			for _, st := range states {
-				if !st.fits(it) {
-					continue
-				}
-				slack := st.bin.CPUCap - st.cpuUsed - it.CPU
-				if chosen == nil || slack < bestSlack {
-					chosen = st
-					bestSlack = slack
-				}
-			}
-		default: // PackFFD
-			for _, st := range states {
-				if st.fits(it) {
-					chosen = st
-					break
-				}
-			}
-		}
-		if chosen == nil {
-			return nil, false
-		}
-		chosen.add(it)
-		assign[it.Key] = chosen.bin.Key
+	for _, i := range p.order {
+		assign[items[i].Key] = p.bins[p.place[i]].key
 	}
 	return assign, true
 }

@@ -147,7 +147,7 @@ func (m *Manager) suspendFailed(id host.ID) {
 	n := m.retries[id]
 	if n > m.cfg.MaxTransitionRetries {
 		m.quarantine(id)
-		delete(m.evacuating, id)
+		m.evacuating.remove(id)
 		m.invalidate()
 		m.counters.Inc(CtrDegradedKeepOn)
 		return
@@ -286,7 +286,7 @@ func (m *Manager) hostCrashed(id host.ID) {
 		return
 	}
 	m.counters.Inc(CtrCrashesObserved)
-	delete(m.evacuating, id)
+	m.evacuating.remove(id)
 	delete(m.parking, id)
 	delete(m.wakingReq, id)
 	delete(m.retries, id)

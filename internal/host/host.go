@@ -6,6 +6,7 @@
 package host
 
 import (
+	"errors"
 	"fmt"
 	"sort"
 
@@ -16,6 +17,15 @@ import (
 
 // ID identifies a host within a cluster.
 type ID int
+
+// Reservation rejections. Reserve returns them as is, so a refused
+// inbound migration formats nothing.
+var (
+	// ErrAlreadyReserved — the VM already holds a reservation here.
+	ErrAlreadyReserved = errors.New("host: vm already reserved")
+	// ErrNoMemory — the host has too little free memory for the VM.
+	ErrNoMemory = errors.New("host: no memory to reserve")
+)
 
 // Config describes a host to create.
 type Config struct {
@@ -348,10 +358,10 @@ func (h *Host) Get(id vm.ID) (*vm.VM, bool) {
 func (h *Host) Reserve(id vm.ID, memGB float64) error {
 	i := sort.Search(len(h.resv), func(i int) bool { return h.resv[i].id >= id })
 	if i < len(h.resv) && h.resv[i].id == id {
-		return fmt.Errorf("host %s: vm %d already reserved", h.name, id)
+		return ErrAlreadyReserved
 	}
 	if !h.CanFit(memGB) {
-		return fmt.Errorf("host %s: no memory to reserve %v GB for vm %d", h.name, memGB, id)
+		return ErrNoMemory
 	}
 	h.resv = append(h.resv, reservation{})
 	copy(h.resv[i+1:], h.resv[i:])

@@ -1,16 +1,18 @@
 package migrate
 
 import (
+	"cmp"
 	"errors"
-	"fmt"
-	"sort"
+	"slices"
 	"time"
 
 	"agilepower/internal/sim"
 	"agilepower/internal/vm"
 )
 
-// Manager errors.
+// Manager errors. Start returns them unwrapped: a rejected request
+// formats nothing, because a draining manager issues hundreds of
+// requests that are refused for every one that starts.
 var (
 	// ErrHostSaturated — starting the migration would exceed a host's
 	// concurrent-migration limit.
@@ -19,6 +21,12 @@ var (
 	ErrAlreadyMigrating = errors.New("migrate: vm already migrating")
 	// ErrSamePlace — source equals destination.
 	ErrSamePlace = errors.New("migrate: source and destination are the same host")
+	// ErrNegativeID — a VM or host ID is negative. IDs index the
+	// manager's dense per-VM and per-host state.
+	ErrNegativeID = errors.New("migrate: negative vm or host id")
+	// ErrNonPositiveMemory — Model.Plan was asked to move a VM with no
+	// memory.
+	ErrNonPositiveMemory = errors.New("migrate: memory must be positive")
 )
 
 // Fault is one injected defect on a migration. Stall lengthens the
@@ -38,7 +46,8 @@ type FaultInjector interface {
 }
 
 // Migration is one in-flight (or completed) VM move. Hosts are
-// identified by opaque ints supplied by the caller (the cluster layer).
+// identified by non-negative ints supplied by the caller (the cluster
+// layer's host IDs); they index the manager's per-host slot counts.
 type Migration struct {
 	VM       vm.ID
 	Src, Dst int
@@ -84,8 +93,14 @@ type Manager struct {
 	// (inbound plus outbound), as real hypervisors do.
 	perHostLimit int
 
-	inflight map[vm.ID]*Migration
-	perHost  map[int]int
+	// inflight lists the migrations in flight in ascending VM ID order,
+	// kept sorted on insert and remove; byVM indexes them by VM ID (nil
+	// when the VM is not migrating) and perHost counts the migrations
+	// touching each host. Both dense slices grow on demand, so lookups
+	// neither hash nor allocate.
+	inflight []*Migration
+	byVM     []*Migration
+	perHost  []int
 	stats    Stats
 
 	// faults, when non-nil, is consulted on every admitted migration.
@@ -109,8 +124,6 @@ func NewManager(eng *sim.Engine, model Model, perHostLimit int) (*Manager, error
 		eng:          eng,
 		model:        model,
 		perHostLimit: perHostLimit,
-		inflight:     make(map[vm.ID]*Migration),
-		perHost:      make(map[int]int),
 	}, nil
 }
 
@@ -134,46 +147,57 @@ func (m *Manager) Inflight() int { return len(m.inflight) }
 
 // Migrating reports whether the VM is currently in flight.
 func (m *Manager) Migrating(id vm.ID) bool {
-	_, ok := m.inflight[id]
+	_, ok := m.Get(id)
 	return ok
 }
 
+// Get returns the VM's in-flight migration, if any.
+func (m *Manager) Get(id vm.ID) (*Migration, bool) {
+	if id < 0 || int(id) >= len(m.byVM) || m.byVM[id] == nil {
+		return nil, false
+	}
+	return m.byVM[id], true
+}
+
 // HostLoad returns how many in-flight migrations touch host h.
-func (m *Manager) HostLoad(h int) int { return m.perHost[h] }
+func (m *Manager) HostLoad(h int) int {
+	if h < 0 || h >= len(m.perHost) {
+		return 0
+	}
+	return m.perHost[h]
+}
 
 // Inflights returns the in-flight migrations ordered by VM ID, for
-// deterministic planning by the management layer.
-func (m *Manager) Inflights() []*Migration {
-	out := make([]*Migration, 0, len(m.inflight))
-	for _, mig := range m.inflight {
-		out = append(out, mig)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].VM < out[j].VM })
-	return out
-}
+// deterministic planning by the management layer. The slice is the
+// manager's own sorted list, not a copy: it is a read-only view that
+// the next Start, completion or abort invalidates. Callers must not
+// modify it, and must not hold it across any call that can start or
+// finish a migration — copy it first, as FailHost does.
+func (m *Manager) Inflights() []*Migration { return m.inflight }
 
 // CanStart reports whether a src→dst migration would be admitted.
 func (m *Manager) CanStart(src, dst int) bool {
 	return src != dst &&
-		m.perHost[src] < m.perHostLimit &&
-		m.perHost[dst] < m.perHostLimit
+		m.HostLoad(src) < m.perHostLimit &&
+		m.HostLoad(dst) < m.perHostLimit
 }
 
 // Start begins migrating the VM with the given memory footprint from
 // src to dst. The returned Migration completes (callback fires) after
-// the planned duration.
+// the planned duration. A rejection returns one of the package's
+// sentinel errors as is.
 func (m *Manager) Start(id vm.ID, src, dst int, memGB float64) (*Migration, error) {
+	if id < 0 || src < 0 || dst < 0 {
+		return nil, ErrNegativeID
+	}
 	if src == dst {
-		return nil, fmt.Errorf("%w: host %d", ErrSamePlace, src)
+		return nil, ErrSamePlace
 	}
 	if m.Migrating(id) {
-		return nil, fmt.Errorf("%w: vm %d", ErrAlreadyMigrating, id)
+		return nil, ErrAlreadyMigrating
 	}
-	if m.perHost[src] >= m.perHostLimit {
-		return nil, fmt.Errorf("%w: source %d", ErrHostSaturated, src)
-	}
-	if m.perHost[dst] >= m.perHostLimit {
-		return nil, fmt.Errorf("%w: destination %d", ErrHostSaturated, dst)
+	if m.HostLoad(src) >= m.perHostLimit || m.HostLoad(dst) >= m.perHostLimit {
+		return nil, ErrHostSaturated
 	}
 	plan, err := m.model.Plan(memGB)
 	if err != nil {
@@ -199,9 +223,7 @@ func (m *Manager) Start(id vm.ID, src, dst int, memGB float64) (*Migration, erro
 		Plan:   plan,
 		Failed: failed,
 	}
-	m.inflight[id] = mig
-	m.perHost[src]++
-	m.perHost[dst]++
+	m.insert(mig)
 	m.stats.Started++
 	mig.ev = m.eng.Schedule(mig.End, func() { m.complete(mig) })
 	return mig, nil
@@ -209,10 +231,12 @@ func (m *Manager) Start(id vm.ID, src, dst int, memGB float64) (*Migration, erro
 
 // FailHost aborts every in-flight migration touching host h (which
 // crashed): their completion events are cancelled and each fires the
-// failure path immediately. It returns how many were aborted.
+// failure path immediately. It returns how many were aborted. It walks
+// a copy of the in-flight list: each abort shrinks the list, and the
+// failure callbacks may start new migrations.
 func (m *Manager) FailHost(h int) int {
 	aborted := 0
-	for _, mig := range m.Inflights() {
+	for _, mig := range append([]*Migration(nil), m.inflight...) {
 		if mig.Src != h && mig.Dst != h {
 			continue
 		}
@@ -225,16 +249,37 @@ func (m *Manager) FailHost(h int) int {
 	return aborted
 }
 
-func (m *Manager) complete(mig *Migration) {
-	delete(m.inflight, mig.VM)
+// insert adds mig to the in-flight list at its VM ID's sorted position
+// and charges a slot on both hosts.
+func (m *Manager) insert(mig *Migration) {
+	i, _ := slices.BinarySearchFunc(m.inflight, mig.VM, cmpVM)
+	m.inflight = slices.Insert(m.inflight, i, mig)
+	if n := int(mig.VM) + 1; n > len(m.byVM) {
+		m.byVM = append(m.byVM, make([]*Migration, n-len(m.byVM))...)
+	}
+	m.byVM[mig.VM] = mig
+	if n := max(mig.Src, mig.Dst) + 1; n > len(m.perHost) {
+		m.perHost = append(m.perHost, make([]int, n-len(m.perHost))...)
+	}
+	m.perHost[mig.Src]++
+	m.perHost[mig.Dst]++
+}
+
+// cmpVM orders the in-flight list by VM ID.
+func cmpVM(mig *Migration, id vm.ID) int { return cmp.Compare(mig.VM, id) }
+
+// remove drops mig from the in-flight list and frees its slots.
+func (m *Manager) remove(mig *Migration) {
+	if i, ok := slices.BinarySearchFunc(m.inflight, mig.VM, cmpVM); ok {
+		m.inflight = slices.Delete(m.inflight, i, i+1)
+	}
+	m.byVM[mig.VM] = nil
 	m.perHost[mig.Src]--
 	m.perHost[mig.Dst]--
-	if m.perHost[mig.Src] == 0 {
-		delete(m.perHost, mig.Src)
-	}
-	if m.perHost[mig.Dst] == 0 {
-		delete(m.perHost, mig.Dst)
-	}
+}
+
+func (m *Manager) complete(mig *Migration) {
+	m.remove(mig)
 	if mig.Failed {
 		// The pre-copy traffic was spent even though the move aborted.
 		m.stats.Aborted++
@@ -259,5 +304,5 @@ func (m *Manager) Stats() Stats { return m.stats }
 // CPUOverhead returns the extra cores consumed on host h right now by
 // in-flight migrations.
 func (m *Manager) CPUOverhead(h int) float64 {
-	return float64(m.perHost[h]) * m.model.CPUOverheadCores
+	return float64(m.HostLoad(h)) * m.model.CPUOverheadCores
 }

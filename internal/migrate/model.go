@@ -83,7 +83,7 @@ func (m Model) Plan(memGB float64) (Plan, error) {
 		return Plan{}, err
 	}
 	if memGB <= 0 {
-		return Plan{}, fmt.Errorf("migrate: memory %v GB must be positive", memGB)
+		return Plan{}, ErrNonPositiveMemory
 	}
 	bwGBps := m.BandwidthGbps / 8
 	dirtyGBps := m.DirtyFracPerSec * memGB
