@@ -41,14 +41,17 @@ fmt:
 		echo "gofmt needed on:"; echo "$$out"; exit 1; \
 	fi
 
-# The determinism gate: the full experiment suite must render
-# byte-identically whether run on 1 worker or many — and, since the
-# evaluation tick can now be sharded, for every shard/eval-worker
-# combination — and the lossy control-plane message layer must replay
-# identically for a fixed seed. Run explicitly in CI (it is also part
-# of `make test`) so a violation is unmissable.
+# The determinism gate: the full experiment suite must render the
+# golden bytes on 1 worker and many, with and without a sharded
+# evaluation tick; the faulted experiments must match their golden
+# sections across shards × workers × delta; the delta and sharded ticks
+# must match the serial full scan bit for bit; the incremental planner
+# must match its full-scan oracle; forked worlds must match cold ones;
+# and the lossy control-plane message layer must replay identically for
+# a fixed seed. Run explicitly in CI (it is also part of `make test`)
+# so a violation is unmissable.
 determinism:
-	$(GO) test -run 'TestRunAllByteIdenticalAcrossWorkers|TestRunAllByteIdenticalAcrossShards|TestShardedFaultedExperimentsByteIdentical|TestPlaneDeterministicAcrossReruns|TestDeltaMatrixMatchesGolden|TestDeltaEvaluateBitIdentical|TestIncrementalMatrixMatchesGolden|TestHyperscaleIncrementalMatrixMatchesGolden|TestIncrementalPlanningParity|TestForkMatrixMatchesGolden|TestColdWorldMatchesGolden|TestForkMatchesColdStart|TestConcurrentForksMatchColdStart' -v \
+	$(GO) test -run 'TestRunAllMatchesGolden|TestFaultedExperimentsMatchGolden|TestHyperscaleFullScanMatchesGolden|TestPlaneDeterministicAcrossReruns|TestDeltaEvaluateBitIdentical|TestShardedEvaluateBitIdentical|TestIncrementalPlanningParity|TestForkMatchesColdStart|TestForkGridMatchesColdStart|TestConcurrentForksMatchColdStart' -v \
 		./internal/experiments/ ./internal/ctrlplane/ ./internal/cluster/ ./internal/core/ .
 
 bench:
@@ -115,9 +118,10 @@ bench-hyperscale:
 		-benchmem -benchtime=500x -count=3 -timeout 30m ./internal/cluster/ \
 		| $(GO) run ./cmd/benchjson -label $(LABEL) -out BENCH_hyperscale.json
 
-# The hyperscale gate without a measurement run: the delta and
-# full-scan byte-identity tests at experiment scale, the delta 0-alloc
-# gate, and the quick-mode heap budget assertion. CI runs this as its
+# The hyperscale gate without a measurement run: one iteration of the
+# tick benchmark, the delta 0-alloc gate, the quick-mode heap budget
+# assertion, and the full-scan replay of the delta-default hyperscale
+# experiment against its golden section. CI runs this as its
 # hyperscale smoke job.
 bench-hyperscale-smoke:
 	$(GO) test -run '^$$' -bench 'BenchmarkHyperscaleEvaluate' -benchmem -benchtime=1x \
@@ -126,8 +130,9 @@ bench-hyperscale-smoke:
 		./internal/cluster/ ./internal/experiments/
 
 # Record the manager-planning benchmarks (one steady-state control step
-# over the 16384-host / 131072-VM quiescent-majority fixture, full-scan
-# versus incremental) into BENCH_manager.json. The checked-in artifact
+# over the 16384-host / 131072-VM quiescent-majority fixture, the
+# full-scan test oracle versus the incremental planner) into
+# BENCH_manager.json. The checked-in artifact
 # holds the pre/post numbers of the incremental-planning rework; the
 # acceptance bar is incremental >= 10x faster than full-scan at
 # 0 allocs/op:
@@ -141,14 +146,14 @@ bench-manager:
 
 # The manager-cost gate without a measurement run: one iteration of the
 # hyperscale control-step benchmark (so the fixture cannot rot), the
-# steady-state 0-alloc assertion, and the incremental/full-scan parity
-# property tests. CI runs this as its manager-gate job; part of
-# `make ci`.
+# steady-state 0-alloc assertion, and the parity property tests that
+# hold the incremental planner against its full-scan oracle. CI runs
+# this as its manager-gate job; part of `make ci`.
 bench-manager-smoke:
 	$(GO) test -run '^$$' -bench 'BenchmarkManagerControlStepHyperscale' -benchmem -benchtime=1x \
 		./internal/core/
-	$(GO) test -run 'TestManagerStepSteadyStateAllocFree|TestIncrementalPlanningParity|TestIncrementalModeMatchesFullScan' -v \
-		./internal/core/ .
+	$(GO) test -run 'TestManagerStepSteadyStateAllocFree|TestIncrementalPlanningParity' -v \
+		./internal/core/
 
 # Record the world-setup benchmarks (per-cell world construction and
 # end-to-end session creation, cold versus forked from a shared
@@ -173,14 +178,14 @@ bench-setup:
 
 # The setup-cost gate without a measurement run: one iteration of both
 # setup benchmarks (so the fixtures cannot rot), the fork-vs-cold
-# byte-identity matrix, the forked-tick 0-alloc assertion, the
-# screened-placement regression test, and the ColdWorld escape-hatch
-# golden check. CI runs this as its setup-gate job; part of `make ci`.
+# byte-identity tests, the forked-tick 0-alloc assertion, and the
+# screened-placement regression test. CI runs this as its setup-gate
+# job; part of `make ci`.
 bench-setup-smoke:
 	$(GO) test -run '^$$' -bench 'BenchmarkWorldBuildVsFork|BenchmarkWorldForkVsColdStart' \
 		-benchmem -benchtime=1x .
-	$(GO) test -run 'TestForkMatchesColdStart|TestForkGridMatchesColdStart|TestForkedEvaluateSteadyStateAllocFree|TestPlaceInitialMatchesLegacyRetry|TestColdWorldMatchesGolden' -v \
-		. ./internal/cluster/ ./internal/experiments/
+	$(GO) test -run 'TestForkMatchesColdStart|TestForkGridMatchesColdStart|TestConcurrentForksMatchColdStart|TestForkedEvaluateSteadyStateAllocFree|TestPlaceInitialMatchesLegacyRetry' -v \
+		. ./internal/cluster/
 
 # Allocation regression gate: the steady-state evaluation tick — serial
 # and sharded — the pooled event loop, the manager's cached control
@@ -188,7 +193,7 @@ bench-setup-smoke:
 # StartMigration must stay allocation-free, and the full report bytes
 # must match the pre-optimization goldens. Part of `make ci`.
 bench-alloc:
-	$(GO) test -run 'AllocFree|ScheduleFuncPool|PreOptimizationGolden|ArchivedResults' -v \
+	$(GO) test -run 'AllocFree|ScheduleFuncPool|RunAllMatchesGolden|ArchivedResults' -v \
 		./internal/cluster/ ./internal/sim/ ./internal/experiments/ ./internal/core/
 
 # Record the full-scale service load test into BENCH_api.json: a

@@ -56,9 +56,6 @@ type (
 	ManagerConfig = core.Config
 	// ForecastSpec selects the demand predictor.
 	ForecastSpec = core.ForecastSpec
-	// IncrementalMode selects incremental vs full-scan manager
-	// planning (byte-identical results; a wall-clock knob).
-	IncrementalMode = core.IncrementalMode
 	// Oracle computes analytic lower bounds.
 	Oracle = core.Oracle
 	// MigrationModel parameterizes pre-copy live migration.
@@ -161,13 +158,6 @@ const (
 	ForecastPeakWindow = core.ForecastPeakWindow
 )
 
-// Incremental-planning modes (ManagerConfig.Incremental).
-const (
-	IncrementalDefault = core.IncrementalDefault
-	IncrementalOn      = core.IncrementalOn
-	IncrementalOff     = core.IncrementalOff
-)
-
 // Policies returns the standard comparison set (Static, NoPM, DPM-S5,
 // DPM-S3).
 func Policies() []Policy { return core.Policies() }
@@ -264,12 +254,10 @@ type Scenario struct {
 	// Shards partitions each evaluation tick's per-host work into this
 	// many fixed, ID-contiguous host ranges run concurrently inside the
 	// simulation (clamped to the fleet size; 0 or 1 keeps the serial
-	// loop). Purely a wall-clock knob for datacenter-scale fleets:
-	// results are byte-identical for every value.
+	// loop), served by min(Shards, GOMAXPROCS) worker goroutines.
+	// Purely a wall-clock knob for datacenter-scale fleets: results
+	// are byte-identical for every value.
 	Shards int
-	// EvalWorkers bounds the goroutines serving shards (<= 0 means
-	// min(Shards, GOMAXPROCS)). Like Shards, invisible in results.
-	EvalWorkers int
 	// Delta switches the evaluation tick from a full per-host scan to
 	// event-driven delta evaluation: only hosts whose inputs changed
 	// since the last tick (demand edge, placement, migration, power
@@ -284,12 +272,6 @@ type Scenario struct {
 	TelemetryCap int
 	// Seed drives all simulation randomness (default 1).
 	Seed uint64
-	// ColdWorld disables the snapshot/fork world reuse in the grid
-	// runners (RunPolicies, RunReplicated, the experiment grids): every
-	// cell rebuilds its world from scratch via Start instead of forking
-	// a shared Prototype. Purely a debugging escape hatch — results are
-	// byte-identical either way, forking is just faster.
-	ColdWorld bool
 	// Faults, when non-nil and enabled, injects transition failures,
 	// migration aborts/stalls, and transient host crashes, all drawn
 	// from a substream of Seed. Nil (or a dormant config) leaves the
@@ -351,9 +333,6 @@ func (s Scenario) Validate() error {
 	}
 	if s.Shards < 0 {
 		return fmt.Errorf("agilepower: negative shards %d", s.Shards)
-	}
-	if s.EvalWorkers < 0 {
-		return fmt.Errorf("agilepower: negative eval workers %d", s.EvalWorkers)
 	}
 	if s.TelemetryCap < 0 {
 		return fmt.Errorf("agilepower: negative telemetry cap %d", s.TelemetryCap)
@@ -547,20 +526,15 @@ func (s Scenario) RunPolicies(policies []Policy) ([]*Result, error) {
 // RunPoliciesWorkers is RunPolicies with an explicit concurrency
 // bound (workers <= 0 means GOMAXPROCS, 1 means sequential). The
 // world — host fleet plus initial placement — is built once as a
-// Prototype and forked per policy (unless ColdWorld is set); each
-// worker then runs its fork on its own engine, so results — and any
-// report rendered from them in policy order — are byte-identical for
-// every worker count, and to a cold per-policy Start.
+// Prototype and forked per policy; each worker then runs its fork on
+// its own engine, so results — and any report rendered from them in
+// policy order — are byte-identical for every worker count, and to a
+// cold per-policy Start.
 func (s Scenario) RunPoliciesWorkers(workers int, policies []Policy) ([]*Result, error) {
-	var proto *Prototype
-	if !s.ColdWorld {
-		// A prototype failure (validation or construction) falls back to
-		// the cold path, which reproduces the same error per policy —
-		// callers see exactly what a cold loop reported.
-		if p, err := s.Prototype(); err == nil {
-			proto = p
-		}
-	}
+	// A prototype failure (validation or construction) leaves proto nil
+	// and falls back to the cold path, which reproduces the same error
+	// per policy — callers see exactly what a cold loop reported.
+	proto, _ := s.Prototype()
 	return parallel.Map(context.Background(), len(policies), workers,
 		func(_ context.Context, i int) (*Result, error) {
 			sc := s

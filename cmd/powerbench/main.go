@@ -18,7 +18,6 @@ import (
 	"os"
 	"time"
 
-	"agilepower"
 	"agilepower/internal/experiments"
 	"agilepower/internal/parallel"
 	"agilepower/internal/power"
@@ -41,11 +40,8 @@ func main() {
 	ctrlDelay := flag.Duration("ctrlplane-delay", 0, "mean one-way management-network delay for the ctrl experiment (0 with zero loss = no control plane)")
 	ctrlLoss := flag.Float64("ctrlplane-loss", 0, "per-leg management-network loss probability in [0,1]")
 	shards := flag.Int("shards", 0, "shard each simulation's evaluation tick across this many host ranges (0/1 = serial); output is identical for every value")
-	evalWorkers := flag.Int("eval-workers", 0, "goroutines serving evaluation shards (0 = min(shards, GOMAXPROCS))")
 	delta := flag.String("delta", "", "evaluation mode: 'on' forces event-driven delta evaluation, 'off' forces the full scan, empty lets each experiment choose; output is identical in either mode")
-	incremental := flag.String("incremental", "", "manager planning mode: 'on' maintains planning inputs incrementally (the default), 'off' rebuilds by full scan each control step; output is identical in either mode")
 	telemetryCap := flag.Int("telemetry-cap", 0, "bound each recorded time series to this many stored samples (0 = experiment default)")
-	coldWorld := flag.Bool("cold-world", false, "rebuild each grid cell's fleet from scratch instead of forking a shared snapshot; output is identical either way")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile to this file")
 	memProfile := flag.String("memprofile", "", "write a heap profile to this file on exit")
 	tracePath := flag.String("trace", "", "write a runtime execution trace to this file (inspect with `go tool trace`)")
@@ -88,24 +84,10 @@ func main() {
 		fmt.Fprintf(os.Stderr, "powerbench: invalid -delta %q (want on, off, or empty)\n", *delta)
 		os.Exit(1)
 	}
-	var incMode agilepower.IncrementalMode
-	switch *incremental {
-	case "":
-		incMode = agilepower.IncrementalDefault
-	case "on":
-		incMode = agilepower.IncrementalOn
-	case "off":
-		incMode = agilepower.IncrementalOff
-	default:
-		fmt.Fprintf(os.Stderr, "powerbench: invalid -incremental %q (want on, off, or empty)\n", *incremental)
-		os.Exit(1)
-	}
 	opts := experiments.Options{
 		Seed: *seed, Profile: profile, Workers: *workers,
 		CtrlDelay: *ctrlDelay, CtrlLoss: *ctrlLoss,
-		Shards: *shards, EvalWorkers: *evalWorkers,
-		Delta: deltaMode, Incremental: incMode, TelemetryCap: *telemetryCap,
-		ColdWorld: *coldWorld,
+		Shards: *shards, Delta: deltaMode, TelemetryCap: *telemetryCap,
 	}
 	ids := []string{"t1", "f2", "f3"}
 	if *exp != "all" {

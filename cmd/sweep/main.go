@@ -13,7 +13,6 @@ import (
 	"fmt"
 	"os"
 
-	"agilepower"
 	"agilepower/internal/experiments"
 	"agilepower/internal/prof"
 )
@@ -27,11 +26,8 @@ func main() {
 	ctrlDelay := flag.Duration("ctrlplane-delay", 0, "mean one-way management-network delay for cluster experiments (0 with zero loss = no control plane)")
 	ctrlLoss := flag.Float64("ctrlplane-loss", 0, "per-leg management-network loss probability in [0,1]")
 	shards := flag.Int("shards", 0, "shard each simulation's evaluation tick across this many host ranges (0/1 = serial); output is identical for every value")
-	evalWorkers := flag.Int("eval-workers", 0, "goroutines serving evaluation shards (0 = min(shards, GOMAXPROCS))")
 	delta := flag.String("delta", "", "evaluation mode: 'on' forces event-driven delta evaluation, 'off' forces the full scan, empty lets each experiment choose; output is identical in either mode")
-	incremental := flag.String("incremental", "", "manager planning mode: 'on' maintains planning inputs incrementally (the default), 'off' rebuilds by full scan each control step; output is identical in either mode")
 	telemetryCap := flag.Int("telemetry-cap", 0, "bound each recorded time series to this many stored samples (0 = experiment default)")
-	coldWorld := flag.Bool("cold-world", false, "rebuild each grid cell's fleet from scratch instead of forking a shared snapshot; output is identical either way")
 	list := flag.Bool("list", false, "list experiment ids and exit")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile to this file")
 	memProfile := flag.String("memprofile", "", "write a heap profile to this file on exit")
@@ -60,18 +56,12 @@ func main() {
 		fmt.Fprintln(os.Stderr, "sweep:", err)
 		os.Exit(1)
 	}
-	incMode, err := parseIncrementalMode(*incremental)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "sweep:", err)
-		os.Exit(1)
-	}
 	health := &experiments.Health{}
 	opts := experiments.Options{
 		Quick: *quick, Seed: *seed, SVGDir: *svgDir, Workers: *parallel,
 		CtrlDelay: *ctrlDelay, CtrlLoss: *ctrlLoss,
-		Shards: *shards, EvalWorkers: *evalWorkers,
-		Delta: deltaMode, Incremental: incMode, TelemetryCap: *telemetryCap,
-		ColdWorld: *coldWorld, Health: health,
+		Shards: *shards, Delta: deltaMode, TelemetryCap: *telemetryCap,
+		Health: health,
 	}
 	if *exp == "all" {
 		// Long runs stay observable: per-experiment wall times go to
@@ -106,20 +96,5 @@ func parseDeltaMode(s string) (experiments.DeltaMode, error) {
 		return experiments.DeltaOff, nil
 	default:
 		return 0, fmt.Errorf("invalid -delta %q (want on, off, or empty)", s)
-	}
-}
-
-// parseIncrementalMode maps the -incremental flag onto the manager's
-// tri-state planning-mode knob.
-func parseIncrementalMode(s string) (agilepower.IncrementalMode, error) {
-	switch s {
-	case "":
-		return agilepower.IncrementalDefault, nil
-	case "on":
-		return agilepower.IncrementalOn, nil
-	case "off":
-		return agilepower.IncrementalOff, nil
-	default:
-		return 0, fmt.Errorf("invalid -incremental %q (want on, off, or empty)", s)
 	}
 }

@@ -112,7 +112,7 @@ func forkCases() []struct {
 		}()},
 		{"sharded delta churn", Scenario{
 			Hosts: 8, VMs: MixedFleet(32, 7), Horizon: 8 * time.Hour, Seed: 7,
-			Shards: 2, EvalWorkers: 2, Delta: true, TelemetryCap: 64,
+			Shards: 2, Delta: true, TelemetryCap: 64,
 			Manager: ManagerConfig{Policy: DPMS5},
 			Churn:   &ChurnSpec{ArrivalsPerHour: 2, MeanLifetime: 3 * time.Hour},
 		}},
@@ -254,7 +254,14 @@ func TestForkRejectsWorldMismatch(t *testing.T) {
 	}{
 		{"Hosts", func(sc Scenario) Scenario { sc.Hosts = 5; return sc }},
 		{"HostCores", func(sc Scenario) Scenario { sc.HostCores = 32; return sc }},
+		{"HostMemoryGB", func(sc Scenario) Scenario { sc.HostMemoryGB = 512; return sc }},
+		{"Profile", func(sc Scenario) Scenario { sc.Profile = DefaultProfile(); return sc }},
+		{"HostClasses", func(sc Scenario) Scenario {
+			sc.HostClasses = []HostClass{{Count: 2, Cores: 32}, {Count: 2}}
+			return sc
+		}},
 		{"Horizon", func(sc Scenario) Scenario { sc.Horizon = 6 * time.Hour; return sc }},
+		{"EvalStep", func(sc Scenario) Scenario { sc.EvalStep = 30 * time.Second; return sc }},
 		// An equal copy of the fleet is still a different fleet: cells
 		// must share the prototype's VMs slice, not merely equal specs.
 		{"VMs", func(sc Scenario) Scenario { sc.VMs = append([]VMSpec(nil), sc.VMs...); return sc }},

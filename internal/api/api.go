@@ -127,17 +127,15 @@ type RunRequest struct {
 	// Churn optionally adds dynamic arrivals.
 	Churn *ChurnRequest `json:"churn,omitempty"`
 
-	// Shards, EvalWorkers, Delta, and TelemetryCap are the simulator's
+	// Shards, Delta, and TelemetryCap are the simulator's
 	// wall-clock/memory knobs (see agilepower.Scenario): sharded
-	// evaluation, the shard worker-pool bound, event-driven delta
-	// evaluation, and the telemetry sample cap. All four are invisible
-	// in results — byte-identical for every setting — so they are safe
-	// to expose per-request without fragmenting the result cache's
-	// effective hit rate across equivalent runs... except that they are
-	// part of the request hash (conservative: different knobs, different
-	// key).
+	// evaluation, event-driven delta evaluation, and the telemetry
+	// sample cap. All three are invisible in results — byte-identical
+	// for every setting — so they are safe to expose per-request
+	// without fragmenting the result cache's effective hit rate across
+	// equivalent runs... except that they are part of the request hash
+	// (conservative: different knobs, different key).
 	Shards       int  `json:"shards,omitempty"`
-	EvalWorkers  int  `json:"evalWorkers,omitempty"`
 	Delta        bool `json:"delta,omitempty"`
 	TelemetryCap int  `json:"telemetryCap,omitempty"`
 
@@ -345,8 +343,8 @@ func (s *Server) buildScenario(req RunRequest) (agilepower.Scenario, error) {
 	if req.VMs <= 0 || req.VMs > s.cfg.MaxVMs {
 		return agilepower.Scenario{}, fmt.Errorf("vms must be in [1, %d]", s.cfg.MaxVMs)
 	}
-	if req.Shards < 0 || req.EvalWorkers < 0 || req.TelemetryCap < 0 {
-		return agilepower.Scenario{}, fmt.Errorf("shards, evalWorkers, and telemetryCap must be non-negative")
+	if req.Shards < 0 || req.TelemetryCap < 0 {
+		return agilepower.Scenario{}, fmt.Errorf("shards and telemetryCap must be non-negative")
 	}
 	seed := req.Seed
 	if seed == 0 {
@@ -410,7 +408,6 @@ func (s *Server) buildScenario(req RunRequest) (agilepower.Scenario, error) {
 		Horizon:      horizon,
 		Seed:         seed,
 		Shards:       req.Shards,
-		EvalWorkers:  req.EvalWorkers,
 		Delta:        req.Delta,
 		TelemetryCap: req.TelemetryCap,
 		Manager: agilepower.ManagerConfig{

@@ -140,6 +140,8 @@ func TestCreateRunValidation(t *testing.T) {
 		{"bad fleet", `{"hosts":4,"vms":4,"fleet":"quantum"}`},
 		{"bad policy", `{"hosts":4,"vms":4,"fleet":"flat","policy":"yolo"}`},
 		{"horizon too long", `{"hosts":4,"vms":4,"fleet":"flat","horizonHours":100000}`},
+		{"negative shards", `{"hosts":4,"vms":4,"fleet":"flat","shards":-1}`},
+		{"negative telemetry cap", `{"hosts":4,"vms":4,"fleet":"flat","telemetryCap":-1}`},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

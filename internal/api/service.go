@@ -489,11 +489,11 @@ func (s *Server) handleSubmitScenario(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "decoding scenario file: %v", err)
 		return
 	}
-	if hosts := f.TotalHosts(); hosts <= 0 || hosts > s.cfg.MaxHosts {
+	if hosts, ok := f.TotalHosts(s.cfg.MaxHosts); !ok || hosts == 0 {
 		writeError(w, http.StatusBadRequest, "hosts must be in [1, %d]", s.cfg.MaxHosts)
 		return
 	}
-	if vms := f.TotalVMs(); vms <= 0 || vms > s.cfg.MaxVMs {
+	if vms, ok := f.TotalVMs(s.cfg.MaxVMs); !ok || vms == 0 {
 		writeError(w, http.StatusBadRequest, "vms must be in [1, %d]", s.cfg.MaxVMs)
 		return
 	}
@@ -502,7 +502,13 @@ func (s *Server) handleSubmitScenario(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	if sc.Horizon < 0 || sc.Horizon > s.cfg.MaxHorizon {
+	// An omitted horizon runs the scenario default (24h), so that is
+	// what the budget must see.
+	horizon := sc.Horizon
+	if horizon == 0 {
+		horizon = 24 * time.Hour
+	}
+	if horizon < 0 || horizon > s.cfg.MaxHorizon {
 		writeError(w, http.StatusBadRequest, "horizon must be in (0, %v]", s.cfg.MaxHorizon)
 		return
 	}

@@ -502,7 +502,7 @@ func TestShardsDeltaKnobsByteIdentical(t *testing.T) {
 		t.Fatalf("plain status %d", st)
 	}
 	for _, knobs := range []string{
-		`,"shards":4,"evalWorkers":2`,
+		`,"shards":4`,
 		`,"delta":true`,
 		`,"shards":2,"delta":true,"telemetryCap":64`,
 	} {

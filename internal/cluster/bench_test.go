@@ -45,10 +45,10 @@ func BenchmarkSimulatedDay(b *testing.B) {
 // buildScaleCluster assembles the datacenter-scale fixture shared by
 // the scale benchmarks: 2,048 heterogeneous hosts and 16,384 diurnal
 // VMs, with the evaluation tick sharded as requested.
-func buildScaleCluster(b *testing.B, shards, workers int) (*sim.Engine, *Cluster) {
+func buildScaleCluster(b *testing.B, shards int) (*sim.Engine, *Cluster) {
 	b.Helper()
 	eng := sim.NewEngine(1)
-	c, err := New(eng, Config{Horizon: 24 * time.Hour, Shards: shards, EvalWorkers: workers})
+	c, err := New(eng, Config{Horizon: 24 * time.Hour, Shards: shards})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -77,7 +77,7 @@ func buildScaleCluster(b *testing.B, shards, workers int) (*sim.Engine, *Cluster
 func BenchmarkScaleEvaluate(b *testing.B) {
 	for _, shards := range []int{1, 4, 8} {
 		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
-			_, c := buildScaleCluster(b, shards, 0)
+			_, c := buildScaleCluster(b, shards)
 			c.Start()
 			defer c.Close()
 			b.ReportAllocs()
@@ -98,7 +98,7 @@ func BenchmarkScaleDay(b *testing.B) {
 		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				eng, c := buildScaleCluster(b, shards, 0)
+				eng, c := buildScaleCluster(b, shards)
 				c.Start()
 				eng.RunUntil(24 * time.Hour)
 				c.Flush()

@@ -93,14 +93,11 @@ type Config struct {
 	Horizon time.Duration
 	// Shards partitions the evaluation tick's per-host work into this
 	// many fixed, ID-contiguous host ranges run concurrently (clamped
-	// to the host count at Start). 0 or 1 keeps the serial loop.
-	// Results are byte-identical for every value — see the package
-	// comment for the determinism argument.
+	// to the host count at Start) by min(Shards, GOMAXPROCS) persistent
+	// worker goroutines. 0 or 1 keeps the serial loop. Results are
+	// byte-identical for every value — see the package comment for the
+	// determinism argument.
 	Shards int
-	// EvalWorkers bounds the persistent goroutines that process shards
-	// (<= 0 means min(Shards, GOMAXPROCS)). Like Shards, it is
-	// invisible in the results.
-	EvalWorkers int
 	// Delta switches the evaluation tick from a full scan to delta
 	// evaluation: after Start, a host is re-evaluated only when
 	// something affecting its power or SLA changed — a resident's
@@ -235,7 +232,6 @@ type Cluster struct {
 	// hosts' slots are, and a clean host's cached slot is bitwise what
 	// recomputing it would produce.
 	shards      int
-	evalWorkers int
 	delta       bool
 	shardBounds []shardRange
 	shardSize   int
@@ -340,7 +336,6 @@ func New(eng *sim.Engine, cfg Config) (*Cluster, error) {
 		cfg:             cfg,
 		migrations:      mgr,
 		shards:          cfg.Shards,
-		evalWorkers:     cfg.EvalWorkers,
 		delta:           cfg.Delta,
 		powerSeries:     telemetry.NewSeriesCap("cluster_power_w", seriesCap),
 		demandSeries:    telemetry.NewSeriesCap("cluster_demand_cores", seriesCap),
@@ -722,10 +717,7 @@ func (c *Cluster) startEval() {
 	if len(c.shardBounds) <= 1 {
 		return
 	}
-	w := c.evalWorkers
-	if w <= 0 {
-		w = runtime.GOMAXPROCS(0)
-	}
+	w := runtime.GOMAXPROCS(0)
 	if w > len(c.shardBounds) {
 		w = len(c.shardBounds)
 	}

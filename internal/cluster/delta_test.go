@@ -125,7 +125,7 @@ func TestDeltaSkipsQuiescentHosts(t *testing.T) {
 func TestFlushAfterCloseDeltaKeepsTailAccounting(t *testing.T) {
 	run := func(delta bool, closeFirst bool) *Cluster {
 		eng := sim.NewEngine(1)
-		c := buildQuiescentCluster(t, eng, Config{Horizon: 6 * time.Hour, Shards: 2, EvalWorkers: 2, Delta: delta}, 16, 96)
+		c := buildQuiescentCluster(t, eng, Config{Horizon: 6 * time.Hour, Shards: 2, Delta: delta}, 16, 96)
 		c.Start()
 		// Stop between ticks so open accounting runs and analytic energy
 		// segments are live when the books close.
@@ -153,7 +153,7 @@ func TestFlushAfterCloseDeltaKeepsTailAccounting(t *testing.T) {
 func TestDeltaSteadyStateAllocFree(t *testing.T) {
 	eng := sim.NewEngine(1)
 	c := buildQuiescentCluster(t, eng,
-		Config{Horizon: 30 * 24 * time.Hour, Shards: 4, EvalWorkers: 2, Delta: true}, 16, 96)
+		Config{Horizon: 30 * 24 * time.Hour, Shards: 4, Delta: true}, 16, 96)
 	c.startEval()
 	now := eng.Now()
 	c.evaluate()

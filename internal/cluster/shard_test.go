@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
 	"time"
 
@@ -14,8 +15,10 @@ import (
 
 // runShardScenario simulates an eventful half-day — migrations, a host
 // crash with stranded VMs, dynamic arrival/placement, a departure —
-// on a cluster configured with the given shard/worker counts, and
-// returns the cluster for result comparison.
+// on a cluster configured with the given shard count, and returns the
+// cluster for result comparison. A positive workers sets GOMAXPROCS
+// for the run, which caps the sharded tick's worker pool at
+// min(shards, workers); 0 leaves GOMAXPROCS alone.
 func runShardScenario(t testing.TB, shards, workers int) *Cluster {
 	t.Helper()
 	return runEvalScenario(t, shards, workers, false)
@@ -25,8 +28,11 @@ func runShardScenario(t testing.TB, shards, workers int) *Cluster {
 // explicit, so the delta tests share the exact same event sequence.
 func runEvalScenario(t testing.TB, shards, workers int, delta bool) *Cluster {
 	t.Helper()
+	if workers > 0 {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(workers))
+	}
 	eng := sim.NewEngine(1)
-	c, err := New(eng, Config{Horizon: 12 * time.Hour, Shards: shards, EvalWorkers: workers, Delta: delta})
+	c, err := New(eng, Config{Horizon: 12 * time.Hour, Shards: shards, Delta: delta})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,7 +169,7 @@ func TestEvaluateAfterCloseFallsBackSerial(t *testing.T) {
 // every partial lands in a preallocated per-host slot.
 func TestShardedEvaluateSteadyStateAllocFree(t *testing.T) {
 	eng := sim.NewEngine(1)
-	c, err := New(eng, Config{Horizon: 30 * 24 * time.Hour, Shards: 4, EvalWorkers: 2})
+	c, err := New(eng, Config{Horizon: 30 * 24 * time.Hour, Shards: 4})
 	if err != nil {
 		t.Fatal(err)
 	}

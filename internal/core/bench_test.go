@@ -138,7 +138,7 @@ func BenchmarkPeakWindowForecast(b *testing.B) {
 // packing capacity so MinBins proves consolidation infeasible without
 // packing — which is exactly the regime where incremental planning
 // must win: churn is near zero while the fleet is enormous.
-func hyperscaleManagerFixture(b *testing.B, mode IncrementalMode) (*sim.Engine, *Manager) {
+func hyperscaleManagerFixture(b *testing.B, incremental bool) (*sim.Engine, *Manager) {
 	b.Helper()
 	eng := sim.NewEngine(1)
 	cl, err := cluster.New(eng, cluster.Config{})
@@ -174,7 +174,7 @@ func hyperscaleManagerFixture(b *testing.B, mode IncrementalMode) (*sim.Engine, 
 			b.Fatal(err)
 		}
 	}
-	m, err := NewManager(cl, Config{Policy: DPMS3, Incremental: mode})
+	m, err := newManager(cl, Config{Policy: DPMS3}, incremental)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -191,10 +191,10 @@ func hyperscaleManagerFixture(b *testing.B, mode IncrementalMode) (*sim.Engine, 
 func BenchmarkManagerControlStepHyperscale(b *testing.B) {
 	for _, mode := range []struct {
 		name string
-		inc  IncrementalMode
+		inc  bool
 	}{
-		{"eager", IncrementalOff},
-		{"incremental", IncrementalOn},
+		{"eager", false},
+		{"incremental", true},
 	} {
 		b.Run(mode.name, func(b *testing.B) {
 			_, m := hyperscaleManagerFixture(b, mode.inc)

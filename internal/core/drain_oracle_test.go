@@ -414,17 +414,8 @@ func TestPlanDrainMatchesOracleLive(t *testing.T) {
 	compared := 0
 	for seed := uint64(1); seed <= 3; seed++ {
 		for _, withPlane := range []bool{false, true} {
-			trng := sim.NewRNG(seed * 101)
-			traces := make([]*workload.Trace, 8)
-			for i := range traces {
-				if i%2 == 0 {
-					traces[i] = workload.Diurnal(trng.Fork(), workload.DiurnalSpec{BaseCores: 0.4, PeakCores: 2.5})
-				} else {
-					traces[i] = workload.Constant(trng.Range(0.5, 2))
-				}
-			}
 			script := parityScript(seed, 16, 64, sim.Time(horizon))
-			w := buildParityWorld(t, IncrementalOn, traces, script, withPlane)
+			w := buildParityWorld(t, true, parityTraces(seed*101), script, parityVariant{plane: withPlane})
 			for at := sim.Time(time.Minute); at <= sim.Time(horizon); at += sim.Time(time.Minute) {
 				w.eng.RunUntil(at)
 				c := w.m.takeCensus()

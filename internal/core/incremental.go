@@ -24,8 +24,9 @@
 // incremental manager never *delta-updates* a float aggregate (which
 // would reorder floating-point sums) and never reuses a plan across a
 // real change (a fresh MinBins could legitimately return a different
-// prefix). Reuse happens only at zero relevant dirt; the golden
-// determinism matrix enforces the equivalence end to end.
+// prefix). Reuse happens only at zero relevant dirt. The planner
+// parity tests hold every intermediate against the full-scan oracle
+// (newManager with incremental off), and the goldens pin the reports.
 //
 // Forecast maintenance is the one place a cheap recompute does not
 // exist — the eager path calls Observe on every VM at every manager

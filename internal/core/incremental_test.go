@@ -8,6 +8,7 @@ import (
 	"agilepower/internal/cluster"
 	"agilepower/internal/ctrlplane"
 	"agilepower/internal/host"
+	"agilepower/internal/power"
 	"agilepower/internal/sim"
 	"agilepower/internal/vm"
 	"agilepower/internal/workload"
@@ -15,12 +16,14 @@ import (
 
 // The incremental planner must be indistinguishable from the full-scan
 // planner: same forecasts, same census, same packing, same actions,
-// bit for bit, under arbitrary churn. These tests drive paired worlds
-// — one manager per mode, identical in every other respect — through
-// scripted adds, removes, crashes, maintenance, injected transition
-// faults (driving quarantines), and optionally a lossy control plane
-// (driving suspect/dead liveness), comparing the planning state at
-// every checkpoint.
+// bit for bit, under arbitrary churn. The full-scan planner survives
+// only as this oracle, reached through newManager. These tests drive
+// paired worlds — one manager per planner, identical in every other
+// respect — through scripted adds, removes, crashes, maintenance,
+// injected transition faults (driving quarantines), and optionally a
+// lossy control plane (driving suspect/dead liveness), predictive
+// wake, a DVFS policy, a mixed 32/16-core fleet, or heavy wake
+// failures, comparing the planning state at every checkpoint.
 
 // parityEvent is one scripted churn action, applied identically to
 // both worlds.
@@ -61,10 +64,42 @@ type parityWorld struct {
 	m   *Manager
 }
 
+// parityVariant selects the feature axes a paired world exercises on
+// top of the base churn and fault script. The zero value is the base
+// world: 16 identical hosts, DPM-S3, reactive forecasts, a reliable
+// control plane and two injected wake failures.
+type parityVariant struct {
+	plane      bool    // lossy, delayed control plane
+	predictive bool    // PredictiveWake: the diurnal model, eager forecasts
+	dvfs       bool    // a consolidating, load-balancing DVFS policy
+	hetero     bool    // every other host has 32 cores and 128 GB
+	wakeFails  int     // injected wake failures (0 selects 2)
+	resumeFail float64 // S3 resume-failure probability of every host
+	s5         bool    // DPM-S5: park in soft-off, with its slow wakes
+	panicAt    float64 // PanicShortfall: the emergency wake-all brake
+}
+
+// parityTraces builds the shared trace pool both worlds draw from:
+// diurnal and constant demand, alternating.
+func parityTraces(seed uint64) []*workload.Trace {
+	trng := sim.NewRNG(seed)
+	traces := make([]*workload.Trace, 8)
+	for i := range traces {
+		if i%2 == 0 {
+			traces[i] = workload.Diurnal(trng.Fork(), workload.DiurnalSpec{
+				BaseCores: 0.4, PeakCores: 2.5,
+			})
+		} else {
+			traces[i] = workload.Constant(trng.Range(0.5, 2))
+		}
+	}
+	return traces
+}
+
 // buildParityWorld constructs one world: identical fleet, workloads,
-// faults, and script on both sides; only the planning mode differs.
-func buildParityWorld(t *testing.T, mode IncrementalMode, traces []*workload.Trace,
-	script []parityEvent, withPlane bool) *parityWorld {
+// faults, and script on both sides; only the planner differs.
+func buildParityWorld(t *testing.T, incremental bool, traces []*workload.Trace,
+	script []parityEvent, v parityVariant) *parityWorld {
 	t.Helper()
 	const nHosts, nVMs = 16, 64
 	eng := sim.NewEngine(7)
@@ -72,8 +107,14 @@ func buildParityWorld(t *testing.T, mode IncrementalMode, traces []*workload.Tra
 	if err != nil {
 		t.Fatal(err)
 	}
+	profile := power.DefaultProfile()
+	profile.ResumeFailProb = v.resumeFail
 	for i := 0; i < nHosts; i++ {
-		if _, err := cl.AddHost(host.Config{Cores: 16, MemoryGB: 64}); err != nil {
+		hc := host.Config{Cores: 16, MemoryGB: 64, Profile: profile}
+		if v.hetero && i%2 == 0 {
+			hc.Cores, hc.MemoryGB = 32, 128
+		}
+		if _, err := cl.AddHost(hc); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -85,19 +126,34 @@ func buildParityWorld(t *testing.T, mode IncrementalMode, traces []*workload.Tra
 	}
 	// A few injected transition failures with a tight retry budget so
 	// the script also exercises retries and quarantines.
-	cl.InjectFaults(&scriptFaults{sleepFails: 4, wakeFails: 2, migFails: 3},
+	wakeFails := v.wakeFails
+	if wakeFails == 0 {
+		wakeFails = 2
+	}
+	cl.InjectFaults(&scriptFaults{sleepFails: 4, wakeFails: wakeFails, migFails: 3},
 		&scriptFaults{migFails: 3})
-	m, err := NewManager(cl, Config{
+	cfg := Config{
 		Policy:               DPMS3,
 		Period:               5 * time.Minute,
 		MaxTransitionRetries: 1,
-		Incremental:          mode,
-	})
+		PredictiveWake:       v.predictive,
+		PanicShortfall:       v.panicAt,
+	}
+	if v.s5 {
+		cfg.Policy = DPMS5
+	}
+	if v.dvfs {
+		cfg.Policy = Policy{
+			Name: "dvfs-combo", LoadBalance: true, Consolidate: true,
+			PowerManage: true, SleepState: power.S3, DVFS: true,
+		}
+	}
+	m, err := newManager(cl, cfg, incremental)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var cp *ctrlplane.Plane
-	if withPlane {
+	if v.plane {
 		cp, err = ctrlplane.New(eng, cl, ctrlplane.Config{
 			CmdDelay: 40 * time.Millisecond, CmdJitter: 20 * time.Millisecond,
 			CmdLossProb: 0.05,
@@ -145,8 +201,9 @@ func compareHosts(t *testing.T, what string, a, b []*host.Host) {
 }
 
 // comparePlanning asserts every planning intermediate and output is
-// bitwise identical across the two worlds: forecasts, census classes,
-// the sorted packing plan, load vectors, and the action counters.
+// bitwise identical across the two worlds: forecasts, the predictive
+// wake's demand estimate, census classes, the sorted packing plan,
+// load vectors, and the action counters.
 func comparePlanning(t *testing.T, a, b *parityWorld) {
 	t.Helper()
 	if a.m.stats != b.m.stats {
@@ -163,6 +220,9 @@ func comparePlanning(t *testing.T, a, b *parityWorld) {
 	}
 	if ta, tb := a.m.totalForecast(fa), b.m.totalForecast(fb); ta != tb {
 		t.Fatalf("total forecast diverged: %v vs %v", ta, tb)
+	}
+	if pa, pb := a.m.predictedDemand(), b.m.predictedDemand(); pa != pb {
+		t.Fatalf("predicted demand diverged: %v vs %v", pa, pb)
 	}
 	ca, cb := a.m.takeCensus(), b.m.takeCensus()
 	compareHosts(t, "serving", ca.serving, cb.serving)
@@ -187,6 +247,36 @@ func comparePlanning(t *testing.T, a, b *parityWorld) {
 	}
 }
 
+// checkParity runs an incremental and a full-scan world through the
+// same script, compares their planning state every simulated hour, and
+// at the horizon compares what the run produced: the audit trail and
+// the fleet's energy. It returns the incremental world.
+func checkParity(t *testing.T, traces []*workload.Trace, script []parityEvent, v parityVariant, horizon time.Duration) *parityWorld {
+	t.Helper()
+	a := buildParityWorld(t, true, traces, script, v)
+	b := buildParityWorld(t, false, traces, script, v)
+	for at := time.Hour; at <= horizon; at += time.Hour {
+		a.eng.RunUntil(sim.Time(at))
+		b.eng.RunUntil(sim.Time(at))
+		comparePlanning(t, a, b)
+	}
+	a.cl.Flush()
+	b.cl.Flush()
+	ea, eb := a.cl.Events().All(), b.cl.Events().All()
+	if len(ea) != len(eb) {
+		t.Fatalf("event logs diverged: %d vs %d events", len(ea), len(eb))
+	}
+	for i := range ea {
+		if ea[i] != eb[i] {
+			t.Fatalf("event %d diverged: %v vs %v", i, ea[i], eb[i])
+		}
+	}
+	if ja, jb := a.cl.TotalEnergy(), b.cl.TotalEnergy(); ja != jb {
+		t.Fatalf("energy diverged: %v vs %v", ja, jb)
+	}
+	return a
+}
+
 // TestIncrementalPlanningParity is the property test: across random
 // churn scripts — pending arrivals, departures, crashes, maintenance,
 // injected transition faults driving retries and quarantines — the
@@ -195,28 +285,9 @@ func comparePlanning(t *testing.T, a, b *parityWorld) {
 func TestIncrementalPlanningParity(t *testing.T) {
 	const horizon = 8 * time.Hour
 	for seed := uint64(1); seed <= 4; seed++ {
-		seed := seed
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
-			trng := sim.NewRNG(seed * 101)
-			traces := make([]*workload.Trace, 8)
-			for i := range traces {
-				if i%2 == 0 {
-					traces[i] = workload.Diurnal(trng.Fork(), workload.DiurnalSpec{
-						BaseCores: 0.4, PeakCores: 2.5,
-					})
-				} else {
-					traces[i] = workload.Constant(trng.Range(0.5, 2))
-				}
-			}
 			script := parityScript(seed, 16, 64, sim.Time(horizon))
-			a := buildParityWorld(t, IncrementalOn, traces, script, false)
-			b := buildParityWorld(t, IncrementalOff, traces, script, false)
-			for hour := 1; hour <= 8; hour++ {
-				to := sim.Time(hour) * sim.Time(time.Hour)
-				a.eng.RunUntil(to)
-				b.eng.RunUntil(to)
-				comparePlanning(t, a, b)
-			}
+			checkParity(t, parityTraces(seed*101), script, parityVariant{}, horizon)
 		})
 	}
 }
@@ -228,29 +299,48 @@ func TestIncrementalPlanningParity(t *testing.T) {
 func TestIncrementalPlanningParityCtrlPlane(t *testing.T) {
 	const horizon = 8 * time.Hour
 	for seed := uint64(1); seed <= 2; seed++ {
-		seed := seed
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
-			trng := sim.NewRNG(seed * 131)
-			traces := make([]*workload.Trace, 8)
-			for i := range traces {
-				if i%2 == 0 {
-					traces[i] = workload.Diurnal(trng.Fork(), workload.DiurnalSpec{
-						BaseCores: 0.4, PeakCores: 2.5,
-					})
-				} else {
-					traces[i] = workload.Constant(trng.Range(0.5, 2))
-				}
-			}
 			script := parityScript(seed+10, 16, 64, sim.Time(horizon))
-			a := buildParityWorld(t, IncrementalOn, traces, script, true)
-			b := buildParityWorld(t, IncrementalOff, traces, script, true)
-			for hour := 1; hour <= 8; hour++ {
-				to := sim.Time(hour) * sim.Time(time.Hour)
-				a.eng.RunUntil(to)
-				b.eng.RunUntil(to)
-				comparePlanning(t, a, b)
-			}
+			checkParity(t, parityTraces(seed*131), script, parityVariant{plane: true}, horizon)
 		})
+	}
+}
+
+// TestIncrementalPlanningParityFeatures repeats the parity property on
+// the feature axes the base world leaves out: predictive wake (the
+// diurnal model forces the eager forecast sweep under the epoch
+// caches, and predicts once half a day is observed, hence the full-day
+// horizon), a DVFS policy (frequency moves dirty hosts without any
+// placement change), a mixed 32/16-core fleet (packing order and
+// capacity differ per host), and wake failures (slow S3 resume
+// fallbacks plus injected failed wakes that retry and quarantine),
+// DPM-S5 (soft-off parking, whose minutes-long wakes keep hosts in
+// transition across many control steps), and the panic brake under a
+// lossy control plane (wake-all, cancelled evacuations and a held
+// scale-down invalidate every cached plan at once).
+func TestIncrementalPlanningParityFeatures(t *testing.T) {
+	const horizon = 24 * time.Hour
+	cases := []struct {
+		name string
+		v    parityVariant
+	}{
+		{"predictive-wake", parityVariant{predictive: true}},
+		{"dvfs", parityVariant{dvfs: true}},
+		{"hetero-32-16", parityVariant{hetero: true}},
+		{"wake-failures", parityVariant{wakeFails: 12, resumeFail: 0.2}},
+		{"dpm-s5", parityVariant{s5: true}},
+		{"panic-brake", parityVariant{s5: true, panicAt: 0.05, plane: true}},
+	}
+	for _, tc := range cases {
+		for seed := uint64(1); seed <= 2; seed++ {
+			t.Run(fmt.Sprintf("%s/seed=%d", tc.name, seed), func(t *testing.T) {
+				script := parityScript(seed+20, 16, 64, sim.Time(horizon))
+				w := checkParity(t, parityTraces(seed*151), script, tc.v, horizon)
+				if tc.v.panicAt > 0 && w.m.Stats().Panics == 0 {
+					t.Fatal("the panic brake never fired, so the case compares nothing it names")
+				}
+			})
+		}
 	}
 }
 
@@ -282,7 +372,7 @@ func TestManagerStepSteadyStateAllocFree(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	m, err := NewManager(cl, Config{Policy: DPMS3, Incremental: IncrementalOn})
+	m, err := NewManager(cl, Config{Policy: DPMS3})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -175,6 +175,15 @@ type Manager struct {
 // NewManager builds a manager over the cluster. The cluster must not
 // have been started yet: the manager hooks host settle events.
 func NewManager(cl *cluster.Cluster, cfg Config) (*Manager, error) {
+	return newManager(cl, cfg, true)
+}
+
+// newManager builds a manager that plans incrementally (the production
+// path) or, with incremental false, rebuilds every planning input by
+// full scan each step. The full-scan planner is kept only as the test
+// oracle the parity tests hold the incremental planner against: both
+// make byte-identical decisions.
+func newManager(cl *cluster.Cluster, cfg Config, incremental bool) (*Manager, error) {
 	cfg.applyDefaults()
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -195,7 +204,7 @@ func NewManager(cl *cluster.Cluster, cfg Config) (*Manager, error) {
 	if cfg.PredictiveWake {
 		m.diurnal = newDiurnalModel(0.4)
 	}
-	m.inc = cfg.Incremental > 0
+	m.inc = incremental
 	// Lazy forecast maintenance needs the forecast to be a pure
 	// function of deadline-computable moments: peak-window and
 	// last-value qualify; EWMA evolves on every observation and the

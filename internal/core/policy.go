@@ -70,38 +70,6 @@ func (p Policy) Validate() error {
 	return nil
 }
 
-// IncrementalMode selects whether the manager maintains its planning
-// inputs (forecasts, census, host loads, packing plan) incrementally
-// from the cluster's dirty-host event feed, or rebuilds them from a
-// full fleet scan on every control step. Both modes produce
-// byte-identical decisions and reports — incremental maintenance only
-// changes what work is skipped when nothing relevant changed — so the
-// default is on. The off mode exists as the determinism control for
-// the golden matrix and as a debugging escape hatch.
-type IncrementalMode int
-
-const (
-	// IncrementalDefault (the zero value) selects the package default,
-	// currently incremental planning on.
-	IncrementalDefault IncrementalMode = 0
-	// IncrementalOn maintains planning inputs from per-host deltas.
-	IncrementalOn IncrementalMode = 1
-	// IncrementalOff rebuilds planning inputs by full scan each step.
-	IncrementalOff IncrementalMode = -1
-)
-
-// String names the mode.
-func (m IncrementalMode) String() string {
-	switch {
-	case m > 0:
-		return "incremental"
-	case m < 0:
-		return "full-scan"
-	default:
-		return "default"
-	}
-}
-
 // Config tunes the manager's control loop.
 type Config struct {
 	// Policy selects behaviour (default DPMS3).
@@ -193,11 +161,6 @@ type Config struct {
 	// the eager sweep (still epoch-cached) reads demand only at the
 	// current instant and stays exact.
 	DemandShocks bool
-
-	// Incremental selects incremental planning-input maintenance
-	// (default on; see IncrementalMode). Decisions and reports are
-	// byte-identical either way.
-	Incremental IncrementalMode
 }
 
 func (c *Config) applyDefaults() {
@@ -244,9 +207,6 @@ func (c *Config) applyDefaults() {
 	}
 	if c.MigrationRetryBackoff <= 0 {
 		c.MigrationRetryBackoff = 2 * time.Minute
-	}
-	if c.Incremental == IncrementalDefault {
-		c.Incremental = IncrementalOn
 	}
 }
 

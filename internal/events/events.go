@@ -142,6 +142,12 @@ func (l *Log) Append(e Event) {
 	l.events = append(l.events, e)
 }
 
+// Share marks the log copy-on-write up front: its next append
+// detaches onto a private backing array. Clone marks its source the
+// same way, but writes the flag only when it is not set yet, so a
+// Shared log may be cloned from many goroutines at once.
+func (l *Log) Share() { l.shared = true }
+
 // Clone returns an independent copy of the log: same cap, same
 // retained events, same drop count. Appends to either side never
 // affect the other — the snapshot/fork layer uses this to give each
@@ -154,7 +160,9 @@ func (l *Log) Clone() *Log {
 	if len(l.events) > 0 {
 		out.events = l.events[:len(l.events):len(l.events)]
 		out.shared = true
-		l.shared = true
+		if !l.shared {
+			l.shared = true
+		}
 	}
 	return out
 }

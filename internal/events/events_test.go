@@ -3,6 +3,7 @@ package events
 import (
 	"bytes"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 )
@@ -113,5 +114,56 @@ func TestNewLogDefaultCap(t *testing.T) {
 	l := NewLog(0)
 	if l.cap != 100_000 {
 		t.Fatalf("default cap = %d", l.cap)
+	}
+}
+
+// A Shared log is what every world prototype hands its forks: many
+// goroutines clone it at once, then append to (and compact) their own
+// copies. Under -race this proves Clone only reads a Shared source, and
+// the checks prove no clone, nor the source, ever sees another's writes.
+func TestSharedLogConcurrentClones(t *testing.T) {
+	src := NewLog(6)
+	for i := 0; i < 4; i++ {
+		src.Append(Event{At: time.Duration(i) * time.Second, Kind: VMPlaced, VM: i + 1})
+	}
+	src.Share()
+	const forks = 8
+	clones := make([]*Log, forks)
+	var wg sync.WaitGroup
+	for g := 0; g < forks; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			c := src.Clone()
+			// Enough appends to pass the cap, so each clone also drops
+			// and compacts in place.
+			for i := 0; i < 5; i++ {
+				c.Append(Event{Kind: HostWaking, Host: g + 1})
+			}
+			clones[g] = c
+		}(g)
+	}
+	wg.Wait()
+	src.Append(Event{Kind: HostSleeping, Host: 99})
+	if src.Len() != 5 || src.Dropped() != 0 {
+		t.Fatalf("source len=%d dropped=%d, want 5 and 0", src.Len(), src.Dropped())
+	}
+	for i, e := range src.All()[:4] {
+		if e.Kind != VMPlaced || e.VM != i+1 {
+			t.Fatalf("source event %d overwritten: %v", i, e)
+		}
+	}
+	for g, c := range clones {
+		if c.Dropped() != 3 || c.Len() != 6 {
+			t.Fatalf("clone %d len=%d dropped=%d, want 6 and 3", g, c.Len(), c.Dropped())
+		}
+		for _, e := range c.All()[1:] {
+			if e.Kind != HostWaking || e.Host != g+1 {
+				t.Fatalf("clone %d saw a foreign event: %v", g, e)
+			}
+		}
+		if first := c.All()[0]; first.Kind != VMPlaced || first.VM != 4 {
+			t.Fatalf("clone %d lost the source prefix: %v", g, first)
+		}
 	}
 }

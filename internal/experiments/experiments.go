@@ -46,13 +46,12 @@ type Options struct {
 	CtrlDelay time.Duration
 	CtrlLoss  float64
 	// Shards partitions each simulation's evaluation tick into this
-	// many concurrent ID-contiguous host ranges (see Scenario.Shards);
-	// EvalWorkers bounds the goroutines serving them. Wall-clock knobs
-	// for datacenter-scale fleets: every report is byte-identical for
-	// every value. The scale experiment defaults to its own shard count
-	// when Shards is 0; everything else stays serial.
-	Shards      int
-	EvalWorkers int
+	// many concurrent ID-contiguous host ranges (see Scenario.Shards).
+	// A wall-clock knob for datacenter-scale fleets: every report is
+	// byte-identical for every value. The scale experiment defaults to
+	// its own shard count when Shards is 0; everything else stays
+	// serial.
+	Shards int
 	// Delta selects the evaluation mode for every scenario an
 	// experiment builds: DeltaOn forces event-driven delta evaluation,
 	// DeltaOff forces the full per-host scan, and DeltaDefault (the
@@ -60,23 +59,11 @@ type Options struct {
 	// delta, everything else to full. Like Shards, a wall-clock knob:
 	// reports are byte-identical in either mode.
 	Delta DeltaMode
-	// Incremental selects the manager's planning mode for every
-	// scenario an experiment builds: IncrementalOn maintains the
-	// manager's planning inputs from per-host deltas, IncrementalOff
-	// rebuilds them by full scan each control step, and the zero value
-	// keeps the manager default (incremental). Like Delta, a
-	// wall-clock knob: reports are byte-identical in either mode.
-	Incremental agilepower.IncrementalMode
 	// TelemetryCap bounds each recorded time series to this many stored
 	// samples via deterministic bucket folding (see
 	// Scenario.TelemetryCap). 0 leaves experiments to their defaults
 	// (unbounded, except hyperscale which sets its own cap).
 	TelemetryCap int
-	// ColdWorld disables the snapshot/fork world reuse: every grid cell
-	// rebuilds its fleet from scratch via a cold Start instead of
-	// forking a shared Prototype (see Scenario.ColdWorld). A debugging
-	// escape hatch — reports are byte-identical either way.
-	ColdWorld bool
 	// Workers bounds the number of simulations run concurrently inside
 	// an experiment's fan-out (per-policy, per-load, per-period, …) and
 	// across experiments in RunAll. 0 means GOMAXPROCS; 1 runs fully
@@ -202,20 +189,15 @@ const (
 // every setting.
 func (o Options) tune(sc agilepower.Scenario) agilepower.Scenario {
 	sc.Shards = o.Shards
-	sc.EvalWorkers = o.EvalWorkers
 	switch o.Delta {
 	case DeltaOn:
 		sc.Delta = true
 	case DeltaOff:
 		sc.Delta = false
 	}
-	if o.Incremental != agilepower.IncrementalDefault {
-		sc.Manager.Incremental = o.Incremental
-	}
 	if o.TelemetryCap > 0 {
 		sc.TelemetryCap = o.TelemetryCap
 	}
-	sc.ColdWorld = o.ColdWorld
 	return sc
 }
 

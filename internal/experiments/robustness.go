@@ -45,12 +45,7 @@ func Robustness(w io.Writer, opts Options) error {
 
 	// Every cell shares sc0's fleet and world parameters, so the world
 	// is built once and forked per cell (cold fallback on error).
-	var proto *agilepower.Prototype
-	if !sc0.ColdWorld {
-		if p, err := sc0.Prototype(); err == nil {
-			proto = p
-		}
-	}
+	proto, _ := sc0.Prototype()
 	rows, err := parallel.Map(context.Background(), len(cells), opts.workers(),
 		func(_ context.Context, i int) ([]any, error) {
 			c := cells[i]

@@ -86,10 +86,8 @@ func (s Scenario) RunReplicatedWorkers(workers int, seeds []uint64, fleet func(s
 	// built once and forked per seed. Per-seed fleets rebuild the world
 	// cold, as before.
 	var proto *Prototype
-	if fleet == nil && !s.ColdWorld {
-		if p, err := s.Prototype(); err == nil {
-			proto = p
-		}
+	if fleet == nil {
+		proto, _ = s.Prototype()
 	}
 	runs, err := parallel.Map(context.Background(), len(seeds), workers,
 		func(_ context.Context, i int) (*Result, error) {

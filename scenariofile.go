@@ -60,11 +60,10 @@ type ScenarioFile struct {
 	// after Events, in order).
 	Chaos []ChaosFile `json:"chaos,omitempty"`
 	Seed  uint64      `json:"seed,omitempty"`
-	// Shards and EvalWorkers shard the evaluation tick inside the
+	// Shards splits the evaluation tick across host ranges inside the
 	// simulation (wall-clock only; results are byte-identical for every
 	// value — see Scenario.Shards).
-	Shards      int `json:"shards,omitempty"`
-	EvalWorkers int `json:"evalWorkers,omitempty"`
+	Shards int `json:"shards,omitempty"`
 	// Delta enables event-driven delta evaluation (wall-clock only;
 	// results are byte-identical with it on or off — see
 	// Scenario.Delta).
@@ -110,11 +109,6 @@ type ManagerFile struct {
 	PredictiveWake bool    `json:"predictiveWake,omitempty"`
 	PanicShortfall float64 `json:"panicShortfall,omitempty"`
 	Forecast       string  `json:"forecast,omitempty"` // last-value, ewma, peak-window
-	// Incremental selects the planning mode: "on" (default) maintains
-	// planning inputs from per-host deltas, "off" rebuilds them by full
-	// scan each control step. Wall-clock only; results are
-	// byte-identical either way.
-	Incremental string `json:"incremental,omitempty"`
 }
 
 // CtrlPlaneFile mirrors the CtrlPreset knobs in JSON: mean one-way
@@ -226,32 +220,52 @@ func (f ScenarioFile) Canonical() ([]byte, error) {
 
 // TotalHosts returns the host count the file would build — the
 // homogeneous count or the class sum — for admission budgeting before
-// the fleet is materialized.
-func (f ScenarioFile) TotalHosts() int {
+// the fleet is materialized. within is false when a count is negative
+// or the total exceeds limit; each count is checked against limit
+// before it is added, so no file can overflow the sum.
+func (f ScenarioFile) TotalHosts(limit int) (n int, within bool) {
 	if len(f.HostClasses) == 0 {
-		return f.Hosts
+		return addCount(0, f.Hosts, limit)
 	}
-	n := 0
 	for _, hc := range f.HostClasses {
-		n += hc.Count
+		if n, within = addCount(n, hc.Count, limit); !within {
+			return 0, false
+		}
 	}
-	return n
+	return n, true
 }
 
 // TotalVMs returns the VM count the file's fleets would build (each
 // fleet's effective count, with the builders' minimum of one and the
 // services×replicas form), for admission budgeting before the fleet is
-// materialized.
-func (f ScenarioFile) TotalVMs() int {
-	n := 0
+// materialized. within is false when any count is negative or the
+// total exceeds limit, checked as TotalHosts does.
+func (f ScenarioFile) TotalVMs(limit int) (n int, within bool) {
 	for _, ff := range f.Fleets {
-		if ff.Kind == "replicated" {
-			n += ff.Services * ff.Replicas
-			continue
+		if ff.Count < 0 || ff.Services < 0 || ff.Replicas < 0 {
+			return 0, false
 		}
-		n += max1(ff.Count)
+		c := max1(ff.Count)
+		if ff.Kind == "replicated" {
+			if ff.Services > 0 && ff.Replicas > limit/ff.Services {
+				return 0, false
+			}
+			c = ff.Services * ff.Replicas
+		}
+		if n, within = addCount(n, c, limit); !within {
+			return 0, false
+		}
 	}
-	return n
+	return n, true
+}
+
+// addCount adds c to a running total that is already within limit,
+// refusing a negative c and any sum past limit without overflowing.
+func addCount(total, c, limit int) (int, bool) {
+	if c < 0 || c > limit-total {
+		return 0, false
+	}
+	return total + c, true
 }
 
 // parseDur parses an optional Go duration string ("2h", "90m"); empty
@@ -348,15 +362,11 @@ func (f ScenarioFile) Build() (Scenario, error) {
 		Horizon:      time.Duration(f.HorizonHours * float64(time.Hour)),
 		Seed:         seed,
 		Shards:       f.Shards,
-		EvalWorkers:  f.EvalWorkers,
 		Delta:        f.Delta,
 		TelemetryCap: f.TelemetryCap,
 	}
 	if f.Shards < 0 {
 		return Scenario{}, fmt.Errorf("agilepower: negative shards %d", f.Shards)
-	}
-	if f.EvalWorkers < 0 {
-		return Scenario{}, fmt.Errorf("agilepower: negative eval workers %d", f.EvalWorkers)
 	}
 	if f.TelemetryCap < 0 {
 		return Scenario{}, fmt.Errorf("agilepower: negative telemetry cap %d", f.TelemetryCap)
@@ -398,15 +408,6 @@ func (f ScenarioFile) Build() (Scenario, error) {
 			sc.Manager.Forecast = ForecastSpec{Kind: ForecastPeakWindow}
 		default:
 			return Scenario{}, fmt.Errorf("agilepower: unknown forecast %q", m.Forecast)
-		}
-		switch m.Incremental {
-		case "":
-		case "on":
-			sc.Manager.Incremental = IncrementalOn
-		case "off":
-			sc.Manager.Incremental = IncrementalOff
-		default:
-			return Scenario{}, fmt.Errorf("agilepower: unknown incremental mode %q", m.Incremental)
 		}
 	}
 	if cp := f.CtrlPlane; cp != nil {
@@ -481,6 +482,14 @@ func (f ScenarioFile) Build() (Scenario, error) {
 	return sc, nil
 }
 
+// Fleet generator bounds: each caps an allocation a generator sizes from
+// the file, so no scenario file can make one overflow or ask for
+// unbounded memory per VM.
+const (
+	maxSpikesPerDay = 24 * 60 // one flash crowd a minute
+	maxWorkdayDays  = 366     // a workday trace holds every day's samples
+)
+
 func buildFleetFile(ff FleetFile, seed uint64) ([]VMSpec, error) {
 	switch ff.Kind {
 	case "diurnal":
@@ -489,6 +498,9 @@ func buildFleetFile(ff FleetFile, seed uint64) ([]VMSpec, error) {
 		spikes := ff.Spikes
 		if spikes <= 0 {
 			spikes = 4
+		}
+		if spikes > maxSpikesPerDay {
+			return nil, fmt.Errorf("spiky fleet has %d spikes a day, above %d", spikes, maxSpikesPerDay)
 		}
 		return SpikyFleet(max1(ff.Count), spikes, seed), nil
 	case "batch":
@@ -499,6 +511,9 @@ func buildFleetFile(ff FleetFile, seed uint64) ([]VMSpec, error) {
 		days := ff.Days
 		if days <= 0 {
 			days = 1
+		}
+		if days > maxWorkdayDays {
+			return nil, fmt.Errorf("workday fleet spans %d days, above %d", days, maxWorkdayDays)
 		}
 		return WorkdayFleet(max1(ff.Count), days, seed), nil
 	case "flat":

@@ -1,6 +1,7 @@
 package agilepower
 
 import (
+	"strings"
 	"testing"
 	"time"
 )
@@ -15,7 +16,7 @@ const sampleScenarioFile = `{
   ],
   "horizonHours": 6,
   "policy": "dpm-s3",
-  "manager": {"periodMinutes": 3, "targetUtil": 0.65, "predictiveWake": true, "forecast": "ewma", "incremental": "off"},
+  "manager": {"periodMinutes": 3, "targetUtil": 0.65, "predictiveWake": true, "forecast": "ewma"},
   "churn": {"arrivalsPerHour": 2, "meanLifetimeHours": 1},
   "seed": 5
 }`
@@ -46,9 +47,6 @@ func TestParseScenarioFull(t *testing.T) {
 	if sc.Manager.Forecast.Kind != ForecastEWMA {
 		t.Fatalf("forecast = %v", sc.Manager.Forecast.Kind)
 	}
-	if sc.Manager.Incremental != IncrementalOff {
-		t.Fatalf("incremental = %v", sc.Manager.Incremental)
-	}
 	if sc.Churn == nil || sc.Churn.ArrivalsPerHour != 2 || sc.Churn.MeanLifetime != time.Hour {
 		t.Fatalf("churn: %+v", sc.Churn)
 	}
@@ -72,8 +70,9 @@ func TestParseScenarioErrors(t *testing.T) {
 		{"bad fleet kind", `{"hosts":4,"fleets":[{"kind":"quantum","count":2}]}`},
 		{"bad policy", `{"hosts":4,"policy":"yolo","fleets":[{"kind":"flat","count":2}]}`},
 		{"bad forecast", `{"hosts":4,"fleets":[{"kind":"flat","count":2}],"manager":{"forecast":"crystal-ball"}}`},
-		{"bad incremental", `{"hosts":4,"fleets":[{"kind":"flat","count":2}],"manager":{"incremental":"maybe"}}`},
 		{"replicated missing params", `{"hosts":4,"fleets":[{"kind":"replicated"}]}`},
+		{"workday days past bound", `{"hosts":4,"fleets":[{"kind":"workday","count":1,"days":200000}]}`},
+		{"spikes past bound", `{"hosts":4,"fleets":[{"kind":"spiky","count":1,"spikes":1000000000}]}`},
 		{"no hosts", `{"fleets":[{"kind":"flat","count":2}]}`},
 		{"bad churn", `{"hosts":4,"fleets":[{"kind":"flat","count":2}],"churn":{"arrivalsPerHour":-1}}`},
 	}
@@ -132,24 +131,33 @@ func TestParseScenarioDeterministicFleets(t *testing.T) {
 
 // A typo'd key must be rejected, not silently ignored: the misspelled
 // knob would otherwise fall back to its default and the run would
-// measure something other than what the file asked for.
+// measure something other than what the file asked for. Keys of
+// retired knobs (evalWorkers, manager.incremental) are unknown keys
+// like any other. The error names the offending key.
 func TestParseScenarioRejectsUnknownKeys(t *testing.T) {
 	cases := []struct {
 		name string
 		in   string
+		key  string // named in the error; empty when no key is at fault
 	}{
-		{"misspelled telemetryCap", `{"hosts":4,"fleets":[{"kind":"flat","count":2}],"telemtryCap":100}`},
-		{"misspelled horizon", `{"hosts":4,"horizonHrs":6,"fleets":[{"kind":"flat","count":2}]}`},
-		{"unknown top-level", `{"hosts":4,"fleets":[{"kind":"flat","count":2}],"bogus":true}`},
-		{"unknown nested manager", `{"hosts":4,"fleets":[{"kind":"flat","count":2}],"manager":{"periodMins":5}}`},
-		{"unknown event field", `{"hosts":4,"fleets":[{"kind":"flat","count":2}],"events":[{"at":"1h","action":"crash","hostID":1}]}`},
-		{"unknown assert field", `{"hosts":4,"fleets":[{"kind":"flat","count":2}],"assert":[{"kind":"no-stranded-vm","grace":"1m"}]}`},
-		{"trailing data", `{"hosts":4,"fleets":[{"kind":"flat","count":2}]} {"more":1}`},
+		{"misspelled telemetryCap", `{"hosts":4,"fleets":[{"kind":"flat","count":2}],"telemtryCap":100}`, "telemtryCap"},
+		{"misspelled horizon", `{"hosts":4,"horizonHrs":6,"fleets":[{"kind":"flat","count":2}]}`, "horizonHrs"},
+		{"unknown top-level", `{"hosts":4,"fleets":[{"kind":"flat","count":2}],"bogus":true}`, "bogus"},
+		{"unknown nested manager", `{"hosts":4,"fleets":[{"kind":"flat","count":2}],"manager":{"periodMins":5}}`, "periodMins"},
+		{"unknown event field", `{"hosts":4,"fleets":[{"kind":"flat","count":2}],"events":[{"at":"1h","action":"crash","hostID":1}]}`, "hostID"},
+		{"unknown assert field", `{"hosts":4,"fleets":[{"kind":"flat","count":2}],"assert":[{"kind":"no-stranded-vm","grace":"1m"}]}`, "grace"},
+		{"evalWorkers", `{"hosts":4,"fleets":[{"kind":"flat","count":2}],"shards":2,"evalWorkers":2}`, "evalWorkers"},
+		{"manager incremental", `{"hosts":4,"fleets":[{"kind":"flat","count":2}],"manager":{"incremental":"off"}}`, "incremental"},
+		{"trailing data", `{"hosts":4,"fleets":[{"kind":"flat","count":2}]} {"more":1}`, ""},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			if _, err := ParseScenario([]byte(tc.in)); err == nil {
-				t.Errorf("accepted %s", tc.name)
+			_, err := ParseScenario([]byte(tc.in))
+			if err == nil {
+				t.Fatalf("accepted %s", tc.name)
+			}
+			if tc.key != "" && !strings.Contains(err.Error(), `"`+tc.key+`"`) {
+				t.Errorf("error does not name key %q: %v", tc.key, err)
 			}
 		})
 	}

@@ -74,7 +74,6 @@ func buildWorld(eng *sim.Engine, s Scenario, profile *Profile) (*cluster.Cluster
 		Migration:    s.Migration,
 		Horizon:      s.Horizon,
 		Shards:       s.Shards,
-		EvalWorkers:  s.EvalWorkers,
 		Delta:        s.Delta,
 		TelemetryCap: s.TelemetryCap,
 	})
@@ -222,6 +221,9 @@ func (s Scenario) Prototype() (*Prototype, error) {
 	if err != nil {
 		return nil, err
 	}
+	// Every Fork clones the construction log copy-on-write. Marking it
+	// shared here, once, keeps concurrent forks read-only on it.
+	cl.Events().Share()
 	return &Prototype{world: s, profile: profile, cl: cl, hosts: totalHosts, cores: meanCores}, nil
 }
 
@@ -263,10 +265,10 @@ func (p *Prototype) Run(sc Scenario) (*Result, error) {
 
 // compatible checks that a cell scenario describes the same world the
 // prototype captured. Cell fields (Name, Seed, Manager, Faults,
-// CtrlPlane, Churn, ColdWorld) are free to vary; everything that went
-// into world construction must match. VMs must be the same slice, not
-// merely equal specs: prototype reuse is only sound when cells share
-// one fleet.
+// CtrlPlane, Churn) are free to vary; everything that went into world
+// construction must match. VMs must be the same slice, not merely
+// equal specs: prototype reuse is only sound when cells share one
+// fleet.
 func (p *Prototype) compatible(sc Scenario) error {
 	w := p.world
 	mismatch := ""
@@ -291,8 +293,6 @@ func (p *Prototype) compatible(sc Scenario) error {
 		mismatch = "EvalStep"
 	case sc.Shards != w.Shards:
 		mismatch = "Shards"
-	case sc.EvalWorkers != w.EvalWorkers:
-		mismatch = "EvalWorkers"
 	case sc.Delta != w.Delta:
 		mismatch = "Delta"
 	case sc.TelemetryCap != w.TelemetryCap:
@@ -337,9 +337,9 @@ func sameMigration(a, b *MigrationModel) bool {
 
 // runScenario runs one grid cell: as a fork of proto when a prototype
 // is available, and as a cold start otherwise. The two paths produce
-// identical bytes; proto == nil is the ColdWorld escape hatch (and the
-// fallback when prototype construction itself failed, so the cold path
-// re-surfaces the construction error per cell).
+// identical bytes; proto == nil is the fallback when prototype
+// construction itself failed, so the cold path re-surfaces the
+// construction error per cell.
 func runScenario(proto *Prototype, sc Scenario) (*Result, error) {
 	if proto != nil {
 		return proto.Run(sc)
