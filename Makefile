@@ -209,9 +209,11 @@ bench-api:
 		sh scripts/api_gate.sh
 
 # The service gate without a measurement run: race-enabled daemon, a
-# burst of concurrent sessions through the async API (zero failed
-# jobs, nonzero cache hit rate — cmd/apiload enforces both), graceful
-# drain, and the persisted terminal-job ledger. Part of `make ci`.
+# burst of concurrent sessions posting scenario files to
+# /v1/scenarios?wait=1 (zero failed jobs, a cache hit rate floor and a
+# cold-vs-hit speedup floor — cmd/apiload enforces all three),
+# graceful drain, and the persisted terminal-job ledger. Part of
+# `make ci`.
 bench-api-smoke:
 	sh scripts/api_gate.sh
 
@@ -226,11 +228,14 @@ bench-e2e-smoke:
 # parse and validate, and two of them (the chaos az-outage and the
 # hand-scripted demand-surge drill) run end-to-end with their
 # assertions — cmd/scenario exits 2 on any failed assertion or
-# stranded VM, which fails the target. Part of `make ci`.
+# stranded VM, which fails the target. A quick all-policy run of the
+# mixed day exercises the savings lines, the oracle bound and the
+# -csv series dump. Part of `make ci`.
 scenario-gate:
 	$(GO) run ./cmd/scenario validate scenarios/*.json
 	$(GO) run ./cmd/scenario run scenarios/az-outage.json
 	$(GO) run ./cmd/scenario run scenarios/demand-surge.json
+	$(GO) run ./cmd/scenario run -quick -policy all -csv "$$(mktemp)" scenarios/mixed-day.json
 
 # Fast end-to-end smoke: the whole paper reproduction in quick mode.
 sweep-quick:

@@ -1,14 +1,14 @@
 // Command agilepmd serves the simulator over HTTP: the multi-tenant
-// simulation service — an async job queue with per-tenant fairness,
-// a content-addressed result cache, SSE progress streaming, and a
-// Prometheus /metrics endpoint — plus the legacy synchronous /api
-// control plane.
+// simulation service — scenario files submitted to an async job queue
+// with per-tenant fairness, a content-addressed result cache, SSE
+// progress streaming, and a Prometheus /metrics endpoint — plus the
+// read-only /api/policies and /api/profile routes.
 //
 //	agilepmd -addr :8080
 //	curl -s localhost:8080/api/profile
-//	curl -s -X POST localhost:8080/v1/runs -d '{"hosts":16,"vms":80,"fleet":"mixed","policy":"dpm-s3"}'
+//	curl -s -X POST localhost:8080/v1/scenarios -H 'X-Tenant: alice' --data-binary @scenarios/mixed-day.json
 //	curl -s localhost:8080/v1/jobs/j1
-//	curl -s -X POST 'localhost:8080/v1/runs?wait=1' -d '{"hosts":16,"vms":80,"fleet":"mixed"}'
+//	curl -s -X POST 'localhost:8080/v1/scenarios?wait=1' -d '{"hosts":16,"fleets":[{"kind":"mixed","count":80}]}'
 //	curl -s localhost:8080/metrics
 //
 // SIGINT/SIGTERM drain gracefully: new submissions are rejected with
@@ -58,8 +58,8 @@ func main() {
 		Addr:              *addr,
 		Handler:           logRequests(server.Handler()),
 		ReadHeaderTimeout: 10 * time.Second,
-		// Experiment regeneration and wait=1 submissions can take a
-		// while; these bound a stuck client, not a long simulation.
+		// wait=1 submissions block for the whole run; these bound a
+		// stuck client, not a long simulation.
 		WriteTimeout: 5 * time.Minute,
 		IdleTimeout:  2 * time.Minute,
 	}

@@ -1,7 +1,8 @@
 // Command apiload drives concurrent load against a running agilepmd
 // and gates on the outcome: N session goroutines each issue a mix of
 // hot (repeated-shape, cache-hittable) and cold (unique-seed) blocking
-// run submissions, latencies are recorded per request and tagged by
+// scenario submissions (POST /v1/scenarios?wait=1, the tenant passed
+// as ?tenant=), latencies are recorded per request and tagged by
 // the server's X-Cache disposition, and the process exits nonzero if
 // any request failed or the observed cache hit rate fell below the
 // floor. It is the acceptance harness for the async simulation
@@ -38,9 +39,9 @@ func main() {
 	shapes := flag.Int("shapes", 4, "distinct hot request shapes shared across sessions")
 	coldEvery := flag.Int("cold-every", 4, "every Nth request per session uses a unique seed (0 = never)")
 	tenants := flag.Int("tenants", 8, "tenants to spread sessions across")
-	hosts := flag.Int("hosts", 4, "hosts per run request")
-	vms := flag.Int("vms", 8, "vms per run request")
-	horizon := flag.Float64("horizon-hours", 1, "simulated hours per run request")
+	hosts := flag.Int("hosts", 4, "hosts per scenario")
+	vms := flag.Int("vms", 8, "flat VMs per scenario")
+	horizon := flag.Float64("horizon-hours", 1, "simulated hours per scenario")
 	waitReady := flag.Duration("wait-ready", 30*time.Second, "how long to poll /healthz before giving up")
 	maxFailed := flag.Int("max-failed", 0, "maximum tolerated failed requests")
 	minHitRate := flag.Float64("min-hit-rate", 0, "minimum cache hit rate across the concurrent burst")
@@ -76,15 +77,15 @@ func main() {
 	)
 	coldSeq.Store(1 << 20) // unique seeds, disjoint from hot shapes
 
-	body := func(hosts, vms int, horizon float64, seed uint64, tenant int) string {
+	body := func(hosts, vms int, horizon float64, seed uint64) string {
 		return fmt.Sprintf(
-			`{"hosts":%d,"vms":%d,"fleet":"flat","flatDemand":0.5,"horizonHours":%g,"seed":%d,"tenant":"t%d"}`,
-			hosts, vms, horizon, seed, tenant)
+			`{"hosts":%d,"fleets":[{"kind":"flat","count":%d,"demand":0.5}],"horizonHours":%g,"seed":%d}`,
+			hosts, vms, horizon, seed)
 	}
-	post := func(payload string) (time.Duration, bool, error) {
+	post := func(payload string, tenant int) (time.Duration, bool, error) {
 		began := time.Now()
-		resp, err := client.Post(*addr+"/v1/runs?wait=1", "application/json",
-			strings.NewReader(payload))
+		resp, err := client.Post(fmt.Sprintf("%s/v1/scenarios?wait=1&tenant=t%d", *addr, tenant),
+			"application/json", strings.NewReader(payload))
 		if err != nil {
 			return 0, false, err
 		}
@@ -103,8 +104,8 @@ func main() {
 	var probeCold, probeHot []time.Duration
 	if *probeHits > 0 {
 		for shape := 1; shape <= *shapes; shape++ {
-			payload := body(*probeHosts, *probeVMs, *probeHorizon, uint64(shape), shape%*tenants)
-			d, hit, err := post(payload)
+			payload, tenant := body(*probeHosts, *probeVMs, *probeHorizon, uint64(shape)), shape%*tenants
+			d, hit, err := post(payload, tenant)
 			if err != nil {
 				fmt.Fprintf(os.Stderr, "apiload: probe shape %d: %v\n", shape, err)
 				os.Exit(2)
@@ -113,7 +114,7 @@ func main() {
 				probeCold = append(probeCold, d)
 			}
 			for i := 0; i < *probeHits; i++ {
-				d, hit, err := post(payload)
+				d, hit, err := post(payload, tenant)
 				if err != nil || !hit {
 					fmt.Fprintf(os.Stderr, "apiload: probe shape %d hit %d: err=%v hit=%v\n", shape, i, err, hit)
 					os.Exit(2)
@@ -136,7 +137,7 @@ func main() {
 				if *coldEvery > 0 && i%*coldEvery == *coldEvery-1 {
 					seed = coldSeq.Add(1)
 				}
-				d, hit, err := post(body(*hosts, *vms, *horizon, seed, s%*tenants))
+				d, hit, err := post(body(*hosts, *vms, *horizon, seed), s%*tenants)
 				if err != nil {
 					failed.Add(1)
 					fmt.Fprintf(os.Stderr, "apiload: session %d: %v\n", s, err)

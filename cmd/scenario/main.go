@@ -1,11 +1,14 @@
 // Command scenario validates and runs declarative scenario files —
-// the JSON DSL with event scripts, assertions, and chaos patterns.
+// the JSON format with fleets, manager knobs, churn, event scripts,
+// assertions, and chaos patterns that the simulation service also
+// accepts on POST /v1/scenarios.
 //
 // Usage:
 //
 //	scenario validate scenarios/*.json      # parse + static checks, no run
 //	scenario run scenarios/az-outage.json   # execute, print report + verdicts
-//	scenario run -policy all file.json      # compare the full policy set
+//	scenario run -policy all scenarios/mixed-day.json   # compare the full policy set
+//	scenario run -csv series.csv file.json  # also dump the power/demand series
 //
 // Exit codes: 0 on success, 1 on usage/parse/run errors, 2 when the
 // run finished but an assertion failed or VMs ended stranded — so a
@@ -15,6 +18,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 	"time"
@@ -30,9 +34,9 @@ func main() {
 	}
 	switch os.Args[1] {
 	case "validate":
-		os.Exit(cmdValidate(os.Args[2:]))
+		os.Exit(cmdValidate(os.Args[2:], os.Stdout, os.Stderr))
 	case "run":
-		os.Exit(cmdRun(os.Args[2:]))
+		os.Exit(cmdRun(os.Args[2:], os.Stdout, os.Stderr))
 	case "-h", "--help", "help":
 		usage()
 	default:
@@ -51,35 +55,39 @@ run flags:
   -policy name   override the file's policy (static, nopm-drm, dpm-s5, dpm-s3, all)
   -horizon d     override the file's horizon (e.g. 6h)
   -quick         cap the horizon at 6h (CI smoke mode)
+  -csv path      write the last policy's power/demand/active-host series as CSV
 `)
+}
+
+// load reads and parses one scenario file.
+func load(path string) (agilepower.Scenario, error) {
+	data, err := os.ReadFile(path)
+	if err != nil {
+		return agilepower.Scenario{}, err
+	}
+	return agilepower.ParseScenario(data)
 }
 
 // cmdValidate parses every file and reports per-file verdicts. Any
 // failure makes the whole invocation exit 1.
-func cmdValidate(args []string) int {
+func cmdValidate(args []string, stdout, stderr io.Writer) int {
 	if len(args) == 0 {
-		fmt.Fprintln(os.Stderr, "scenario validate: no files given")
+		fmt.Fprintln(stderr, "scenario validate: no files given")
 		return 1
 	}
 	bad := 0
 	for _, path := range args {
-		data, err := os.ReadFile(path)
+		sc, err := load(path)
 		if err != nil {
-			fmt.Printf("FAIL %s: %v\n", path, err)
+			fmt.Fprintf(stdout, "FAIL %s: %v\n", path, err)
 			bad++
 			continue
 		}
-		sc, err := agilepower.ParseScenario(data)
-		if err != nil {
-			fmt.Printf("FAIL %s: %v\n", path, err)
-			bad++
-			continue
-		}
-		fmt.Printf("ok   %s (%d hosts, %d vms, %d events, %d asserts)\n",
+		fmt.Fprintf(stdout, "ok   %s (%d hosts, %d vms, %d events, %d asserts)\n",
 			path, scHosts(sc), len(sc.VMs), len(sc.Script), len(sc.Asserts))
 	}
 	if bad > 0 {
-		fmt.Fprintf(os.Stderr, "scenario: %d of %d files failed validation\n", bad, len(args))
+		fmt.Fprintf(stderr, "scenario: %d of %d files failed validation\n", bad, len(args))
 		return 1
 	}
 	return 0
@@ -96,30 +104,28 @@ func scHosts(sc agilepower.Scenario) int {
 	return n
 }
 
-// cmdRun executes the scenario and prints the standard report plus one
-// verdict line per assertion. Exit 2 on failed assertions or stranded
-// VMs; exit 1 on errors.
-func cmdRun(args []string) int {
+// cmdRun executes the scenario and prints the standard report, each
+// policy's saving against the first, the oracle bound, and one verdict
+// line per assertion. Exit 2 on failed assertions or stranded VMs;
+// exit 1 on errors.
+func cmdRun(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("scenario run", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	policyName := fs.String("policy", "", "override the file's policy (or 'all')")
 	horizon := fs.Duration("horizon", 0, "override the file's horizon")
 	quick := fs.Bool("quick", false, "cap the horizon at 6h (CI smoke mode)")
+	csvPath := fs.String("csv", "", "write the last policy's power/demand/active-host series CSV to this path")
 	if err := fs.Parse(args); err != nil {
 		return 1
 	}
 	if fs.NArg() != 1 {
-		fmt.Fprintln(os.Stderr, "scenario run: exactly one file expected")
+		fmt.Fprintln(stderr, "scenario run: exactly one file expected")
 		return 1
 	}
 	path := fs.Arg(0)
-	data, err := os.ReadFile(path)
+	sc, err := load(path)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "scenario:", err)
-		return 1
-	}
-	sc, err := agilepower.ParseScenario(data)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "scenario:", err)
+		fmt.Fprintln(stderr, "scenario:", err)
 		return 1
 	}
 	if *horizon > 0 {
@@ -130,12 +136,12 @@ func cmdRun(args []string) int {
 	}
 	policies, err := selectPolicies(sc, *policyName)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "scenario:", err)
+		fmt.Fprintln(stderr, "scenario:", err)
 		return 1
 	}
 	results, err := sc.RunPolicies(policies)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "scenario:", err)
+		fmt.Fprintln(stderr, "scenario:", err)
 		return 1
 	}
 
@@ -148,25 +154,53 @@ func cmdRun(args []string) int {
 			r.ViolationFraction, r.Migrations.Completed, r.Sleeps, r.Wakes,
 			r.Crashes, r.StrandedVMs)
 	}
-	if err := tbl.Write(os.Stdout); err != nil {
-		fmt.Fprintln(os.Stderr, "scenario:", err)
+	if err := tbl.Write(stdout); err != nil {
+		fmt.Fprintln(stderr, "scenario:", err)
 		return 1
+	}
+	base, last := results[0], results[len(results)-1]
+	for _, r := range results[1:] {
+		fmt.Fprintf(stdout, "%s saves %.1f%% vs %s\n", r.Policy, 100*r.SavingsVs(base), base.Policy)
+	}
+	if oracleE, err := last.OracleEnergy(); err == nil {
+		fmt.Fprintf(stdout, "oracle (zero-latency DPM) bound: %.2f kWh\n", oracleE.KWh())
+	}
+	if *csvPath != "" {
+		if err := writeCSV(*csvPath, last); err != nil {
+			fmt.Fprintln(stderr, "scenario:", err)
+			return 1
+		}
+		fmt.Fprintf(stdout, "series for %s written to %s\n", last.Policy, *csvPath)
 	}
 
 	failures, stranded := 0, 0
 	for _, r := range results {
 		for _, ar := range r.Assertions {
-			fmt.Printf("%s  %s\n", r.Policy, ar)
+			fmt.Fprintf(stdout, "%s  %s\n", r.Policy, ar)
 		}
 		failures += r.AssertionFailures
 		stranded += r.StrandedVMs
 	}
 	if failures > 0 || stranded > 0 {
-		fmt.Fprintf(os.Stderr, "scenario: %s unhealthy: %d failed assertion(s), %d stranded VM(s)\n",
+		fmt.Fprintf(stderr, "scenario: %s unhealthy: %d failed assertion(s), %d stranded VM(s)\n",
 			path, failures, stranded)
 		return 2
 	}
 	return 0
+}
+
+// writeCSV writes one run's demand, power, delivered and active-host
+// series to path.
+func writeCSV(path string, r *agilepower.Result) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	if err := report.MultiSeriesCSV(f, r.Demand, r.Power, r.Delivered, r.ActiveHosts); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
 }
 
 func selectPolicies(sc agilepower.Scenario, name string) ([]agilepower.Policy, error) {

@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"agilepower"
 	"agilepower/internal/jobs"
 )
 
@@ -37,6 +38,29 @@ var overflowBodies = map[string]string{
 		`"fleets":[{"kind":"flat","count":2}],"horizonHours":1}`,
 	// The fleet builders would read −3 as one VM; admission refuses it.
 	"negative fleet count": `{"hosts":4,"fleets":[{"kind":"flat","count":-3}],"horizonHours":1}`,
+}
+
+// invalidBodies are scenario files the service must refuse with 400
+// for reasons other than a wrapped count: malformed JSON, counts or a
+// horizon outside the default budget, names the builders do not know,
+// negative knobs, churn whose expected arrivals pass the VM budget,
+// and data after the scenario object.
+var invalidBodies = []struct{ name, body string }{
+	{"bad json", `{`},
+	{"zero hosts", `{"hosts":0,"fleets":[{"kind":"flat","count":4}]}`},
+	{"too many hosts", `{"hosts":9999999,"fleets":[{"kind":"flat","count":4}]}`},
+	{"zero vms", `{"hosts":4,"fleets":[]}`},
+	{"bad fleet", `{"hosts":4,"fleets":[{"kind":"quantum","count":4}]}`},
+	{"bad policy", `{"hosts":4,"fleets":[{"kind":"flat","count":4}],"policy":"yolo"}`},
+	{"horizon too long", `{"hosts":4,"fleets":[{"kind":"flat","count":4}],"horizonHours":100000}`},
+	{"negative shards", `{"hosts":4,"fleets":[{"kind":"flat","count":4}],"shards":-1}`},
+	{"negative telemetry cap", `{"hosts":4,"fleets":[{"kind":"flat","count":4}],"telemetryCap":-1}`},
+	// 1e13 arrivals in one hour. The mean arrival gap also rounds to
+	// 0 ns, so an admitted job would never leave simulated time 0 s.
+	{"churn past the vm budget", `{"hosts":2,"fleets":[{"kind":"flat","count":1}],"horizonHours":1,` +
+		`"churn":{"arrivalsPerHour":1e13}}`},
+	// ParseScenario refuses the second object; so must the service.
+	{"trailing data", `{"hosts":2,"fleets":[{"kind":"flat","count":2}],"horizonHours":1}{"hosts":99999999}`},
 }
 
 // omittedHorizonBody runs the scenario default of 24 h, which a budget
@@ -78,9 +102,11 @@ func TestSubmitScenarioBudgetsOmittedHorizon(t *testing.T) {
 
 // FuzzSubmitScenario throws arbitrary bodies at POST /v1/scenarios on
 // a server with a tiny admission budget. Every body must be refused
-// with a 4xx, or admitted as a scenario within MaxHosts, MaxVMs and
-// MaxHorizon; nothing may panic or answer 5xx. The server's job queue
-// is never started, so admitted scenarios are inspected, never run.
+// with a 4xx, or admitted as a scenario that ParseScenario also
+// accepts, within MaxHosts and MaxHorizon, and whose VMs plus expected
+// churn arrivals stay within MaxVMs; nothing may panic or answer 5xx.
+// The server's job queue is never started, so admitted scenarios are
+// inspected, never run.
 func FuzzSubmitScenario(f *testing.F) {
 	files, err := filepath.Glob("../../scenarios/*.json")
 	if err != nil || len(files) == 0 {
@@ -95,6 +121,9 @@ func FuzzSubmitScenario(f *testing.F) {
 	}
 	for _, body := range overflowBodies {
 		f.Add(body)
+	}
+	for _, tc := range invalidBodies {
+		f.Add(tc.body)
 	}
 	f.Add(omittedHorizonBody)
 	f.Add(`{"hosts":4,"fleets":[{"kind":"diurnal","count":8}],"horizonHours":2}`)
@@ -125,6 +154,9 @@ func FuzzSubmitScenario(f *testing.F) {
 			t.Fatalf("admitted job %q not queued", sub.Job.ID)
 		}
 		defer s.queue.Cancel(j.ID())
+		if _, err := agilepower.ParseScenario([]byte(body)); err != nil {
+			t.Fatalf("admitted a body ParseScenario refuses (%v): %q", err, body)
+		}
 		sc := j.Payload().(*runPayload).sc
 		hosts := sc.Hosts
 		if len(sc.HostClasses) > 0 {
@@ -142,10 +174,14 @@ func FuzzSubmitScenario(f *testing.F) {
 		if horizon == 0 {
 			horizon = 24 * time.Hour
 		}
-		if hosts < 1 || hosts > cfg.MaxHosts || len(sc.VMs) < 1 || len(sc.VMs) > cfg.MaxVMs ||
+		arrivals := 0.0
+		if sc.Churn != nil {
+			arrivals = sc.Churn.ArrivalsPerHour * horizon.Hours()
+		}
+		if hosts < 1 || hosts > cfg.MaxHosts || len(sc.VMs) < 1 || float64(len(sc.VMs))+arrivals > float64(cfg.MaxVMs) ||
 			horizon < 0 || horizon > cfg.MaxHorizon {
-			t.Fatalf("admitted %d hosts, %d VMs, horizon %v past the budget: %q",
-				hosts, len(sc.VMs), horizon, body)
+			t.Fatalf("admitted %d hosts, %d VMs + %g expected arrivals, horizon %v past the budget: %q",
+				hosts, len(sc.VMs), arrivals, horizon, body)
 		}
 	})
 }

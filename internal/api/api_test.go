@@ -1,12 +1,15 @@
 package api
 
 import (
+	"bytes"
 	"encoding/json"
 	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
 	"testing"
+
+	"agilepower/internal/jobs"
 )
 
 func newTestServer(t *testing.T) *httptest.Server {
@@ -81,74 +84,52 @@ func TestProfileEndpoint(t *testing.T) {
 	}
 }
 
-func postRun(t *testing.T, ts *httptest.Server, body string) (*http.Response, error) {
-	t.Helper()
-	return http.Post(ts.URL+"/api/runs", "application/json", strings.NewReader(body))
-}
-
+// TestCreateAndFetchRun runs a scenario with ?wait=1 and fetches it
+// back: the job the response names is done, its stored result is the
+// bytes the blocking call returned, and the job list holds it.
 func TestCreateAndFetchRun(t *testing.T) {
 	ts := newTestServer(t)
-	resp, err := postRun(t, ts, `{"hosts":4,"vms":8,"fleet":"flat","flatDemand":0.5,"horizonHours":2}`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if resp.StatusCode != http.StatusCreated {
-		t.Fatalf("status = %d", resp.StatusCode)
-	}
-	run := decode[RunResponse](t, resp)
-	if run.ID != 1 || run.Policy != "dpm-s3" {
-		t.Fatalf("run = %+v", run)
-	}
-	if run.EnergyKWh <= 0 || run.Satisfaction <= 0 {
-		t.Fatalf("metrics missing: %+v", run)
-	}
-	if run.OracleKWh <= 0 || run.OracleKWh >= run.EnergyKWh {
-		t.Fatalf("oracle bound = %v vs energy %v", run.OracleKWh, run.EnergyKWh)
+	st, xc, created, id := postWaitJob(t, ts.URL, smallRun)
+	if st != http.StatusOK || xc != "miss" || id == "" {
+		t.Fatalf("create: status %d X-Cache %q X-Job-Id %q", st, xc, id)
 	}
 
-	// Fetch it back.
-	resp2, err := http.Get(ts.URL + "/api/runs/1")
+	resp, err := http.Get(ts.URL + "/v1/jobs/" + id + "/result")
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := decode[RunResponse](t, resp2)
-	if got != run {
-		t.Fatalf("fetched %+v, created %+v", got, run)
+	fetched, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusOK || !bytes.Equal(fetched, created) {
+		t.Fatalf("fetched status %d body %s, created %s", resp.StatusCode, fetched, created)
 	}
 
-	// List contains it.
-	resp3, err := http.Get(ts.URL + "/api/runs")
+	resp, err = http.Get(ts.URL + "/v1/jobs/" + id)
 	if err != nil {
 		t.Fatal(err)
 	}
-	list := decode[[]RunResponse](t, resp3)
-	if len(list) != 1 || list[0].ID != 1 {
+	if job := decode[jobs.Status](t, resp); job.State != "done" || job.Cached {
+		t.Fatalf("job = %+v", job)
+	}
+
+	resp, err = http.Get(ts.URL + "/v1/jobs")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if list := decode[[]jobs.Status](t, resp); len(list) != 1 || list[0].ID != id {
 		t.Fatalf("list = %+v", list)
 	}
 }
 
+// TestCreateRunValidation posts each of invalidBodies and expects 400.
 func TestCreateRunValidation(t *testing.T) {
 	ts := newTestServer(t)
-	cases := []struct {
-		name string
-		body string
-	}{
-		{"bad json", `{`},
-		{"zero hosts", `{"hosts":0,"vms":4,"fleet":"flat"}`},
-		{"too many hosts", `{"hosts":9999999,"vms":4,"fleet":"flat"}`},
-		{"zero vms", `{"hosts":4,"vms":0,"fleet":"flat"}`},
-		{"bad fleet", `{"hosts":4,"vms":4,"fleet":"quantum"}`},
-		{"bad policy", `{"hosts":4,"vms":4,"fleet":"flat","policy":"yolo"}`},
-		{"horizon too long", `{"hosts":4,"vms":4,"fleet":"flat","horizonHours":100000}`},
-		{"negative shards", `{"hosts":4,"vms":4,"fleet":"flat","shards":-1}`},
-		{"negative telemetry cap", `{"hosts":4,"vms":4,"fleet":"flat","telemetryCap":-1}`},
-	}
-	for _, tc := range cases {
+	for _, tc := range invalidBodies {
 		t.Run(tc.name, func(t *testing.T) {
-			resp, err := postRun(t, ts, tc.body)
-			if err != nil {
-				t.Fatal(err)
-			}
+			resp := postURL(t, ts.URL+"/v1/scenarios", tc.body)
 			defer resp.Body.Close()
 			if resp.StatusCode != http.StatusBadRequest {
 				t.Fatalf("status = %d, want 400", resp.StatusCode)
@@ -157,108 +138,101 @@ func TestCreateRunValidation(t *testing.T) {
 	}
 }
 
+// TestGetRunNotFound: every route that names a job answers 404 for an
+// unknown one, numeric or not.
 func TestGetRunNotFound(t *testing.T) {
 	ts := newTestServer(t)
-	resp, err := http.Get(ts.URL + "/api/runs/42")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusNotFound {
-		t.Fatalf("status = %d, want 404", resp.StatusCode)
-	}
-	resp2, err := http.Get(ts.URL + "/api/runs/notanumber")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp2.Body.Close()
-	if resp2.StatusCode != http.StatusNotFound {
-		t.Fatalf("status = %d, want 404", resp2.StatusCode)
-	}
-}
-
-func TestRunSeriesCSV(t *testing.T) {
-	ts := newTestServer(t)
-	if _, err := postRun(t, ts, `{"hosts":2,"vms":4,"fleet":"flat","horizonHours":1}`); err != nil {
-		t.Fatal(err)
-	}
-	resp, err := http.Get(ts.URL + "/api/runs/1/series?step=15m")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if ct := resp.Header.Get("Content-Type"); ct != "text/csv" {
-		t.Fatalf("content type = %q", ct)
-	}
-	raw, err := io.ReadAll(resp.Body)
-	if err != nil {
-		t.Fatal(err)
-	}
-	body := string(raw)
-	if !strings.HasPrefix(body, "offset_seconds,") {
-		t.Fatalf("csv header missing: %q", body)
-	}
-	// 1h at 15m step → header + 4 rows.
-	if lines := strings.Count(strings.TrimSpace(body), "\n"); lines != 4 {
-		t.Fatalf("csv rows = %d, want 4", lines)
-	}
-	// Bad step rejected.
-	resp2, err := http.Get(ts.URL + "/api/runs/1/series?step=banana")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp2.Body.Close()
-	if resp2.StatusCode != http.StatusBadRequest {
-		t.Fatalf("bad step status = %d", resp2.StatusCode)
+	for _, id := range []string{"42", "notanumber"} {
+		for _, route := range []struct{ method, path string }{
+			{http.MethodGet, "/v1/jobs/" + id},
+			{http.MethodGet, "/v1/jobs/" + id + "/result"},
+			{http.MethodGet, "/v1/jobs/" + id + "/stream"},
+			{http.MethodDelete, "/v1/jobs/" + id},
+		} {
+			req, err := http.NewRequest(route.method, ts.URL+route.path, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			resp, err := http.DefaultClient.Do(req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusNotFound {
+				t.Fatalf("%s %s: status = %d, want 404", route.method, route.path, resp.StatusCode)
+			}
+		}
 	}
 }
 
+// TestChurnOverAPI runs a churn scenario and checks the result reports
+// its arrivals and placements.
 func TestChurnOverAPI(t *testing.T) {
 	ts := newTestServer(t)
-	resp, err := postRun(t, ts, `{"hosts":4,"vms":4,"fleet":"flat","horizonHours":6,
+	st, _, raw := postWait(t, ts.URL, `{"hosts":4,"fleets":[{"kind":"flat","count":4}],"horizonHours":6,
 		"churn":{"arrivalsPerHour":4,"meanLifetimeHours":1}}`)
-	if err != nil {
+	if st != http.StatusOK {
+		t.Fatalf("status %d: %s", st, raw)
+	}
+	var run RunResult
+	if err := json.Unmarshal(raw, &run); err != nil {
 		t.Fatal(err)
 	}
-	run := decode[RunResponse](t, resp)
 	if run.ChurnArrived == 0 || run.ChurnPlaced == 0 {
 		t.Fatalf("churn not reported: %+v", run)
 	}
 }
 
-func TestExperimentsEndpoints(t *testing.T) {
-	ts := newTestServer(t)
-	resp, err := http.Get(ts.URL + "/api/experiments")
-	if err != nil {
-		t.Fatal(err)
-	}
-	ids := decode[[]string](t, resp)
-	if len(ids) < 10 {
-		t.Fatalf("experiment ids = %v", ids)
-	}
-	resp2, err := http.Post(ts.URL+"/api/experiments/t1", "", nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp2.Body.Close()
-	raw, err := io.ReadAll(resp2.Body)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(string(raw), "power-state characterization") {
-		t.Fatalf("experiment output: %q", string(raw))
-	}
-}
-
 func TestMethodRouting(t *testing.T) {
 	ts := newTestServer(t)
-	// GET on a POST-only route is rejected by the mux.
-	resp, err := http.Get(ts.URL + "/api/experiments/t1")
+	// GET on the POST-only submission route is rejected by the mux.
+	resp, err := http.Get(ts.URL + "/v1/scenarios")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusMethodNotAllowed {
 		t.Fatalf("status = %d, want 405", resp.StatusCode)
+	}
+}
+
+// TestRemovedRoutesNotFound pins that the retired run store, live
+// sessions, experiment runner and run-request submission are gone:
+// each of their routes answers 404 rather than running anything.
+func TestRemovedRoutesNotFound(t *testing.T) {
+	ts := newTestServer(t)
+	const body = `{"hosts":4,"vms":8,"fleet":"flat"}`
+	for _, route := range []struct{ method, path string }{
+		{http.MethodPost, "/api/runs"},
+		{http.MethodGet, "/api/runs"},
+		{http.MethodGet, "/api/runs/1"},
+		{http.MethodGet, "/api/runs/1/series"},
+		{http.MethodGet, "/api/runs/1/events"},
+		{http.MethodPost, "/api/sessions"},
+		{http.MethodGet, "/api/sessions"},
+		{http.MethodGet, "/api/sessions/1"},
+		{http.MethodPost, "/api/sessions/1/advance"},
+		{http.MethodPost, "/api/sessions/1/maintenance"},
+		{http.MethodPost, "/api/sessions/1/vms"},
+		{http.MethodDelete, "/api/sessions/1"},
+		{http.MethodGet, "/api/sessions/1/events"},
+		{http.MethodGet, "/api/experiments"},
+		{http.MethodPost, "/api/experiments/t1"},
+		{http.MethodPost, "/v1/runs"},
+	} {
+		t.Run(route.method+" "+route.path, func(t *testing.T) {
+			req, err := http.NewRequest(route.method, ts.URL+route.path, strings.NewReader(body))
+			if err != nil {
+				t.Fatal(err)
+			}
+			resp, err := http.DefaultClient.Do(req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusNotFound {
+				t.Fatalf("status = %d, want 404", resp.StatusCode)
+			}
+		})
 	}
 }

@@ -1,20 +1,17 @@
 // The async simulation service: the v1 HTTP surface over the job
-// queue, the content-addressed result cache, the shared-world
-// prototype cache, streaming progress, and the Prometheus metrics
-// endpoint. The legacy synchronous /api routes live in api.go; this
-// file is everything that makes the daemon multi-tenant and
-// production-shaped.
+// queue, the content-addressed result cache, streaming progress, and
+// the Prometheus metrics endpoint. api.go holds the server's
+// configuration, routes and the read-only /api routes; this file is
+// everything that makes the daemon multi-tenant and production-shaped.
 package api
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
 	"net/http"
-	"sync"
 	"time"
 
 	"agilepower"
@@ -75,31 +72,12 @@ type SubmitResponse struct {
 	StreamURL string      `json:"streamUrl"`
 }
 
-// runPayload is the internal job payload: the scenario to execute,
-// its result-cache key, and (for /v1/runs jobs) the world fingerprint
-// that lets repeated fleet shapes fork a shared prototype.
+// runPayload is the internal job payload: the scenario to execute and
+// its result-cache key.
 type runPayload struct {
-	key      string
-	worldKey string // "" = always run cold (scenario-file jobs)
-	sc       agilepower.Scenario
+	key string
+	sc  agilepower.Scenario
 }
-
-// protoEntry is one cached world: the base scenario that owns the VM
-// slice and profile pointer (Prototype.Fork requires pointer
-// identity, not just equal specs) plus the built prototype. The
-// sync.Once makes the first job for a shape pay construction while
-// concurrent jobs for the same shape wait instead of duplicating it.
-type protoEntry struct {
-	once  sync.Once
-	sc    agilepower.Scenario
-	proto *agilepower.Prototype
-	err   error
-}
-
-// protoCacheMax bounds distinct cached world shapes; each entry holds
-// a full host fleet and VM traces, so the map cannot grow with every
-// novel request forever.
-const protoCacheMax = 64
 
 // instruments is the server's direct-write metric set (callback
 // instruments read the queue and cache at scrape time and need no
@@ -166,98 +144,12 @@ func (s *Server) registerMetrics() {
 	s.im.runWall = m.Histogram("agilepower_run_wall_seconds",
 		"Wall-clock seconds per executed simulation (cache hits excluded).", nil)
 	s.im.waitReq = m.Histogram("agilepower_wait_request_seconds",
-		"Handler seconds for POST /v1/runs?wait=1, hits and misses together.", nil)
+		"Handler seconds for POST /v1/scenarios?wait=1, hits and misses together.", nil)
 }
 
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	_ = s.metrics.WritePrometheus(w)
-}
-
-// canonicalRunRequest returns the request's canonical bytes for
-// content addressing: the decoded struct re-marshalled (deterministic
-// field order), with the tenant cleared — results are a pure function
-// of the scenario, so tenants submitting identical runs share cache
-// entries — and a format tag so run-request keys can never collide
-// with scenario-file keys.
-func canonicalRunRequest(req RunRequest) ([]byte, error) {
-	req.Tenant = ""
-	data, err := json.Marshal(req)
-	if err != nil {
-		return nil, err
-	}
-	return append([]byte("run:"), data...), nil
-}
-
-// worldFingerprint hashes the world-defining request fields — the
-// cell knobs Prototype.Fork lets vary (name, policy, manager tuning,
-// churn, tenant) are cleared — keying the prototype cache so repeated
-// fleet shapes skip world construction. Seed stays in: the fleet
-// builders consume it, so different seeds are different worlds.
-func worldFingerprint(req RunRequest) (string, error) {
-	req.Name = ""
-	req.Policy = ""
-	req.PeriodMinutes = 0
-	req.TargetUtil = 0
-	req.SpareHosts = 0
-	req.PredictiveWake = false
-	req.Churn = nil
-	req.Tenant = ""
-	data, err := json.Marshal(req)
-	if err != nil {
-		return "", err
-	}
-	return rescache.Key(agilepower.CodeVersion, append([]byte("world:"), data...)), nil
-}
-
-// protoFor returns the cached world entry for a fingerprint, creating
-// it if needed (bounded: a full cache drops an arbitrary entry — the
-// map holds entire fleets and must not grow with every novel shape).
-func (s *Server) protoFor(worldKey string) *protoEntry {
-	s.protoMu.Lock()
-	defer s.protoMu.Unlock()
-	if e, ok := s.protos[worldKey]; ok {
-		return e
-	}
-	if len(s.protos) >= protoCacheMax {
-		for k := range s.protos {
-			delete(s.protos, k)
-			break
-		}
-	}
-	e := &protoEntry{}
-	s.protos[worldKey] = e
-	return e
-}
-
-// startSession builds the job's session: a fork of the shared world
-// prototype when the payload carries a world fingerprint, a cold
-// start otherwise. Forked and cold runs are byte-identical (the
-// determinism gate pins it); forking just skips host construction and
-// initial placement for repeated fleet shapes.
-func (s *Server) startSession(p *runPayload) (*agilepower.Session, error) {
-	if p.worldKey == "" {
-		return p.sc.Start()
-	}
-	e := s.protoFor(p.worldKey)
-	e.once.Do(func() {
-		e.sc = p.sc
-		e.proto, e.err = p.sc.Prototype()
-	})
-	if e.err != nil {
-		// Prototype construction failed; the cold path re-surfaces the
-		// same error (or succeeds where construction has since been
-		// fixed — it cannot be, but cold is the conservative fallback).
-		return p.sc.Start()
-	}
-	// Overlay the cell knobs on the entry's base scenario so the world
-	// fields keep pointer identity with the prototype (Fork requires
-	// the same VMs slice and profile pointer, not merely equal specs).
-	cell := e.sc
-	cell.Name = p.sc.Name
-	cell.Manager = p.sc.Manager
-	cell.Churn = p.sc.Churn
-	return e.proto.Fork(cell)
 }
 
 // runJob is the queue's Runner: execute the payload's scenario in
@@ -270,7 +162,7 @@ func (s *Server) runJob(ctx context.Context, j *jobs.Job) ([]byte, error) {
 		return nil, fmt.Errorf("api: job %s has no run payload", j.ID())
 	}
 	started := time.Now()
-	se, err := s.startSession(p)
+	se, err := p.sc.Start()
 	if err != nil {
 		return nil, err
 	}
@@ -391,9 +283,9 @@ func writeResult(w http.ResponseWriter, body []byte, hit bool, jobID string) {
 	_, _ = w.Write(body)
 }
 
-// submitCommon runs the shared async-submission tail: cache lookup,
-// enqueue (or cache-hit fast path), and the wait=1 blocking mode.
-func (s *Server) submitCommon(w http.ResponseWriter, r *http.Request, tenant, key string, sc agilepower.Scenario, worldKey string) {
+// submit looks the key up in the result cache, enqueues the scenario
+// on a miss, and with wait=1 blocks for the terminal result.
+func (s *Server) submit(w http.ResponseWriter, r *http.Request, tenant, key string, sc agilepower.Scenario) {
 	began := time.Now()
 	wait := r.URL.Query().Get("wait") == "1" || r.URL.Query().Get("wait") == "true"
 	if body, ok := s.cache.Get(key); ok {
@@ -413,7 +305,7 @@ func (s *Server) submitCommon(w http.ResponseWriter, r *http.Request, tenant, ke
 		writeAccepted(w, j)
 		return
 	}
-	j, err := s.queue.Submit(tenant, &runPayload{key: key, worldKey: worldKey, sc: sc})
+	j, err := s.queue.Submit(tenant, &runPayload{key: key, sc: sc})
 	if err != nil {
 		submitError(w, err)
 		return
@@ -441,59 +333,29 @@ func (s *Server) submitCommon(w http.ResponseWriter, r *http.Request, tenant, ke
 	}
 }
 
-// handleSubmitRun is POST /v1/runs: the async (202 + job ID) form of
-// run submission, with ?wait=1 to block for the terminal result.
-func (s *Server) handleSubmitRun(w http.ResponseWriter, r *http.Request) {
-	var req RunRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, "decoding request: %v", err)
-		return
-	}
-	sc, err := s.buildScenario(req)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	canonical, err := canonicalRunRequest(req)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	worldKey, err := worldFingerprint(req)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	s.submitCommon(w, r, req.Tenant, rescache.Key(agilepower.CodeVersion, canonical), sc, worldKey)
-}
-
-// handleSubmitScenario is POST /v1/scenarios: submit a full scenario
-// file (fleets, events, assertions, chaos — the format cmd/scenario
-// and `agilepm -config` load) as an async job. The tenant comes from
-// the X-Tenant header or ?tenant= (the file format has no tenant
-// field). Scenario-file jobs always run cold — their worlds vary too
-// much to pool — but their results are cached like any other.
+// handleSubmitScenario is POST /v1/scenarios, the one way to run a
+// simulation: submit a scenario file (the format ParseScenario reads
+// and `scenario run` loads) as an async job. The tenant comes from the
+// X-Tenant header or ?tenant= (the file format has no tenant field).
 func (s *Server) handleSubmitScenario(w http.ResponseWriter, r *http.Request) {
 	data, err := io.ReadAll(http.MaxBytesReader(w, r.Body, 4<<20))
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "reading body: %v", err)
 		return
 	}
-	// Decode the file form first (strictly, mirroring ParseScenario) so
-	// the canonical bytes and admission counts come from the decoded
+	// The canonical bytes and admission counts come from the decoded
 	// struct, not the client's formatting.
-	dec := json.NewDecoder(bytes.NewReader(data))
-	dec.DisallowUnknownFields()
-	var f agilepower.ScenarioFile
-	if err := dec.Decode(&f); err != nil {
-		writeError(w, http.StatusBadRequest, "decoding scenario file: %v", err)
+	f, err := agilepower.DecodeScenarioFile(data)
+	if err != nil {
+		writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
 	if hosts, ok := f.TotalHosts(s.cfg.MaxHosts); !ok || hosts == 0 {
 		writeError(w, http.StatusBadRequest, "hosts must be in [1, %d]", s.cfg.MaxHosts)
 		return
 	}
-	if vms, ok := f.TotalVMs(s.cfg.MaxVMs); !ok || vms == 0 {
+	vms, ok := f.TotalVMs(s.cfg.MaxVMs)
+	if !ok || vms == 0 {
 		writeError(w, http.StatusBadRequest, "vms must be in [1, %d]", s.cfg.MaxVMs)
 		return
 	}
@@ -512,8 +374,11 @@ func (s *Server) handleSubmitScenario(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "horizon must be in (0, %v]", s.cfg.MaxHorizon)
 		return
 	}
-	if err := sc.Validate(); err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
+	// Churn adds VMs while the job runs, so its expected arrivals count
+	// against the same budget. Floating point keeps a huge rate from
+	// overflowing the product.
+	if sc.Churn != nil && float64(vms)+sc.Churn.ArrivalsPerHour*horizon.Hours() > float64(s.cfg.MaxVMs) {
+		writeError(w, http.StatusBadRequest, "vms plus expected churn arrivals must be at most %d", s.cfg.MaxVMs)
 		return
 	}
 	canonical, err := f.Canonical()
@@ -525,8 +390,7 @@ func (s *Server) handleSubmitScenario(w http.ResponseWriter, r *http.Request) {
 	if tenant == "" {
 		tenant = r.URL.Query().Get("tenant")
 	}
-	key := rescache.Key(agilepower.CodeVersion, append([]byte("scenario:"), canonical...))
-	s.submitCommon(w, r, tenant, key, sc, "")
+	s.submit(w, r, tenant, rescache.Key(agilepower.CodeVersion, canonical), sc)
 }
 
 func (s *Server) lookupJob(w http.ResponseWriter, r *http.Request) (*jobs.Job, bool) {

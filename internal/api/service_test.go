@@ -38,17 +38,43 @@ func postURL(t *testing.T, url, body string) *http.Response {
 	return resp
 }
 
-// postWait submits a run with wait=1 and returns (status, X-Cache,
-// body bytes).
+// postWait submits a scenario with wait=1 and returns (status,
+// X-Cache, body bytes).
 func postWait(t *testing.T, base, body string) (int, string, []byte) {
 	t.Helper()
-	resp := postURL(t, base+"/v1/runs?wait=1", body)
+	st, xc, raw, _ := postWaitJob(t, base, body)
+	return st, xc, raw
+}
+
+// postWaitJob is postWait that also returns the X-Job-Id header.
+func postWaitJob(t *testing.T, base, body string) (int, string, []byte, string) {
+	t.Helper()
+	resp := postURL(t, base+"/v1/scenarios?wait=1", body)
 	defer resp.Body.Close()
 	raw, err := io.ReadAll(resp.Body)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return resp.StatusCode, resp.Header.Get("X-Cache"), raw
+	return resp.StatusCode, resp.Header.Get("X-Cache"), raw, resp.Header.Get("X-Job-Id")
+}
+
+// postAsync posts a scenario without waiting and decodes the 202
+// acknowledgement.
+func postAsync(t *testing.T, base, body string) SubmitResponse {
+	t.Helper()
+	resp := postURL(t, base+"/v1/scenarios", body)
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("submit status = %d, want 202", resp.StatusCode)
+	}
+	var sub SubmitResponse
+	if err := json.NewDecoder(resp.Body).Decode(&sub); err != nil {
+		t.Fatal(err)
+	}
+	if loc := resp.Header.Get("Location"); loc != "/v1/jobs/"+sub.Job.ID {
+		t.Fatalf("Location = %q", loc)
+	}
+	return sub
 }
 
 func waitJobState(t *testing.T, base, id, want string) jobs.Status {
@@ -74,25 +100,14 @@ func waitJobState(t *testing.T, base, id, want string) jobs.Status {
 	}
 }
 
-const smallRun = `{"hosts":4,"vms":8,"fleet":"flat","flatDemand":0.5,"horizonHours":1,"seed":7}`
+const smallRun = `{"hosts":4,"fleets":[{"kind":"flat","count":8,"demand":0.5}],"horizonHours":1,"seed":7}`
 
 func TestAsyncRunLifecycle(t *testing.T) {
 	_, ts := newService(t, Config{})
 
-	resp := postURL(t, ts.URL+"/v1/runs", smallRun)
-	if resp.StatusCode != http.StatusAccepted {
-		t.Fatalf("status = %d, want 202", resp.StatusCode)
-	}
-	var sub SubmitResponse
-	if err := json.NewDecoder(resp.Body).Decode(&sub); err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
+	sub := postAsync(t, ts.URL, smallRun)
 	if sub.Job.ID == "" || sub.Job.State != "queued" && sub.Job.State != "running" && sub.Job.State != "done" {
 		t.Fatalf("submit ack = %+v", sub)
-	}
-	if loc := resp.Header.Get("Location"); loc != "/v1/jobs/"+sub.Job.ID {
-		t.Fatalf("Location = %q", loc)
 	}
 
 	waitJobState(t, ts.URL, sub.Job.ID, "done")
@@ -114,6 +129,9 @@ func TestAsyncRunLifecycle(t *testing.T) {
 	}
 	if out.Policy != "dpm-s3" || out.EnergyKWh <= 0 || out.Satisfaction <= 0 {
 		t.Fatalf("result = %+v", out)
+	}
+	if out.OracleKWh <= 0 || out.OracleKWh >= out.EnergyKWh {
+		t.Fatalf("oracle bound = %v vs energy %v", out.OracleKWh, out.EnergyKWh)
 	}
 
 	// The job list knows it.
@@ -139,7 +157,7 @@ func TestCacheByteIdentityAcrossPolicies(t *testing.T) {
 	_, ts2 := newService(t, Config{}) // fresh server: independent cold runs
 
 	for _, policy := range []string{"static", "nopm-drm", "dpm-s5", "dpm-s3"} {
-		body := fmt.Sprintf(`{"hosts":8,"vms":32,"fleet":"mixed","horizonHours":4,"seed":11,"policy":%q}`, policy)
+		body := fmt.Sprintf(`{"hosts":8,"fleets":[{"kind":"mixed","count":32}],"horizonHours":4,"seed":11,"policy":%q}`, policy)
 		execBefore := s.im.runWall.Count()
 
 		st, xc, cold := postWait(t, ts.URL, body)
@@ -171,25 +189,6 @@ func TestCacheByteIdentityAcrossPolicies(t *testing.T) {
 	}
 	if hits := s.queue.Counters().CacheHits; hits != 4 {
 		t.Fatalf("cache-hit completions = %d, want 4", hits)
-	}
-}
-
-// TestPrototypeReuseAcrossPolicies: jobs sharing a world shape fork
-// one cached prototype — and the forked results must byte-match a
-// cold server that never pools worlds.
-func TestPrototypeReuseAcrossPolicies(t *testing.T) {
-	s, ts := newService(t, Config{})
-	for _, policy := range []string{"static", "dpm-s3", "dpm-s5"} {
-		body := fmt.Sprintf(`{"hosts":6,"vms":24,"fleet":"diurnal","horizonHours":3,"seed":5,"policy":%q}`, policy)
-		if st, _, _ := postWait(t, ts.URL, body); st != http.StatusOK {
-			t.Fatalf("%s: status %d", policy, st)
-		}
-	}
-	s.protoMu.Lock()
-	worlds := len(s.protos)
-	s.protoMu.Unlock()
-	if worlds != 1 {
-		t.Fatalf("cached worlds = %d, want 1 (policies share a fleet shape)", worlds)
 	}
 }
 
@@ -237,12 +236,7 @@ func TestMetricsEndpoint(t *testing.T) {
 
 func TestProgressPublished(t *testing.T) {
 	_, ts := newService(t, Config{ProgressEvery: 10 * time.Minute})
-	resp := postURL(t, ts.URL+"/v1/runs", `{"hosts":4,"vms":8,"fleet":"flat","horizonHours":2,"seed":9}`)
-	var sub SubmitResponse
-	if err := json.NewDecoder(resp.Body).Decode(&sub); err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
+	sub := postAsync(t, ts.URL, `{"hosts":4,"fleets":[{"kind":"flat","count":8}],"horizonHours":2,"seed":9}`)
 	st := waitJobState(t, ts.URL, sub.Job.ID, "done")
 	// 2h at one event per 10 simulated minutes ⇒ at least 10 published.
 	if st.Progress < 10 {
@@ -258,12 +252,7 @@ func TestProgressPublished(t *testing.T) {
 // the exact result bytes.
 func TestJobStreamSSE(t *testing.T) {
 	_, ts := newService(t, Config{})
-	resp := postURL(t, ts.URL+"/v1/runs", smallRun)
-	var sub SubmitResponse
-	if err := json.NewDecoder(resp.Body).Decode(&sub); err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
+	sub := postAsync(t, ts.URL, smallRun)
 	waitJobState(t, ts.URL, sub.Job.ID, "done")
 
 	stream, err := http.Get(ts.URL + sub.StreamURL)
@@ -356,31 +345,15 @@ func TestBackpressureAndCancel(t *testing.T) {
 	_, ts := newService(t, Config{Workers: 1, QueueDepth: 1, TenantQueueDepth: 1, RunChunk: 30 * time.Minute})
 
 	// A long run to occupy the single worker.
-	long := `{"hosts":32,"vms":128,"fleet":"diurnal","horizonHours":700,"seed":3}`
-	resp := postURL(t, ts.URL+"/v1/runs", long)
-	if resp.StatusCode != http.StatusAccepted {
-		t.Fatalf("blocker submit status = %d", resp.StatusCode)
-	}
-	var blocker SubmitResponse
-	if err := json.NewDecoder(resp.Body).Decode(&blocker); err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
+	long := `{"hosts":32,"fleets":[{"kind":"diurnal","count":128}],"horizonHours":700,"seed":3}`
+	blocker := postAsync(t, ts.URL, long)
 	waitJobState(t, ts.URL, blocker.Job.ID, "running")
 
 	// Second job queues (the worker is busy)…
-	resp = postURL(t, ts.URL+"/v1/runs", smallRun)
-	var queued SubmitResponse
-	if err := json.NewDecoder(resp.Body).Decode(&queued); err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusAccepted {
-		t.Fatalf("second submit status = %d", resp.StatusCode)
-	}
+	queued := postAsync(t, ts.URL, smallRun)
 
 	// …and the third exceeds QueueDepth: backpressure, not buffering.
-	resp = postURL(t, ts.URL+"/v1/runs", `{"hosts":4,"vms":8,"fleet":"flat","horizonHours":1,"seed":99}`)
+	resp := postURL(t, ts.URL+"/v1/scenarios", `{"hosts":4,"fleets":[{"kind":"flat","count":8}],"horizonHours":1,"seed":99}`)
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusTooManyRequests {
 		t.Fatalf("third submit status = %d, want 429", resp.StatusCode)
@@ -421,7 +394,7 @@ func TestDrainRejectsSubmissions(t *testing.T) {
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
-	resp := postURL(t, ts.URL+"/v1/runs", smallRun)
+	resp := postURL(t, ts.URL+"/v1/scenarios", smallRun)
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusServiceUnavailable {
 		t.Fatalf("post-drain status = %d, want 503", resp.StatusCode)
@@ -429,8 +402,9 @@ func TestDrainRejectsSubmissions(t *testing.T) {
 }
 
 // TestConcurrentSessions is the in-process load test: many client
-// goroutines, several tenants, a hot/cold request mix — zero failed
-// jobs and byte-identical hot responses, verified under `make race`.
+// goroutines, several tenants (passed as ?tenant=), a hot/cold request
+// mix — zero failed jobs and byte-identical hot responses, verified
+// under `make race`.
 func TestConcurrentSessions(t *testing.T) {
 	s, ts := newService(t, Config{})
 
@@ -453,9 +427,9 @@ func TestConcurrentSessions(t *testing.T) {
 					seed = 1000 + c
 				}
 				body := fmt.Sprintf(
-					`{"hosts":4,"vms":8,"fleet":"flat","flatDemand":0.5,"horizonHours":1,"seed":%d,"tenant":"t%d"}`,
-					seed, c%4)
-				resp, err := http.Post(ts.URL+"/v1/runs?wait=1", "application/json", strings.NewReader(body))
+					`{"hosts":4,"fleets":[{"kind":"flat","count":8,"demand":0.5}],"horizonHours":1,"seed":%d}`, seed)
+				url := fmt.Sprintf("%s/v1/scenarios?wait=1&tenant=t%d", ts.URL, c%4)
+				resp, err := http.Post(url, "application/json", strings.NewReader(body))
 				if err != nil {
 					errs <- err
 					continue
@@ -492,11 +466,17 @@ func TestConcurrentSessions(t *testing.T) {
 	if ctrs.CacheHits == 0 {
 		t.Fatalf("no cache hits across %d hot requests", clients*perClient)
 	}
+	// Every job, cache hits included, belongs to the tenant its URL named.
+	for tenant := 0; tenant < 4; tenant++ {
+		if n := len(s.queue.Jobs(fmt.Sprintf("t%d", tenant))); n != clients*perClient/4 {
+			t.Fatalf("tenant t%d has %d jobs, want %d", tenant, n, clients*perClient/4)
+		}
+	}
 }
 
 func TestShardsDeltaKnobsByteIdentical(t *testing.T) {
 	_, ts := newService(t, Config{})
-	base := `{"hosts":8,"vms":32,"fleet":"mixed","horizonHours":3,"seed":21%s}`
+	base := `{"hosts":8,"fleets":[{"kind":"mixed","count":32}],"horizonHours":3,"seed":21%s}`
 	st, _, plain := postWait(t, ts.URL, fmt.Sprintf(base, ``))
 	if st != http.StatusOK {
 		t.Fatalf("plain status %d", st)

@@ -11,9 +11,10 @@ import (
 	"agilepower/internal/script"
 )
 
-// ScenarioFile is the declarative JSON form of a Scenario, the format
-// `agilepm -config` loads. Fleets are described by builder kind and
-// parameters rather than per-VM traces, so files stay small and
+// ScenarioFile is the declarative JSON form of a Scenario: the one
+// request format, loaded by `scenario run` and accepted by the
+// service's POST /v1/scenarios. Fleets are described by builder kind
+// and parameters rather than per-VM traces, so files stay small and
 // reproducible from their seeds.
 //
 //	{
@@ -184,21 +185,31 @@ type ChurnFile struct {
 	MemoryGB          float64 `json:"memoryGB,omitempty"`
 }
 
-// ParseScenario decodes and materializes a scenario file. Unknown
-// keys are rejected, not ignored: a typo'd knob ("telemtryCap") would
-// otherwise silently fall back to its default and the run would
-// measure something other than what the file asked for.
+// ParseScenario decodes and materializes a scenario file.
 func ParseScenario(data []byte) (Scenario, error) {
+	f, err := DecodeScenarioFile(data)
+	if err != nil {
+		return Scenario{}, err
+	}
+	return f.Build()
+}
+
+// DecodeScenarioFile strictly decodes a scenario file without
+// building it. Unknown keys are rejected, not ignored: a typo'd knob
+// ("telemtryCap") would otherwise silently fall back to its default
+// and the run would measure something other than what the file asked
+// for. So is anything after the one JSON object.
+func DecodeScenarioFile(data []byte) (ScenarioFile, error) {
 	dec := json.NewDecoder(bytes.NewReader(data))
 	dec.DisallowUnknownFields()
 	var f ScenarioFile
 	if err := dec.Decode(&f); err != nil {
-		return Scenario{}, fmt.Errorf("agilepower: decoding scenario file: %w", err)
+		return ScenarioFile{}, fmt.Errorf("agilepower: decoding scenario file: %w", err)
 	}
 	if err := dec.Decode(new(json.RawMessage)); !errors.Is(err, io.EOF) {
-		return Scenario{}, fmt.Errorf("agilepower: trailing data after scenario object")
+		return ScenarioFile{}, fmt.Errorf("agilepower: trailing data after scenario object")
 	}
-	return f.Build()
+	return f, nil
 }
 
 // Canonical returns the file's canonical encoding for content

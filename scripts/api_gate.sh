@@ -1,9 +1,10 @@
 #!/bin/sh
 # End-to-end gate for the async simulation service: build a
 # race-enabled agilepmd, start it, drive a burst of concurrent
-# sessions through /v1/runs with cmd/apiload (which fails on any
-# failed request or a cache hit rate below the floor), then shut the
-# daemon down gracefully and check it drained and persisted its
+# sessions of scenario files through POST /v1/scenarios?wait=1 with
+# cmd/apiload (which fails on any failed request, a cache hit rate
+# below the floor, or a cache-hit speedup below the floor), then shut
+# the daemon down gracefully and check it drained and persisted its
 # terminal job ledger.
 #
 # Tunables (environment):
