@@ -129,28 +129,29 @@ bench-hyperscale-smoke:
 	$(GO) test -run 'TestDeltaSteadyStateAllocFree|TestHyperscaleQuickHeapBudget|TestHyperscaleFullScanMatchesGolden' -v \
 		./internal/cluster/ ./internal/experiments/
 
-# Record the manager-planning benchmarks (one steady-state control step
-# over the 16384-host / 131072-VM quiescent-majority fixture, the
-# full-scan test oracle versus the incremental planner) into
-# BENCH_manager.json. The checked-in artifact
-# holds the pre/post numbers of the incremental-planning rework; the
-# acceptance bar is incremental >= 10x faster than full-scan at
-# 0 allocs/op:
+# Record the manager-planning benchmarks into BENCH_manager.json: one
+# steady-state control step over the 16384-host / 131072-VM
+# quiescent-majority fixture (the full-scan test oracle versus the
+# incremental planner; the acceptance bar is incremental >= 10x faster
+# than full-scan at 0 allocs/op), and the forecast upkeep as simulated
+# time moves one evaluation step per op, on a 4096-VM mixed fleet and
+# on the hyperscale fixture:
 #
 #	make bench-manager LABEL=manager-post-incremental
 bench-manager: LABEL ?= manager
 bench-manager:
-	$(GO) test -run '^$$' -bench 'BenchmarkManagerControlStepHyperscale' \
+	$(GO) test -run '^$$' -bench 'BenchmarkManagerControlStepHyperscale|BenchmarkForecastUpkeep' \
 		-benchmem -benchtime=50x -count=3 -timeout 30m ./internal/core/ \
 		| $(GO) run ./cmd/benchjson -label $(LABEL) -out BENCH_manager.json
 
 # The manager-cost gate without a measurement run: one iteration of the
-# hyperscale control-step benchmark (so the fixture cannot rot), the
-# steady-state 0-alloc assertion, and the parity property tests that
-# hold the incremental planner against its full-scan oracle. CI runs
-# this as its manager-gate job; part of `make ci`.
+# hyperscale control-step and forecast-upkeep benchmarks (so the
+# fixtures cannot rot), the steady-state 0-alloc assertion, and the
+# parity property tests that hold the incremental planner against its
+# full-scan oracle. CI runs this as its manager-gate job; part of
+# `make ci`.
 bench-manager-smoke:
-	$(GO) test -run '^$$' -bench 'BenchmarkManagerControlStepHyperscale' -benchmem -benchtime=1x \
+	$(GO) test -run '^$$' -bench 'BenchmarkManagerControlStepHyperscale|BenchmarkForecastUpkeep' -benchmem -benchtime=1x \
 		./internal/core/
 	$(GO) test -run 'TestManagerStepSteadyStateAllocFree|TestIncrementalPlanningParity' -v \
 		./internal/core/

@@ -2,6 +2,7 @@ package agilepower
 
 import (
 	"fmt"
+	"math"
 	"time"
 
 	"agilepower/internal/cluster"
@@ -47,10 +48,19 @@ func (c *ChurnSpec) defaults() ChurnSpec {
 	return out
 }
 
+// maxArrivalsPerHour is the fastest arrival rate whose mean gap is
+// still at least 1 ns. Above it the gap rounds to 0, every arrival
+// lands at the same instant, and a run never leaves it.
+const maxArrivalsPerHour = float64(time.Hour)
+
 // Validate checks the spec.
 func (c *ChurnSpec) Validate() error {
-	if c.ArrivalsPerHour < 0 {
-		return fmt.Errorf("agilepower: negative arrival rate %v", c.ArrivalsPerHour)
+	r := c.ArrivalsPerHour
+	if r < 0 {
+		return fmt.Errorf("agilepower: negative arrival rate %v", r)
+	}
+	if math.IsNaN(r) || r > maxArrivalsPerHour {
+		return fmt.Errorf("agilepower: arrival rate %v per hour outside [0, %g]", r, maxArrivalsPerHour)
 	}
 	return nil
 }

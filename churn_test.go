@@ -1,6 +1,9 @@
 package agilepower
 
 import (
+	"fmt"
+	"math"
+	"strings"
 	"testing"
 	"time"
 )
@@ -29,6 +32,41 @@ func TestChurnSpecValidate(t *testing.T) {
 	sc.Churn = &bad
 	if _, err := sc.Run(); err == nil {
 		t.Fatal("Run accepted invalid churn")
+	}
+}
+
+// TestChurnSpecValidateRefusesRunawayRates pins the rates whose mean
+// arrival gap rounds to 0 ns (or is no number at all): a run with one
+// would never leave simulated time 0, so Validate must refuse it and
+// name the rate. The largest rate with a 1 ns gap still passes.
+func TestChurnSpecValidateRefusesRunawayRates(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		rate float64
+		ok   bool
+	}{
+		{"nan", math.NaN(), false},
+		{"+inf", math.Inf(1), false},
+		{"just above 3.6e12", math.Nextafter(3.6e12, math.Inf(1)), false},
+		{"7.2e12", 7.2e12, false},
+		{"3.6e12", 3.6e12, true},
+		{"zero", 0, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			err := (&ChurnSpec{ArrivalsPerHour: tc.rate}).Validate()
+			if tc.ok {
+				if err != nil {
+					t.Fatalf("refused rate %v: %v", tc.rate, err)
+				}
+				return
+			}
+			if err == nil {
+				t.Fatalf("accepted rate %v", tc.rate)
+			}
+			if want := fmt.Sprint(tc.rate); !strings.Contains(err.Error(), want) {
+				t.Fatalf("error %q does not name the rate %s", err, want)
+			}
+		})
 	}
 }
 

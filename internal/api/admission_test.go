@@ -59,6 +59,10 @@ var invalidBodies = []struct{ name, body string }{
 	// 0 ns, so an admitted job would never leave simulated time 0 s.
 	{"churn past the vm budget", `{"hosts":2,"fleets":[{"kind":"flat","count":1}],"horizonHours":1,` +
 		`"churn":{"arrivalsPerHour":1e13}}`},
+	// 7.2e12 arrivals an hour for 504 µs: 1,008,001 expected VMs, inside
+	// the default budget, but the mean arrival gap rounds to 0 ns.
+	{"churn gap rounds to zero", `{"hosts":2,"fleets":[{"kind":"flat","count":1}],"horizonHours":1.4e-7,` +
+		`"churn":{"arrivalsPerHour":7.2e12}}`},
 	// ParseScenario refuses the second object; so must the service.
 	{"trailing data", `{"hosts":2,"fleets":[{"kind":"flat","count":2}],"horizonHours":1}{"hosts":99999999}`},
 }

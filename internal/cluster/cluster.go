@@ -189,11 +189,19 @@ type Cluster struct {
 	// vm.ID-1), the mechanism behind scenario demand-surge events. It
 	// stays nil until the first ScaleDemandPrefix call, and an entry of
 	// 0 or 1 means unscaled, so script-free runs never branch into the
-	// scaling path and VMDemand degenerates to vm.Demand bit-for-bit.
+	// scaling path and readDemand degenerates to vm.Demand bit-for-bit.
 	// The scale lives here, not on the VM: VM objects are shared by
 	// pointer across prototype forks, and per-run mutable state must
 	// stay with the run.
 	demandScale []float64
+	// demand is the per-run demand memo behind VMDemand (indexed by
+	// vm.ID-1): each VM's last demand read and the instants it holds
+	// for, so the evaluation tick and the manager's forecast upkeep
+	// share one trace read per demand change. It lives here for the
+	// same reason demandScale does, and a fork starts it empty. Shard
+	// workers write only their own hosts' residents' entries, which
+	// never overlap: a migrating VM stays resident on its source alone.
+	demand []demandMemo
 
 	// onTick observers see every evaluation tick's cluster-wide
 	// aggregates — the hook the scenario assertion engine and the
@@ -460,6 +468,7 @@ func (c *Cluster) Fork(eng *sim.Engine) (*Cluster, error) {
 	nc.provisionLat = append([]time.Duration(nil), c.provisionLat...)
 	nc.vmEpoch = c.vmEpoch
 	nc.demandScale = append([]float64(nil), c.demandScale...)
+	nc.demand = make([]demandMemo, len(c.vmsByID))
 	nc.strandedCount = c.strandedCount
 	nc.strandedVMSec = c.strandedVMSec
 	nc.strandedSince = c.strandedSince
@@ -529,6 +538,7 @@ func (c *Cluster) growVMState(v *vm.VM) {
 	c.placement = append(c.placement, 0)
 	c.pending = append(c.pending, false)
 	c.current = append(c.current, allocRecord{})
+	c.demand = append(c.demand, demandMemo{})
 	if n := len(c.slaArena); n == 0 || len(c.slaArena[n-1]) == slaChunkSize {
 		c.slaArena = append(c.slaArena, make([]telemetry.SLATracker, 0, slaChunkSize))
 	}
@@ -836,7 +846,7 @@ func (c *Cluster) refreshHost(i int, now sim.Time) {
 	}
 	next := never
 	for _, v := range h.Residents() {
-		if nc := v.NextDemandChange(now); nc < next {
+		if _, nc := c.VMDemandNext(v, now); nc < next {
 			next = nc
 		}
 	}
@@ -1139,13 +1149,80 @@ type TickStats struct {
 // nothing — the simulation is byte-identical with any observer set.
 func (c *Cluster) OnTick(fn func(TickStats)) { c.onTick = append(c.onTick, fn) }
 
+// demandMemo is one VM's memoised demand: d holds for every instant in
+// [from, |until|), where from is the start of the trace sample the read
+// fell in. A positive until is the trace's next change after the read;
+// a negative until is the negated end of that sample, a lower bound on
+// the next change, for reads whose caller did not need it (looking it
+// up builds the trace's jump table, which full-scan runs never touch).
+// The zero value holds for no instant.
+type demandMemo struct {
+	d     float64
+	from  sim.Time
+	until sim.Time
+}
+
+// end returns the first instant the memoised demand no longer covers.
+func (e *demandMemo) end() sim.Time {
+	if e.until < 0 {
+		return -e.until
+	}
+	return e.until
+}
+
 // VMDemand returns v's CPU demand at time at, including any runtime
-// demand scaling applied by scenario demand-surge events. With no
+// demand scaling applied by scenario demand-surge events, from the
+// run's demand memo: a VM's trace is read once per sample, or once per
+// demand change after VMDemandNext has looked the change up. The value
+// is always bitwise the uncached one.
+func (c *Cluster) VMDemand(v *vm.VM, at sim.Time) float64 {
+	d, _ := c.memoDemand(v, at, false)
+	return d
+}
+
+// VMDemandNext returns VMDemand(v, at) and v.NextDemandChange(at) — the
+// next instant after at when v's trace changes value, workload.Never
+// for a constant trace — from one memo lookup. The change it looks up
+// extends the memo entry to it, so the trace is not read again until
+// then.
+func (c *Cluster) VMDemandNext(v *vm.VM, at sim.Time) (float64, sim.Time) {
+	return c.memoDemand(v, at, true)
+}
+
+// memoDemand answers VMDemand and, when withNext is set, VMDemandNext.
+// Without withNext the second result is meaningless. A miss at an
+// instant before the memoised span (the forecast upkeep's catch-up at
+// its previous invocation) reads the trace and leaves the memo alone.
+func (c *Cluster) memoDemand(v *vm.VM, at sim.Time, withNext bool) (float64, sim.Time) {
+	var e *demandMemo
+	if i := int(v.ID()) - 1; i < len(c.demand) {
+		e = &c.demand[i]
+		if at >= e.from && at < e.end() {
+			if withNext && e.until < 0 {
+				e.until = v.NextDemandChange(at)
+			}
+			return e.d, e.until
+		}
+	}
+	d := c.readDemand(v, at)
+	iv := v.Trace().Interval
+	start := at / iv * iv
+	until := -(start + iv)
+	if withNext {
+		until = v.NextDemandChange(at)
+	}
+	if e != nil && at >= e.from {
+		*e = demandMemo{d: d, from: start, until: until}
+	}
+	return d, until
+}
+
+// readDemand is VMDemand without the memo: one trace read. With no
 // scale in effect it returns exactly v.Demand(at) — same branch-free
 // arithmetic, same bits — so script-free runs are untouched. A scale
 // multiplies the raw trace demand and then applies the vCPU and limit
 // caps in vm.Demand's clamping order.
-func (c *Cluster) VMDemand(v *vm.VM, at sim.Time) float64 {
+func (c *Cluster) readDemand(v *vm.VM, at sim.Time) float64 {
 	if c.demandScale != nil {
 		if i := int(v.ID()) - 1; i < len(c.demandScale) {
 			if s := c.demandScale[i]; s != 0 && s != 1 {
@@ -1186,6 +1263,7 @@ func (c *Cluster) ScaleDemandPrefix(prefix string, factor float64) int {
 			c.demandScale = grown
 		}
 		c.demandScale[i] = factor
+		c.demand[i] = demandMemo{}
 		matched++
 		if h, ok := c.Placement(v.ID()); ok {
 			c.noteDirty(h)

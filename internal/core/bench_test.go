@@ -129,16 +129,10 @@ func BenchmarkPeakWindowForecast(b *testing.B) {
 	}
 }
 
-// hyperscaleManagerFixture builds a 16,384-host / 131,072-VM fleet in
-// steady state: a quiescent majority on constant demand with a diurnal
-// minority sharing a pooled trace set. The demand levels are chosen so
-// the control step observes everything but actuates nothing — per-host
-// load (≈13.4 cores) sits under the 0.90·16 load-balance threshold,
-// fleet demand under the 0.85 wake threshold, and above the Σ 0.70·16
-// packing capacity so MinBins proves consolidation infeasible without
-// packing — which is exactly the regime where incremental planning
-// must win: churn is near zero while the fleet is enormous.
-func hyperscaleManagerFixture(b *testing.B, incremental bool) (*sim.Engine, *Manager) {
+// hyperscaleWorld builds a never-started 16,384-host / 131,072-VM
+// fleet: a quiescent majority on constant demand with a diurnal
+// minority (every VM on every eighth host) sharing a pooled trace set.
+func hyperscaleWorld(b *testing.B) (*sim.Engine, *cluster.Cluster) {
 	b.Helper()
 	eng := sim.NewEngine(1)
 	cl, err := cluster.New(eng, cluster.Config{})
@@ -174,6 +168,20 @@ func hyperscaleManagerFixture(b *testing.B, incremental bool) (*sim.Engine, *Man
 			b.Fatal(err)
 		}
 	}
+	return eng, cl
+}
+
+// hyperscaleManagerFixture runs the hyperscale world in steady state
+// under a manager. The demand levels are chosen so the control step
+// observes everything but actuates nothing — per-host load (≈13.4
+// cores) sits under the 0.90·16 load-balance threshold, fleet demand
+// under the 0.85 wake threshold, and above the Σ 0.70·16 packing
+// capacity so MinBins proves consolidation infeasible without packing
+// — which is exactly the regime where incremental planning must win:
+// churn is near zero while the fleet is enormous.
+func hyperscaleManagerFixture(b *testing.B, incremental bool) (*sim.Engine, *Manager) {
+	b.Helper()
+	eng, cl := hyperscaleWorld(b)
 	m, err := newManager(cl, Config{Policy: DPMS3}, incremental)
 	if err != nil {
 		b.Fatal(err)
@@ -182,6 +190,96 @@ func hyperscaleManagerFixture(b *testing.B, incremental bool) (*sim.Engine, *Man
 	m.Start()
 	eng.RunUntil(time.Hour)
 	return eng, m
+}
+
+// mixedFleetWorld builds a never-started 512-host / 4,096-VM world in
+// the root package's MixedFleet proportions and trace parameters — 60%
+// diurnal web VMs, 25% spiky API VMs sharing four flash crowds, 15%
+// batch VMs — on the end-to-end benchmark's fleet-static hosts (384 ×
+// 16 cores, 128 × 32 cores).
+func mixedFleetWorld(b *testing.B) (*sim.Engine, *cluster.Cluster) {
+	b.Helper()
+	eng := sim.NewEngine(1)
+	cl, err := cluster.New(eng, cluster.Config{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	for i := 0; i < 512; i++ {
+		cfg := host.Config{Cores: 16, MemoryGB: 256}
+		if i >= 384 {
+			cfg = host.Config{Cores: 32, MemoryGB: 512}
+		}
+		if _, err := cl.AddHost(cfg); err != nil {
+			b.Fatal(err)
+		}
+	}
+	const n = 4096
+	nWeb, nAPI := n*60/100, n*25/100
+	rng := sim.NewRNG(7)
+	starts := make([]time.Duration, 4)
+	for i := range starts {
+		starts[i] = time.Duration(rng.Float64() * float64(24*time.Hour))
+	}
+	for i := 0; i < n; i++ {
+		var tr *workload.Trace
+		switch {
+		case i < nWeb:
+			tr = workload.Diurnal(rng.Fork(), workload.DiurnalSpec{
+				BaseCores: 0.4, PeakCores: 3.0, NoiseFrac: 0.08, PhaseJitter: 90 * time.Minute,
+			})
+		case i < nWeb+nAPI:
+			tr = workload.Spiky(rng.Fork(), workload.SpikeSpec{
+				BaseCores: 0.3, SpikeCores: 4, SpikeLen: 15 * time.Minute,
+				Starts: starts, StartJitter: 2 * time.Minute,
+			})
+		default:
+			tr = workload.Batch(rng.Fork(), workload.BatchSpec{
+				IdleCores: 0.1, RunCores: 4, Period: 6 * time.Hour, RunLen: time.Hour,
+			})
+		}
+		if _, err := cl.AddVM(vm.Config{VCPUs: 4, MemoryGB: 8, Trace: tr}, host.ID(i%512+1)); err != nil {
+			b.Fatal(err)
+		}
+	}
+	return eng, cl
+}
+
+// BenchmarkForecastUpkeep measures the manager's forecast upkeep as
+// simulated time moves: each op advances the clock by one evaluation
+// step and brings every VM's forecast up to date (observeAll), so the
+// VMs whose demand changed or whose peak-window head expired fall due
+// and are caught up. On the mixed fleet every diurnal VM is due each
+// minute; on the hyperscale fleet only the diurnal eighth is. Neither
+// world is started, so the op is the upkeep alone, trace reads
+// included, with no evaluation tick beside it.
+func BenchmarkForecastUpkeep(b *testing.B) {
+	for _, w := range []struct {
+		name  string
+		build func(*testing.B) (*sim.Engine, *cluster.Cluster)
+	}{
+		{"mixed-4096", mixedFleetWorld},
+		{"hyperscale-131072", hyperscaleWorld},
+	} {
+		b.Run(w.name, func(b *testing.B) {
+			eng, cl := w.build(b)
+			m, err := NewManager(cl, Config{Policy: DPMS3})
+			if err != nil {
+				b.Fatal(err)
+			}
+			step := cl.EvalStep()
+			// Warm up for an hour so every peak window is full.
+			for eng.Now() < time.Hour {
+				m.observeAll()
+				eng.RunUntil(eng.Now() + step)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				eng.RunUntil(eng.Now() + step)
+				m.observeAll()
+			}
+		})
+	}
 }
 
 // BenchmarkManagerControlStepHyperscale measures one steady-state

@@ -129,12 +129,16 @@ type peakWindow struct {
 }
 
 func (f *peakWindow) Observe(at time.Duration, d float64) {
-	// Drop samples that fell out of the window.
+	// Drop samples that fell out of the window, compacting the live
+	// ones to the front: re-slicing forward would shrink the capacity
+	// until an append reallocates.
 	cut := 0
 	for cut < len(f.samples) && f.samples[cut].at+f.window < at {
 		cut++
 	}
-	f.samples = f.samples[cut:]
+	if cut > 0 {
+		f.samples = f.samples[:copy(f.samples, f.samples[cut:])]
+	}
 	// Maintain the decreasing-max deque invariant.
 	for len(f.samples) > 0 && f.samples[len(f.samples)-1].v <= d {
 		f.samples = f.samples[:len(f.samples)-1]

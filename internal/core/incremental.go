@@ -34,8 +34,11 @@
 // observation stream is reconstructible lazily: a VM's forecast can
 // only change when its demand trace changes value or when the deque
 // head falls out of the window. Both moments are computable in
-// advance, so VMs sit in a due-heap and are caught up — bitwise
-// exactly, see ensureForecasts — only when such a deadline passes.
+// advance, so each VM's deadline sits in a due index and the VM is
+// caught up — bitwise exactly, see ensureForecasts — only when its
+// deadline passes. The index is swept in VM-ID order, and the demand
+// reads go through the cluster's demand memo, which the evaluation
+// tick has usually filled at the same instant.
 // EWMA forecasters evolve on every observation and the diurnal model
 // needs the full demand sum every invocation, so those configurations
 // fall back to the eager sweep (correct, just not cheap), still with
@@ -52,13 +55,6 @@ import (
 
 // neverDue mirrors workload.Never: a due key meaning "no deadline".
 const neverDue = sim.Time(math.MaxInt64)
-
-// fcDue is one entry in the forecast due-heap: the earliest moment vid
-// must be re-observed.
-type fcDue struct {
-	key sim.Time
-	vid vm.ID
-}
 
 // invalidate marks every epoch-keyed cache stale. Called on any
 // manager-side event the cluster's dirty feed cannot see (intent-set
@@ -109,67 +105,101 @@ func (m *Manager) newForecaster() Forecaster {
 	return f
 }
 
-// dueKeyFor computes the next moment v's forecast can change: its next
-// demand-trace change, or — for the peak-window forecaster — the
-// moment the deque head expires (head.at+window+1ns, since the eager
-// cut condition is the strict head.at+window < now). With fewer than
-// two samples an expiry cannot change the forecast (the monotonic
-// deque would re-admit the same value), so only the demand change
-// counts then.
-func (m *Manager) dueKeyFor(v *vm.VM, f Forecaster, now sim.Time) sim.Time {
-	key := v.NextDemandChange(now)
+// dueKey returns the next moment a VM's forecast can change, given
+// its demand trace's next change: that change, or — for the
+// peak-window forecaster — the moment the deque head expires
+// (head.at+window+1ns, since the eager cut condition is the strict
+// head.at+window < now). With fewer than two samples an expiry cannot
+// change the forecast (the monotonic deque would re-admit the same
+// value), so only the demand change counts then.
+func dueKey(f Forecaster, next sim.Time) sim.Time {
 	if pw, ok := f.(*peakWindow); ok {
 		if exp, due := pw.nextExpiry(); due {
-			if k := exp + 1; k < key {
-				key = k
+			if k := exp + 1; k < next {
+				return k
 			}
 		}
 	}
-	return key
+	return next
 }
 
-// pushDue inserts a due-heap entry. A VM is in the heap iff it has a
-// finite deadline; keys are immutable while queued (the deque only
-// changes when the VM is processed, and the demand trace is fixed), so
-// no decrease-key is ever needed.
-func (m *Manager) pushDue(key sim.Time, vid vm.ID) {
-	if key == neverDue {
+// dueFanout is the branching factor of the due index's summary tree.
+const dueFanout = 64
+
+// dueIndex holds one due time per VM (indexed vm.ID-1; neverDue when
+// the VM has none) under a tree of minima: lv[0] holds the due times,
+// lv[k][j] is the minimum of lv[k-1][64j : 64j+64], and the top level
+// has a single entry. A sweep descends only into blocks whose minimum
+// has passed, so it visits exactly the due entries, in ascending index
+// order, scanning one 64-entry block for each block it enters.
+type dueIndex struct {
+	lv [][]sim.Time
+}
+
+// grow extends the index to n entries, the new ones never due.
+func (d *dueIndex) grow(n int) {
+	if d.lv == nil {
+		d.lv = [][]sim.Time{nil}
+	}
+	for k := 0; k < len(d.lv); k++ {
+		for len(d.lv[k]) < n {
+			d.lv[k] = append(d.lv[k], neverDue)
+		}
+		if k == len(d.lv)-1 && len(d.lv[k]) > 1 {
+			// The old top has siblings now: put a root over it. Every
+			// entry but the old top's first is new, so never due.
+			d.lv = append(d.lv, []sim.Time{d.lv[k][0]})
+		}
+		n = (n + dueFanout - 1) / dueFanout
+	}
+}
+
+// add gives entry i, which must not be due yet (neverDue), the due
+// time key.
+func (d *dueIndex) add(i int, key sim.Time) {
+	for k := range d.lv {
+		if d.lv[k][i] <= key {
+			return
+		}
+		d.lv[k][i] = key
+		i /= dueFanout
+	}
+}
+
+// dueVisitor processes one due entry and returns its next due time,
+// which must lie after the sweep's now (neverDue drops the entry).
+type dueVisitor interface {
+	visitDue(i int, now sim.Time) sim.Time
+}
+
+// sweep hands every entry whose due time is at or before now to v,
+// once each, in ascending index order, and stores the due times v
+// returns.
+func (d *dueIndex) sweep(now sim.Time, v dueVisitor) {
+	top := len(d.lv) - 1
+	if top < 0 || len(d.lv[top]) == 0 || d.lv[top][0] > now {
 		return
 	}
-	m.due = append(m.due, fcDue{key: key, vid: vid})
-	i := len(m.due) - 1
-	for i > 0 {
-		p := (i - 1) / 2
-		if m.due[p].key <= m.due[i].key {
-			break
-		}
-		m.due[p], m.due[i] = m.due[i], m.due[p]
-		i = p
-	}
+	d.lv[top][0] = d.sweepEntry(top, 0, now, v)
 }
 
-// popDue removes and returns the minimum-key entry.
-func (m *Manager) popDue() fcDue {
-	d := m.due[0]
-	last := len(m.due) - 1
-	m.due[0] = m.due[last]
-	m.due = m.due[:last]
-	i := 0
-	for {
-		l, r, s := 2*i+1, 2*i+2, i
-		if l < len(m.due) && m.due[l].key < m.due[s].key {
-			s = l
-		}
-		if r < len(m.due) && m.due[r].key < m.due[s].key {
-			s = r
-		}
-		if s == i {
-			break
-		}
-		m.due[i], m.due[s] = m.due[s], m.due[i]
-		i = s
+// sweepEntry sweeps the due entries under entry j of level k and
+// returns their new minimum.
+func (d *dueIndex) sweepEntry(k, j int, now sim.Time, v dueVisitor) sim.Time {
+	if k == 0 {
+		return v.visitDue(j, now)
 	}
-	return d
+	below := d.lv[k-1]
+	lo := j * dueFanout
+	hi := min(lo+dueFanout, len(below))
+	least := neverDue
+	for c := lo; c < hi; c++ {
+		if below[c] <= now {
+			below[c] = d.sweepEntry(k-1, c, now, v)
+		}
+		least = min(least, below[c])
+	}
+	return least
 }
 
 // ensureForecasts is the lazy replacement for the eager per-VM Observe
@@ -194,6 +224,7 @@ func (m *Manager) ensureForecasts(now sim.Time) {
 		m.vmSeen = ve
 		m.fcEpoch++
 		m.growVMSlots()
+		m.due.grow(int(m.cl.MaxVMID()))
 		for id := m.maxInit + 1; id <= m.cl.MaxVMID(); id++ {
 			v, ok := m.cl.VM(id)
 			if !ok {
@@ -202,41 +233,45 @@ func (m *Manager) ensureForecasts(now sim.Time) {
 			i := id - 1
 			f := m.newForecaster()
 			m.fcs[i] = f
-			f.Observe(now, m.cl.VMDemand(v, now))
+			d, next := m.cl.VMDemandNext(v, now)
+			f.Observe(now, d)
 			fc := f.Forecast()
 			if fc > v.VCPUs() {
 				fc = v.VCPUs()
 			}
 			m.fcv[i] = fc
 			m.lastObs[i] = now
-			m.pushDue(m.dueKeyFor(v, f, now), id)
+			m.due.add(int(i), dueKey(f, next))
 		}
 		m.maxInit = m.cl.MaxVMID()
 	}
 	// Catch up every VM whose deadline passed.
-	for len(m.due) > 0 && m.due[0].key <= now {
-		d := m.popDue()
-		v, ok := m.cl.VM(d.vid)
-		if !ok {
-			continue // departed while queued; drop the stale entry
-		}
-		i := d.vid - 1
-		f := m.fcs[i]
-		if m.invPrev > m.lastObs[i] {
-			f.Observe(m.invPrev, m.cl.VMDemand(v, m.invPrev))
-		}
-		f.Observe(now, m.cl.VMDemand(v, now))
-		m.lastObs[i] = now
-		fc := f.Forecast()
-		if fc > v.VCPUs() {
-			fc = v.VCPUs()
-		}
-		if fc != m.fcv[i] {
-			m.fcv[i] = fc
-			m.fcEpoch++
-		}
-		m.pushDue(m.dueKeyFor(v, f, now), d.vid)
+	m.due.sweep(now, m)
+}
+
+// visitDue catches up VM index i, whose deadline passed, and returns
+// its next one (see ensureForecasts).
+func (m *Manager) visitDue(i int, now sim.Time) sim.Time {
+	v, ok := m.cl.VM(vm.ID(i + 1))
+	if !ok {
+		return neverDue // departed while queued; drop the stale entry
 	}
+	f := m.fcs[i]
+	if m.invPrev > m.lastObs[i] {
+		f.Observe(m.invPrev, m.cl.VMDemand(v, m.invPrev))
+	}
+	d, next := m.cl.VMDemandNext(v, now)
+	f.Observe(now, d)
+	m.lastObs[i] = now
+	fc := f.Forecast()
+	if fc > v.VCPUs() {
+		fc = v.VCPUs()
+	}
+	if fc != m.fcv[i] {
+		m.fcv[i] = fc
+		m.fcEpoch++
+	}
+	return dueKey(f, next)
 }
 
 // eagerObserve is the full per-VM sweep: every live VM is observed at

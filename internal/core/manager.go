@@ -125,7 +125,7 @@ type Manager struct {
 	binInMem []float64
 
 	// Incremental planning state (see incremental.go). inc gates every
-	// cache; lazyFC additionally gates the due-heap forecast
+	// cache; lazyFC additionally gates the due-index forecast
 	// maintenance (peak-window/last-value without predictive wake).
 	inc     bool
 	lazyFC  bool
@@ -137,7 +137,7 @@ type Manager struct {
 	// invocation times — the observation grid the lazy catch-up replays.
 	invNow  sim.Time
 	invPrev sim.Time
-	due     []fcDue // forecast due-heap
+	due     dueIndex // forecast due times
 
 	// Cache keys: each cached value remembers the counters it was
 	// computed under and is reused only on exact match.
