@@ -48,11 +48,13 @@ fmt:
 # must match the serial full scan bit for bit; the incremental planner
 # must match its full-scan oracle; forked worlds must match cold ones;
 # and the lossy control-plane message layer must replay identically for
-# a fixed seed. Run explicitly in CI (it is also part of `make test`)
-# so a violation is unmissable.
+# a fixed seed; and the event queue must fire, cancel and count
+# exactly as a sorted-slice reference does (its fuzz target's seed
+# corpus included). Run explicitly in CI (it is also part of `make
+# test`) so a violation is unmissable.
 determinism:
-	$(GO) test -run 'TestRunAllMatchesGolden|TestFaultedExperimentsMatchGolden|TestHyperscaleFullScanMatchesGolden|TestPlaneDeterministicAcrossReruns|TestDeltaEvaluateBitIdentical|TestShardedEvaluateBitIdentical|TestIncrementalPlanningParity|TestForkMatchesColdStart|TestForkGridMatchesColdStart|TestConcurrentForksMatchColdStart' -v \
-		./internal/experiments/ ./internal/ctrlplane/ ./internal/cluster/ ./internal/core/ .
+	$(GO) test -run 'TestRunAllMatchesGolden|TestFaultedExperimentsMatchGolden|TestHyperscaleFullScanMatchesGolden|TestPlaneDeterministicAcrossReruns|TestDeltaEvaluateBitIdentical|TestShardedEvaluateBitIdentical|TestIncrementalPlanningParity|TestForkMatchesColdStart|TestForkGridMatchesColdStart|TestConcurrentForksMatchColdStart|TestEngineMatchesReference|FuzzEngineMatchesReference' -v \
+		./internal/experiments/ ./internal/ctrlplane/ ./internal/cluster/ ./internal/core/ ./internal/sim/ .
 
 bench:
 	$(GO) test -run '^$$' -bench=. -benchmem -benchtime=1x -count=3 ./...
@@ -74,15 +76,17 @@ bench-baseline:
 		| $(GO) run ./cmd/benchjson -label $(LABEL) -out $(OUT)
 
 # Record the hot-path benchmarks (evaluate loop, manager control step,
-# simulated day) into BENCH_hotpath.json. The checked-in artifact holds
-# the pre/post numbers of the allocation-free rework; re-run after any
-# change to the evaluate or control paths:
+# simulated day, and the event engine: chained dispatch one deep,
+# 10,000 queued events, and a steady 512-deep self-rescheduling queue)
+# into BENCH_hotpath.json. The checked-in artifact holds the pre/post
+# numbers of the allocation-free rework and of the typed event queue;
+# re-run after any change to the evaluate, control or dispatch paths:
 #
 #	make bench-hotpath LABEL=hotpath-post
 bench-hotpath: LABEL ?= hotpath
 bench-hotpath:
-	$(GO) test -run '^$$' -bench 'BenchmarkClusterEvaluate|BenchmarkSimulatedDay|BenchmarkManagerControlStep' \
-		-benchmem -count=3 ./internal/cluster/ ./internal/core/ \
+	$(GO) test -run '^$$' -bench '^(BenchmarkClusterEvaluate|BenchmarkSimulatedDay|BenchmarkManagerControlStep|BenchmarkEngine(Throughput|QueuePressure|Dispatch))$$' \
+		-benchmem -count=3 ./internal/cluster/ ./internal/core/ ./internal/sim/ \
 		| $(GO) run ./cmd/benchjson -label $(LABEL) -out BENCH_hotpath.json
 
 # Record the datacenter-scale benchmarks (one evaluation tick and one
@@ -189,13 +193,14 @@ bench-setup-smoke:
 		. ./internal/cluster/
 
 # Allocation regression gate: the steady-state evaluation tick — serial
-# and sharded — the pooled event loop, the manager's cached control
-# step, the drain replan a migration completion runs, and every refused
+# and sharded — the handle-free event loop, the control plane's
+# heartbeats, reports and sweeps, the manager's cached control step,
+# the drain replan a migration completion runs, and every refused
 # StartMigration must stay allocation-free, and the full report bytes
 # must match the pre-optimization goldens. Part of `make ci`.
 bench-alloc:
 	$(GO) test -run 'AllocFree|ScheduleFuncPool|RunAllMatchesGolden|ArchivedResults' -v \
-		./internal/cluster/ ./internal/sim/ ./internal/experiments/ ./internal/core/
+		./internal/cluster/ ./internal/sim/ ./internal/ctrlplane/ ./internal/experiments/ ./internal/core/
 
 # Record the full-scale service load test into BENCH_api.json: a
 # thousand concurrent sessions against a race-enabled daemon, with a

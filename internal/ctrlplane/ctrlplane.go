@@ -337,6 +337,32 @@ type Plane struct {
 	onResult   func(Command, error)
 	onLiveness func(host.ID, Status)
 	started    bool
+
+	// Callbacks bound once at Start, so the per-host messages and the
+	// sweeps that send them schedule without allocating: a method value
+	// or a closure built at the call site would allocate on every send.
+	// beats[i] delivers host i+1's heartbeat; a report carries its
+	// snapshot in a pooled message (freeReports) whose callback is
+	// bound when the message is first made.
+	beats                               []func()
+	freeReports                         []*report
+	telemetryFn, heartbeatFn, monitorFn func()
+}
+
+// report is one telemetry report in flight. The message is recycled on
+// delivery, and deliver is bound once into fn, so a report costs no
+// allocation once the free list is warm.
+type report struct {
+	p    *Plane
+	id   host.ID
+	snap Snapshot
+	fn   func()
+}
+
+// deliver lands the report and returns the message to its plane.
+func (r *report) deliver() {
+	r.p.deliverSnapshot(r.id, r.snap)
+	r.p.freeReports = append(r.p.freeReports, r)
 }
 
 // New builds a plane over the cluster, forking the engine's RNG so
@@ -440,9 +466,15 @@ func (p *Plane) Start() {
 		return
 	}
 	p.started = true
-	p.eng.AfterFunc(p.cfg.ReportInterval, p.telemetrySweep)
-	p.eng.AfterFunc(p.cfg.HeartbeatInterval, p.heartbeatSweep)
-	p.eng.AfterFunc(p.cfg.HeartbeatInterval, p.monitorSweep)
+	p.beats = make([]func(), len(p.status))
+	for i := range p.beats {
+		id := host.ID(i + 1)
+		p.beats[i] = func() { p.recvBeat(id) }
+	}
+	p.telemetryFn, p.heartbeatFn, p.monitorFn = p.telemetrySweep, p.heartbeatSweep, p.monitorSweep
+	p.eng.AfterFunc(p.cfg.ReportInterval, p.telemetryFn)
+	p.eng.AfterFunc(p.cfg.HeartbeatInterval, p.heartbeatFn)
+	p.eng.AfterFunc(p.cfg.HeartbeatInterval, p.monitorFn)
 }
 
 // legDelay draws one leg's transit time. The jitter draw is skipped
@@ -605,18 +637,30 @@ func (p *Plane) telemetrySweep() {
 			p.ctrs.Inc(CtrReportDrops)
 			continue
 		}
-		id := h.ID()
-		snap := Snapshot{
+		r := p.newReport()
+		r.id = h.ID()
+		r.snap = Snapshot{
 			At:     now,
 			Util:   mach.Utilization(),
 			PowerW: float64(mach.Power()),
 			VMs:    h.NumVMs(),
 			Valid:  true,
 		}
-		p.eng.AfterFunc(p.legDelay(p.cfg.ReportDelay, p.cfg.ReportJitter),
-			func() { p.deliverSnapshot(id, snap) })
+		p.eng.AfterFunc(p.legDelay(p.cfg.ReportDelay, p.cfg.ReportJitter), r.fn)
 	}
-	p.eng.AfterFunc(p.cfg.ReportInterval, p.telemetrySweep)
+	p.eng.AfterFunc(p.cfg.ReportInterval, p.telemetryFn)
+}
+
+// newReport takes a message from the free list, or makes one.
+func (p *Plane) newReport() *report {
+	if n := len(p.freeReports); n > 0 {
+		r := p.freeReports[n-1]
+		p.freeReports = p.freeReports[:n-1]
+		return r
+	}
+	r := &report{p: p}
+	r.fn = r.deliver
+	return r
 }
 
 // deliverSnapshot lands a report; out-of-order arrivals never roll the
@@ -641,11 +685,9 @@ func (p *Plane) heartbeatSweep() {
 			p.ctrs.Inc(CtrBeatDrops)
 			continue
 		}
-		id := h.ID()
-		p.eng.AfterFunc(p.legDelay(p.cfg.ReportDelay, p.cfg.ReportJitter),
-			func() { p.recvBeat(id) })
+		p.eng.AfterFunc(p.legDelay(p.cfg.ReportDelay, p.cfg.ReportJitter), p.beats[h.ID()-1])
 	}
-	p.eng.AfterFunc(p.cfg.HeartbeatInterval, p.heartbeatSweep)
+	p.eng.AfterFunc(p.cfg.HeartbeatInterval, p.heartbeatFn)
 }
 
 func (p *Plane) recvBeat(id host.ID) {
@@ -677,7 +719,7 @@ func (p *Plane) monitorSweep() {
 			p.ctrs.Max(CtrReportAgeMaxMS, int(time.Duration(now-p.snaps[i].At).Milliseconds()))
 		}
 	}
-	p.eng.AfterFunc(p.cfg.HeartbeatInterval, p.monitorSweep)
+	p.eng.AfterFunc(p.cfg.HeartbeatInterval, p.monitorFn)
 }
 
 func (p *Plane) setStatus(id host.ID, s Status) {

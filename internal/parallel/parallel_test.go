@@ -80,19 +80,42 @@ func TestMapFirstErrorDeterministic(t *testing.T) {
 }
 
 func TestMapErrorStopsHandout(t *testing.T) {
-	var ran atomic.Int64
-	_, err := Map(context.Background(), 1000, 2, func(_ context.Context, i int) (int, error) {
+	// Index 0 fails only once the other worker holds a task, and every
+	// task i > 0 waits for Map to cancel the context before it returns
+	// success. So neither worker can race through the remaining indices
+	// while the failing one is descheduled, a Map that never cancels
+	// leaves a task waiting out the timeout, which fails the test, and
+	// a Map that keeps handing out indices after the failure runs them
+	// all. A correct Map runs one task per worker.
+	const workers = 2
+	var (
+		ran     atomic.Int64
+		once    sync.Once
+		started = make(chan struct{})
+	)
+	_, err := Map(context.Background(), 1000, workers, func(ctx context.Context, i int) (int, error) {
 		ran.Add(1)
 		if i == 0 {
+			select {
+			case <-started:
+			case <-time.After(10 * time.Second):
+				t.Error("no second task started within 10 s")
+			}
 			return 0, errors.New("early failure")
+		}
+		once.Do(func() { close(started) })
+		select {
+		case <-ctx.Done():
+		case <-time.After(10 * time.Second):
+			t.Errorf("task %d: context not cancelled 10 s after index 0 failed", i)
 		}
 		return 0, nil
 	})
-	if err == nil {
-		t.Fatal("expected error")
+	if err == nil || err.Error() != "early failure" {
+		t.Fatalf("err = %v, want the early failure of index 0", err)
 	}
-	if n := ran.Load(); n >= 1000 {
-		t.Fatalf("all %d tasks ran despite early error", n)
+	if n := ran.Load(); n > workers {
+		t.Fatalf("%d tasks ran despite the early error, want at most %d (one per worker)", n, workers)
 	}
 }
 

@@ -6,7 +6,8 @@ import (
 )
 
 // BenchmarkEngineThroughput measures raw event dispatch: schedule and
-// run 100k chained events.
+// run 100k chained events, one deep, through the handle-returning
+// After.
 func BenchmarkEngineThroughput(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		e := NewEngine(1)
@@ -33,6 +34,27 @@ func BenchmarkEngineQueuePressure(b *testing.B) {
 			e.Schedule(time.Duration(rng.Intn(1_000_000))*time.Microsecond, func() {})
 		}
 		e.Run()
+	}
+}
+
+// BenchmarkEngineDispatch measures dispatch at the queue depth a
+// control-plane run sustains: 512 handle-free events stay queued, and
+// each firing reschedules itself up to 1 s ahead at a pseudo-random
+// offset, as the per-host heartbeats and reports do. One op is one
+// event fired.
+func BenchmarkEngineDispatch(b *testing.B) {
+	e := NewEngine(1)
+	rng := e.RNG()
+	offset := func() Time { return Time(1 + rng.Uint64()%uint64(time.Second)) }
+	var tick func()
+	tick = func() { e.AfterFunc(offset(), tick) }
+	for i := 0; i < 512; i++ {
+		e.AfterFunc(offset(), tick)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		e.step()
 	}
 }
 

@@ -1,9 +1,6 @@
 package sim
 
-import (
-	"container/heap"
-	"fmt"
-)
+import "fmt"
 
 // Engine is the discrete-event simulation core. It owns the clock, the
 // event queue, and a deterministic RNG. Engines are not safe for
@@ -16,13 +13,6 @@ type Engine struct {
 
 	fired   uint64
 	stopped bool
-
-	// free is the pool of fired ScheduleFunc/AfterFunc events awaiting
-	// reuse. Periodic ticks (cluster evaluation, manager control loops,
-	// power-transition settles) dominate a simulation's event count and
-	// never retain their events, so the steady state schedules without
-	// allocating.
-	free []*Event
 }
 
 // NewEngine returns an engine with the clock at zero and a deterministic
@@ -45,15 +35,12 @@ func (e *Engine) Pending() int { return len(e.queue) }
 // Fired returns the number of events executed so far.
 func (e *Engine) Fired() uint64 { return e.fired }
 
-// Schedule queues fn to run at absolute virtual time at. Scheduling in
-// the past panics: it indicates a logic error in the caller.
+// Schedule queues fn to run at absolute virtual time at and returns a
+// handle that can cancel it. Scheduling in the past panics: it
+// indicates a logic error in the caller.
 func (e *Engine) Schedule(at Time, fn func()) *Event {
-	if at < e.clock.Now() {
-		panic(fmt.Sprintf("sim: scheduling event in the past: at=%v now=%v", at, e.clock.Now()))
-	}
-	ev := &Event{at: at, seq: e.seq, fn: fn, index: -1, eng: e}
-	e.seq++
-	heap.Push(&e.queue, ev)
+	ev := &Event{at: at, index: -1, eng: e}
+	e.push(at, fn, ev)
 	return ev
 }
 
@@ -66,30 +53,15 @@ func (e *Engine) After(d Time, fn func()) *Event {
 }
 
 // ScheduleFunc queues fn to run at absolute virtual time at, without
-// handing out the event. Because no caller can retain (or cancel) it,
-// the engine recycles the event object after it fires; hot periodic
-// schedules should prefer this over Schedule to keep the event loop
-// allocation-free.
+// handing out a handle. The callback sits in the queue entry itself,
+// so no event object exists at all: hot periodic schedules should
+// prefer this over Schedule to keep the event loop allocation-free.
 func (e *Engine) ScheduleFunc(at Time, fn func()) {
-	if at < e.clock.Now() {
-		panic(fmt.Sprintf("sim: scheduling event in the past: at=%v now=%v", at, e.clock.Now()))
-	}
-	var ev *Event
-	if n := len(e.free); n > 0 {
-		ev = e.free[n-1]
-		e.free[n-1] = nil
-		e.free = e.free[:n-1]
-		ev.at, ev.fn, ev.cancel = at, fn, false
-		ev.seq = e.seq
-	} else {
-		ev = &Event{at: at, seq: e.seq, fn: fn, index: -1, eng: e, pooled: true}
-	}
-	e.seq++
-	heap.Push(&e.queue, ev)
+	e.push(at, fn, nil)
 }
 
-// AfterFunc queues fn to run d after the current time, pooling the
-// event like ScheduleFunc.
+// AfterFunc queues fn to run d after the current time, without a
+// handle, like ScheduleFunc.
 func (e *Engine) AfterFunc(d Time, fn func()) {
 	if d < 0 {
 		panic(fmt.Sprintf("sim: negative delay %v", d))
@@ -97,32 +69,30 @@ func (e *Engine) AfterFunc(d Time, fn func()) {
 	e.ScheduleFunc(e.clock.Now()+d, fn)
 }
 
+// push queues fn at time at, stamped with the next sequence number.
+func (e *Engine) push(at Time, fn func(), ev *Event) {
+	if at < e.clock.Now() {
+		panic(fmt.Sprintf("sim: scheduling event in the past: at=%v now=%v", at, e.clock.Now()))
+	}
+	e.queue.push(entry{at: at, seq: e.seq, fn: fn, ev: ev})
+	e.seq++
+}
+
 // Stop halts Run/RunUntil after the currently executing event returns.
 func (e *Engine) Stop() { e.stopped = true }
 
 // step pops and executes the next event. It reports false when the
-// queue is empty. Cancelled events are dequeued by Cancel itself, so
-// the loop below only guards against a cancellation that happens
-// while the event is being popped (it cannot today; belt and braces).
+// queue is empty. Cancel dequeues eagerly, so every queued entry is
+// live.
 func (e *Engine) step() bool {
-	for len(e.queue) > 0 {
-		ev := heap.Pop(&e.queue).(*Event)
-		if ev.cancel {
-			continue
-		}
-		e.clock.advance(ev.at)
-		e.fired++
-		fn := ev.fn
-		if ev.pooled {
-			// Recycle before running fn so a tick that immediately
-			// reschedules itself reuses this very object.
-			ev.fn = nil
-			e.free = append(e.free, ev)
-		}
-		fn()
-		return true
+	if len(e.queue) == 0 {
+		return false
 	}
-	return false
+	x := e.queue.pop()
+	e.clock.advance(x.at)
+	e.fired++
+	x.fn()
+	return true
 }
 
 // Run executes events until the queue drains or Stop is called.
@@ -137,14 +107,7 @@ func (e *Engine) Run() {
 // queued so the simulation can be resumed.
 func (e *Engine) RunUntil(deadline Time) {
 	e.stopped = false
-	for !e.stopped {
-		if len(e.queue) == 0 {
-			break
-		}
-		next := e.peek()
-		if next.at > deadline {
-			break
-		}
+	for !e.stopped && len(e.queue) > 0 && e.queue[0].at <= deadline {
 		e.step()
 	}
 	if !e.stopped && deadline > e.clock.Now() {
@@ -152,22 +115,11 @@ func (e *Engine) RunUntil(deadline Time) {
 	}
 }
 
-// peek returns the earliest queued event, or nil. Cancelled events
-// never linger in the queue (Cancel removes them eagerly), so the
-// head is always live.
-func (e *Engine) peek() *Event {
-	if len(e.queue) == 0 {
-		return nil
-	}
-	return e.queue[0]
-}
-
 // NextEventTime returns the time of the earliest queued event, or
 // Infinity when the queue is empty.
 func (e *Engine) NextEventTime() Time {
-	ev := e.peek()
-	if ev == nil {
+	if len(e.queue) == 0 {
 		return Infinity
 	}
-	return ev.at
+	return e.queue[0].at
 }

@@ -5,10 +5,11 @@ import (
 	"time"
 )
 
-// TestScheduleFuncPoolReuse verifies that events scheduled through the
-// non-returning API are recycled: a self-rescheduling tick — the shape
-// of every periodic loop in the simulator — must reuse one event
-// object instead of allocating a fresh one per firing.
+// TestScheduleFuncPoolReuse verifies that the non-returning API
+// schedules without allocating: ScheduleFunc/AfterFunc keep the
+// callback inline in the queue entry and create no event object, so a
+// self-rescheduling tick — the shape of every periodic loop in the
+// simulator — costs nothing per firing once the queue has grown.
 func TestScheduleFuncPoolReuse(t *testing.T) {
 	eng := NewEngine(1)
 	fired := 0
@@ -20,7 +21,7 @@ func TestScheduleFuncPoolReuse(t *testing.T) {
 		}
 	}
 	eng.AfterFunc(0, tick)
-	// Warm up: the first firing seeds the freelist.
+	// Warm up: the first firing grows the queue to its working size.
 	eng.RunUntil(Time(time.Second))
 	avg := testing.AllocsPerRun(100, func() {
 		eng.RunUntil(eng.Now() + Time(time.Second))
@@ -33,10 +34,11 @@ func TestScheduleFuncPoolReuse(t *testing.T) {
 	}
 }
 
-// TestScheduleFuncInterleavedWithRetained checks that pooling never
-// recycles events handed out by Schedule/After: a retained handle must
-// stay cancellable (and report Cancelled) even after many pooled
-// events have been recycled through the freelist.
+// TestScheduleFuncInterleavedWithRetained checks that handle-free
+// entries never disturb a handle from Schedule/After: as they are
+// pushed, popped and moved around it, the handle's recorded queue
+// position must stay right, so it stays cancellable (and reports
+// Cancelled).
 func TestScheduleFuncInterleavedWithRetained(t *testing.T) {
 	eng := NewEngine(1)
 	ran := false
@@ -48,7 +50,7 @@ func TestScheduleFuncInterleavedWithRetained(t *testing.T) {
 	retained.Cancel()
 	eng.RunUntil(Time(20 * time.Second))
 	if ran {
-		t.Fatal("cancelled retained event ran after pooled events recycled")
+		t.Fatal("cancelled retained event ran after handle-free events fired")
 	}
 	if !retained.Cancelled() {
 		t.Fatal("retained handle lost its cancelled mark")

@@ -1,22 +1,12 @@
 package sim
 
-import "container/heap"
-
-// Event is a scheduled callback. The callback runs with the engine's
-// clock set to the event's time.
+// Event is the handle of a callback queued through Schedule or After.
+// The callback runs with the engine's clock set to the event's time.
 type Event struct {
 	at     Time
-	seq    uint64 // tie-breaker: FIFO among same-time events
-	index  int    // heap index; -1 when not queued
-	fn     func()
+	index  int // position in the engine's queue; -1 when not queued
 	cancel bool
 	eng    *Engine // owning engine, for eager dequeue on Cancel
-	// pooled marks events scheduled via ScheduleFunc/AfterFunc: no
-	// caller holds a reference, so the engine recycles them after they
-	// fire instead of leaving them to the garbage collector. Events
-	// returned from Schedule/After are never pooled — retained handles
-	// stay valid (and cancellable) forever.
-	pooled bool
 }
 
 // At returns the virtual time the event is scheduled for.
@@ -33,45 +23,123 @@ func (e *Event) Cancel() {
 	}
 	e.cancel = true
 	if e.eng != nil && e.index >= 0 {
-		heap.Remove(&e.eng.queue, e.index)
+		e.eng.queue.remove(e.index)
 	}
 }
 
 // Cancelled reports whether the event was cancelled.
 func (e *Event) Cancelled() bool { return e.cancel }
 
-// eventQueue is a min-heap of events ordered by (time, seq).
-type eventQueue []*Event
+// entry is one queued callback. The ordering key and the callback sit
+// inline, so the heap compares and moves entries without touching any
+// other memory. ev is the handle Schedule/After returned, or nil for
+// ScheduleFunc/AfterFunc; only entries with a handle have their queue
+// position written back, which is what lets Cancel find them.
+type entry struct {
+	at  Time
+	seq uint64 // tie-breaker: FIFO among same-time events
+	fn  func()
+	ev  *Event
+}
 
-func (q eventQueue) Len() int { return len(q) }
+// before reports whether a runs ahead of b. Sequence numbers are
+// unique, so (at, seq) is a strict total order and any correct heap
+// pops the same sequence.
+func (a *entry) before(b *entry) bool {
+	return a.at < b.at || (a.at == b.at && a.seq < b.seq)
+}
 
-func (q eventQueue) Less(i, j int) bool {
-	if q[i].at != q[j].at {
-		return q[i].at < q[j].at
+// eventQueue is a 4-ary min-heap of entries ordered by (at, seq). Four
+// children per node halve the depth of a binary heap, and a node's
+// children are adjacent, so a sift-down reads one contiguous 128-byte
+// block per level.
+type eventQueue []entry
+
+// push adds x to the queue.
+func (q *eventQueue) push(x entry) {
+	*q = append(*q, x)
+	q.up(len(*q)-1, x)
+}
+
+// pop removes and returns the earliest entry. The queue must not be
+// empty.
+func (q *eventQueue) pop() entry {
+	h := *q
+	top := h[0]
+	n := len(h) - 1
+	last := h[n]
+	h[n] = entry{} // drop the callback so the collector can have it
+	*q = h[:n]
+	if n > 0 {
+		q.down(0, last)
 	}
-	return q[i].seq < q[j].seq
+	if top.ev != nil {
+		top.ev.index = -1
+	}
+	return top
 }
 
-func (q eventQueue) Swap(i, j int) {
-	q[i], q[j] = q[j], q[i]
-	q[i].index = i
-	q[j].index = j
+// remove deletes the entry at position i, which must hold a handle.
+func (q *eventQueue) remove(i int) {
+	h := *q
+	ev := h[i].ev
+	n := len(h) - 1
+	last := h[n]
+	h[n] = entry{}
+	*q = h[:n]
+	if i < n {
+		if i > 0 && last.before(&h[(i-1)/4]) {
+			q.up(i, last)
+		} else {
+			q.down(i, last)
+		}
+	}
+	ev.index = -1
 }
 
-func (q *eventQueue) Push(x any) {
-	e := x.(*Event)
-	e.index = len(*q)
-	*q = append(*q, e)
+// up places x at position i or above: a hole moves up from i while x
+// runs ahead of the hole's parent.
+func (q eventQueue) up(i int, x entry) {
+	for i > 0 {
+		p := (i - 1) / 4
+		if !x.before(&q[p]) {
+			break
+		}
+		q.set(i, q[p])
+		i = p
+	}
+	q.set(i, x)
 }
 
-func (q *eventQueue) Pop() any {
-	old := *q
-	n := len(old)
-	e := old[n-1]
-	old[n-1] = nil
-	e.index = -1
-	*q = old[:n-1]
-	return e
+// down places x at position i or below: a hole moves down from i while
+// its earliest child runs ahead of x.
+func (q eventQueue) down(i int, x entry) {
+	n := len(q)
+	for {
+		c := 4*i + 1
+		if c >= n {
+			break
+		}
+		m := c
+		end := min(c+4, n)
+		for j := c + 1; j < end; j++ {
+			if q[j].before(&q[m]) {
+				m = j
+			}
+		}
+		if !q[m].before(&x) {
+			break
+		}
+		q.set(i, q[m])
+		i = m
+	}
+	q.set(i, x)
 }
 
-var _ heap.Interface = (*eventQueue)(nil)
+// set stores x at position i and, if x has a handle, records where.
+func (q eventQueue) set(i int, x entry) {
+	q[i] = x
+	if x.ev != nil {
+		x.ev.index = i
+	}
+}
