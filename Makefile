@@ -45,7 +45,9 @@ fmt:
 # golden bytes on 1 worker and many, with and without a sharded
 # evaluation tick; the faulted experiments must match their golden
 # sections across shards × workers × delta; the delta and sharded ticks
-# must match the serial full scan bit for bit; the incremental planner
+# must match the serial full scan bit for bit, and so must the
+# same-instant passes (only the hosts dirtied since the last pass)
+# across shards × delta, event log included; the incremental planner
 # must match its full-scan oracle; forked worlds must match cold ones;
 # and the lossy control-plane message layer must replay identically for
 # a fixed seed; and the event queue must fire, cancel and count
@@ -53,7 +55,7 @@ fmt:
 # corpus included). Run explicitly in CI (it is also part of `make
 # test`) so a violation is unmissable.
 determinism:
-	$(GO) test -run 'TestRunAllMatchesGolden|TestFaultedExperimentsMatchGolden|TestHyperscaleFullScanMatchesGolden|TestPlaneDeterministicAcrossReruns|TestDeltaEvaluateBitIdentical|TestShardedEvaluateBitIdentical|TestIncrementalPlanningParity|TestForkMatchesColdStart|TestForkGridMatchesColdStart|TestConcurrentForksMatchColdStart|TestEngineMatchesReference|FuzzEngineMatchesReference' -v \
+	$(GO) test -run 'TestRunAllMatchesGolden|TestFaultedExperimentsMatchGolden|TestHyperscaleFullScanMatchesGolden|TestPlaneDeterministicAcrossReruns|TestDeltaEvaluateBitIdentical|TestShardedEvaluateBitIdentical|TestSameInstantEvaluateMatchesFullScan|TestIncrementalPlanningParity|TestForkMatchesColdStart|TestForkGridMatchesColdStart|TestConcurrentForksMatchColdStart|TestEngineMatchesReference|FuzzEngineMatchesReference' -v \
 		./internal/experiments/ ./internal/ctrlplane/ ./internal/cluster/ ./internal/core/ ./internal/sim/ .
 
 bench:
@@ -75,17 +77,19 @@ bench-baseline:
 	$(GO) test -run '^$$' -bench=. -benchmem -benchtime=1x -count=3 . \
 		| $(GO) run ./cmd/benchjson -label $(LABEL) -out $(OUT)
 
-# Record the hot-path benchmarks (evaluate loop, manager control step,
-# simulated day, and the event engine: chained dispatch one deep,
-# 10,000 queued events, and a steady 512-deep self-rescheduling queue)
-# into BENCH_hotpath.json. The checked-in artifact holds the pre/post
-# numbers of the allocation-free rework and of the typed event queue;
-# re-run after any change to the evaluate, control or dispatch paths:
+# Record the hot-path benchmarks (evaluate loop: a full pass, and a
+# pass at an already-evaluated instant after two hosts changed; manager
+# control step, simulated day, and the event engine: chained dispatch
+# one deep, 10,000 queued events, and a steady 512-deep
+# self-rescheduling queue) into BENCH_hotpath.json. The checked-in
+# artifact holds the pre/post numbers of the allocation-free rework, of
+# the typed event queue and of the same-instant pass; re-run after any
+# change to the evaluate, control or dispatch paths:
 #
 #	make bench-hotpath LABEL=hotpath-post
 bench-hotpath: LABEL ?= hotpath
 bench-hotpath:
-	$(GO) test -run '^$$' -bench '^(BenchmarkClusterEvaluate|BenchmarkSimulatedDay|BenchmarkManagerControlStep|BenchmarkEngine(Throughput|QueuePressure|Dispatch))$$' \
+	$(GO) test -run '^$$' -bench '^(BenchmarkClusterEvaluate|BenchmarkEvaluateSameInstant|BenchmarkSimulatedDay|BenchmarkManagerControlStep|BenchmarkEngine(Throughput|QueuePressure|Dispatch))$$' \
 		-benchmem -count=3 ./internal/cluster/ ./internal/core/ ./internal/sim/ \
 		| $(GO) run ./cmd/benchjson -label $(LABEL) -out BENCH_hotpath.json
 
@@ -193,11 +197,12 @@ bench-setup-smoke:
 		. ./internal/cluster/
 
 # Allocation regression gate: the steady-state evaluation tick — serial
-# and sharded — the handle-free event loop, the control plane's
-# heartbeats, reports and sweeps, the manager's cached control step,
-# the drain replan a migration completion runs, and every refused
-# StartMigration must stay allocation-free, and the full report bytes
-# must match the pre-optimization goldens. Part of `make ci`.
+# and sharded — and the same-instant pass, the handle-free event loop,
+# the control plane's heartbeats, reports and sweeps, the manager's
+# cached control step, the drain replan a migration completion runs,
+# and every refused StartMigration must stay allocation-free, and the
+# full report bytes must match the pre-optimization goldens. Part of
+# `make ci`.
 bench-alloc:
 	$(GO) test -run 'AllocFree|ScheduleFuncPool|RunAllMatchesGolden|ArchivedResults' -v \
 		./internal/cluster/ ./internal/sim/ ./internal/ctrlplane/ ./internal/experiments/ ./internal/core/

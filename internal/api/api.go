@@ -98,6 +98,10 @@ type Server struct {
 	cache   *rescache.Cache
 	metrics *apimetrics.Registry
 	im      instruments
+	// build turns an admitted scenario file into a scenario on a cache
+	// miss: ScenarioFile.Build, swapped only by tests that count
+	// builds.
+	build func(agilepower.ScenarioFile) (agilepower.Scenario, error)
 }
 
 // NewServer returns a control plane with started job workers. Call
@@ -108,6 +112,7 @@ func NewServer(cfg Config) *Server {
 		cfg:     cfg,
 		cache:   rescache.New(cfg.CacheBytes),
 		metrics: apimetrics.NewRegistry(),
+		build:   agilepower.ScenarioFile.Build,
 	}
 	s.queue = jobs.New(jobs.Config{
 		Workers:            cfg.Workers,

@@ -10,9 +10,11 @@ import (
 	"net/http/httptest"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
+	"agilepower"
 	"agilepower/internal/jobs"
 )
 
@@ -189,6 +191,49 @@ func TestCacheByteIdentityAcrossPolicies(t *testing.T) {
 	}
 	if hits := s.queue.Counters().CacheHits; hits != 4 {
 		t.Fatalf("cache-hit completions = %d, want 4", hits)
+	}
+}
+
+// TestCacheHitSkipsBuild pins that a cache hit never builds the
+// scenario's fleet: two identical bodies build once and return
+// byte-equal bodies, one miss and one hit. Bodies refused before the
+// cache lookup (the host budget) and after it (an unknown policy, the
+// horizon budget) leave the hit and miss counters alone.
+func TestCacheHitSkipsBuild(t *testing.T) {
+	s, ts := newService(t, Config{MaxHosts: 64, MaxHorizon: 2 * time.Hour})
+	var builds atomic.Int64
+	s.build = func(f agilepower.ScenarioFile) (agilepower.Scenario, error) {
+		builds.Add(1)
+		return f.Build()
+	}
+	st, xc, cold := postWait(t, ts.URL, smallRun)
+	if st != http.StatusOK || xc != "miss" {
+		t.Fatalf("cold: status %d X-Cache %q body %s", st, xc, cold)
+	}
+	st, xc, hot := postWait(t, ts.URL, smallRun)
+	if st != http.StatusOK || xc != "hit" || !bytes.Equal(cold, hot) {
+		t.Fatalf("hot: status %d X-Cache %q identical=%v", st, xc, bytes.Equal(cold, hot))
+	}
+	if n := builds.Load(); n != 1 {
+		t.Fatalf("two identical bodies built %d times, want 1", n)
+	}
+	if cs := s.cache.Stats(); cs.Hits != 1 || cs.Misses != 1 {
+		t.Fatalf("cache stats %+v, want one hit and one miss", cs)
+	}
+	for name, body := range map[string]string{
+		"hosts":   `{"hosts":65,"fleets":[{"kind":"flat","count":8}],"horizonHours":1}`,
+		"policy":  `{"hosts":4,"fleets":[{"kind":"flat","count":8}],"horizonHours":1,"policy":"nope"}`,
+		"horizon": `{"hosts":4,"fleets":[{"kind":"flat","count":8}],"horizonHours":3}`,
+	} {
+		if st, _, raw := postWait(t, ts.URL, body); st != http.StatusBadRequest {
+			t.Fatalf("%s: status %d, want 400: %s", name, st, raw)
+		}
+	}
+	if cs := s.cache.Stats(); cs.Hits != 1 || cs.Misses != 1 {
+		t.Fatalf("refused bodies moved the cache counters: %+v", cs)
+	}
+	if n := builds.Load(); n != 3 {
+		t.Fatalf("%d builds, want 3: the policy and horizon bodies are refused after the lookup", n)
 	}
 }
 

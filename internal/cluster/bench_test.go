@@ -74,10 +74,14 @@ func buildScaleCluster(b *testing.B, shards int) (*sim.Engine, *Cluster) {
 // BenchmarkScaleEvaluate measures one evaluation pass over the
 // 2,048-host / 16,384-VM fixture at several shard counts. shards=1 is
 // the serial baseline the BENCH_scale.json record compares against.
+// Every op evaluates at the same instant, so the full-scan oracle is
+// forced: otherwise each pass after the first would refresh only the
+// hosts dirtied since the one before, and there are none.
 func BenchmarkScaleEvaluate(b *testing.B) {
 	for _, shards := range []int{1, 4, 8} {
 		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
 			_, c := buildScaleCluster(b, shards)
+			c.fullScan = true
 			c.Start()
 			defer c.Close()
 			b.ReportAllocs()
@@ -111,14 +115,17 @@ func BenchmarkScaleDay(b *testing.B) {
 	}
 }
 
-// BenchmarkClusterEvaluate measures one evaluation pass over a
-// 32-host / 160-VM cluster — the simulator's innermost hot path.
+// BenchmarkClusterEvaluate measures one full evaluation pass over a
+// 32-host / 160-VM cluster — the simulator's innermost hot path. Every
+// op evaluates at the same instant, so the full-scan oracle is forced,
+// as in BenchmarkScaleEvaluate.
 func BenchmarkClusterEvaluate(b *testing.B) {
 	eng := sim.NewEngine(1)
 	c, err := New(eng, Config{})
 	if err != nil {
 		b.Fatal(err)
 	}
+	c.fullScan = true
 	for h := 0; h < 32; h++ {
 		if _, err := c.AddHost(host.Config{Cores: 16, MemoryGB: 256}); err != nil {
 			b.Fatal(err)
@@ -133,6 +140,41 @@ func BenchmarkClusterEvaluate(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
+		c.evaluate()
+	}
+}
+
+// BenchmarkEvaluateSameInstant measures the pass a migration burst
+// runs again and again: two hosts dirtied (here by a DVFS move) and an
+// evaluation at the instant the previous pass already covered, on 256
+// hosts carrying 4,096 diurnal VMs. TelemetryCap holds the four series
+// in fixed memory, so the op costs the pass and not slice growth.
+func BenchmarkEvaluateSameInstant(b *testing.B) {
+	const hosts = 256
+	eng := sim.NewEngine(1)
+	c, err := New(eng, Config{TelemetryCap: 4096})
+	if err != nil {
+		b.Fatal(err)
+	}
+	for h := 0; h < hosts; h++ {
+		if _, err := c.AddHost(host.Config{Cores: 16, MemoryGB: 256}); err != nil {
+			b.Fatal(err)
+		}
+	}
+	rng := sim.NewRNG(1)
+	for v := 0; v < 16*hosts; v++ {
+		tr := workload.Diurnal(rng.Fork(), workload.DiurnalSpec{BaseCores: 0.4, PeakCores: 3})
+		if _, err := c.AddVM(vm.Config{VCPUs: 4, MemoryGB: 8, Trace: tr}, host.ID(v%hosts+1)); err != nil {
+			b.Fatal(err)
+		}
+	}
+	c.Start()
+	defer c.Close()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		c.HostChanged(host.ID(i%hosts + 1))
+		c.HostChanged(host.ID((i+hosts/2)%hosts + 1))
 		c.evaluate()
 	}
 }

@@ -22,17 +22,20 @@
 // byte — is identical for any shard and worker count, including the
 // serial path.
 //
-// On top of sharding, the tick can run in delta mode (Config.Delta):
-// a host is re-evaluated only when marked dirty — by a cluster event
-// (placement, migration, crash, power transition, DVFS move) or by a
-// resident VM's demand trace reaching its next change time (a
-// per-shard indexed min-heap of deadlines) — and the shard workers
-// drain per-shard dirty queues instead of scanning fixed ranges.
-// Quiescent hosts integrate energy and SLA time analytically: power
-// accrues in closed-form watts × Δt segments between real changes, and
-// each VM's (demand, delivered) run is charged in one SLA record when
-// it ends. Because an unchanged input performs no floating-point
-// operation in either mode, delta-vs-full is byte-identical too.
+// Every cluster event (placement, migration, crash, power transition,
+// DVFS move) marks the hosts it touches dirty in per-shard queues. A
+// pass at the same simulated instant as the previous one refreshes
+// only those hosts: while the clock stands still nothing else a host's
+// partial depends on can move. On top of that, the tick can run in
+// delta mode (Config.Delta): at a new instant too, a host is
+// re-evaluated only when dirty or when a resident VM's demand trace
+// reaches its next change time (a per-shard indexed min-heap of
+// deadlines). Quiescent hosts integrate energy and SLA time
+// analytically: power accrues in closed-form watts × Δt segments
+// between real changes, and each VM's (demand, delivered) run is
+// charged in one SLA record when it ends. Because an unchanged input
+// performs no floating-point operation on any path, every pass is
+// byte-identical to a full scan.
 package cluster
 
 import (
@@ -104,8 +107,10 @@ type Config struct {
 	// demand trace advanced, a placement/migration/crash event landed,
 	// a power transition settled, or its DVFS point moved. Quiescent
 	// hosts integrate energy and SLA time analytically between events.
-	// Like Shards, Delta is wall-clock only: every report byte is
-	// identical with it on or off.
+	// (A pass at the instant of the previous one refreshes only the
+	// hosts events touched in either mode; Delta carries that across
+	// time.) Like Shards, Delta is wall-clock only: every report byte
+	// is identical with it on or off.
 	Delta bool
 	// TelemetryCap, when positive, bounds each cluster telemetry series
 	// to about this many stored samples (see telemetry.Series.SetCap):
@@ -166,10 +171,9 @@ type Cluster struct {
 	// every event-path change to a host's scheduling inputs (placement,
 	// migration endpoints, crash/repair, power commands, settles, DVFS)
 	// regardless of the evaluation mode. Unlike markDirty — which is a
-	// no-op outside an active delta window — this callback is
+	// no-op before Start and after Close — this callback is
 	// unconditional, so an incremental manager can invalidate its
-	// cached planning inputs even when the cluster itself runs full
-	// scans. See noteDirty.
+	// cached planning inputs whenever they move. See noteDirty.
 	onHostDirty func(host.ID)
 	// vmEpoch counts VM-set changes (arrivals, placements-at-creation,
 	// departures — including pending VMs, which touch no host and so
@@ -235,10 +239,10 @@ type Cluster struct {
 	// and evaluate reduces the slots serially in host-ID order. The
 	// slots are per host, not per shard, so the reduction's
 	// floating-point order cannot depend on where the shard boundaries
-	// fall. From Start on, every tick reduces from the slots — in full
-	// mode all slots are refreshed first; in delta mode only dirty
-	// hosts' slots are, and a clean host's cached slot is bitwise what
-	// recomputing it would produce.
+	// fall. From Start on, every tick reduces from the slots — a full
+	// pass refreshes all of them first; a same-instant or delta pass
+	// only the dirty hosts', and a clean host's cached slot is bitwise
+	// what recomputing it would produce.
 	shards      int
 	delta       bool
 	shardBounds []shardRange
@@ -252,17 +256,24 @@ type Cluster struct {
 	evalDone chan struct{}
 	// primed flips true after the first post-Start evaluation: until
 	// the partial slots, deadlines and heaps hold a full fleet
-	// snapshot, every tick is a full one.
+	// snapshot, every tick is a full one. evalAt is the instant of the
+	// last post-Start pass.
 	primed bool
 	closed bool
+	evalAt sim.Time
+	// fullScan makes every post-Start pass a full one, same-instant
+	// passes included: the full-scan oracle the byte-identity tests
+	// compare the other paths against. Only tests set it, before Start.
+	fullScan bool
 
-	// Delta bookkeeping (allocated at Start when delta is on).
-	// dirtyQ[s] is shard s's queue of event-dirtied host indices
-	// (deduplicated by dirtyFlag); hostNext[i] is the earliest time a
-	// resident of host i changes demand; dueHeaps[s] is shard s's
-	// indexed min-heap over hostNext (heapPos[i] is i's position+1 in
-	// its shard's heap, 0 when absent). All arrays are preallocated to
-	// fleet size so steady-state ticks never allocate.
+	// Dirty bookkeeping (allocated at Start). dirtyQ[s] is shard s's
+	// queue of event-dirtied host indices (deduplicated by dirtyFlag);
+	// a full pass empties it. With delta on, hostNext[i] is also kept:
+	// the earliest time a resident of host i changes demand, with
+	// dueHeaps[s] shard s's indexed min-heap over hostNext (heapPos[i]
+	// is i's position+1 in its shard's heap, 0 when absent). All arrays
+	// are preallocated to fleet size so steady-state ticks never
+	// allocate.
 	dirtyQ    [][]int32
 	dirtyFlag []bool
 	hostNext  []sim.Time
@@ -685,10 +696,10 @@ func (c *Cluster) ProvisionLatencies() []time.Duration { return c.provisionLat }
 
 // startEval builds the evaluation machinery the fleet's size fixes at
 // Start: the shard partition (one ID-contiguous range per shard), the
-// per-host partial slots every tick reduces from, the delta
-// bookkeeping, and the persistent worker pool when there is more than
-// one shard. Evaluations before Start (pending-VM arrivals during
-// setup) take the direct serial path.
+// per-host partial slots every tick reduces from, the dirty queues,
+// the delta deadlines, and the persistent worker pool when there is
+// more than one shard. Evaluations before Start (pending-VM arrivals
+// during setup) take the direct serial path.
 func (c *Cluster) startEval() {
 	n := len(c.hostList)
 	if n == 0 {
@@ -713,14 +724,16 @@ func (c *Cluster) startEval() {
 	}
 	c.hostPartial = make([]hostPartial, n)
 	c.shardEvals = make([]int64, len(c.shardBounds))
+	c.dirtyFlag = make([]bool, n)
+	c.dirtyQ = make([][]int32, len(c.shardBounds))
+	for k, b := range c.shardBounds {
+		c.dirtyQ[k] = make([]int32, 0, b.hi-b.lo)
+	}
 	if c.delta {
-		c.dirtyFlag = make([]bool, n)
 		c.hostNext = make([]sim.Time, n)
 		c.heapPos = make([]int32, n)
-		c.dirtyQ = make([][]int32, len(c.shardBounds))
 		c.dueHeaps = make([][]int32, len(c.shardBounds))
 		for k, b := range c.shardBounds {
-			c.dirtyQ[k] = make([]int32, 0, b.hi-b.lo)
 			c.dueHeaps[k] = make([]int32, 0, b.hi-b.lo)
 		}
 	}
@@ -746,7 +759,7 @@ func (c *Cluster) shardOf(i int) int { return i / c.shardSize }
 
 // noteDirty is the single entry point for event-path host changes: it
 // feeds the management layer's unconditional dirty callback, then the
-// delta tick's queue. Every mutation site (placement, migration
+// evaluation's dirty queue. Every mutation site (placement, migration
 // endpoints, crash/repair, power commands, settles, DVFS) calls this
 // rather than markDirty directly, so the two consumers can never
 // drift apart.
@@ -776,11 +789,10 @@ func (c *Cluster) MaxVMID() vm.ID { return c.nextVMID - 1 }
 // without materializing the ID list (see PendingVMs).
 func (c *Cluster) PendingCount() int { return c.pendingCount }
 
-// markDirty queues host id for re-evaluation at the next tick. Called
+// markDirty queues host id for re-evaluation at the next pass. Called
 // from the serial event paths only (never concurrently with a running
-// tick); a no-op outside an active delta window (before Start, after
-// Close, or with delta off) because those modes re-scan everything
-// anyway.
+// tick); a no-op before Start and after Close, where every pass is a
+// direct full scan.
 func (c *Cluster) markDirty(id host.ID) {
 	if c.dirtyFlag == nil || c.closed {
 		return
@@ -804,14 +816,19 @@ func (c *Cluster) evalWorker() {
 	}
 }
 
-// runShard performs one shard's slice of a tick: either a full refresh
-// of every host in the shard, or — in a delta tick — only the hosts
-// made dirty by events (the shard's queue) or by a resident's demand
-// trace advancing (the shard's due-heap). Everything touched here is
-// owned by this shard: its hosts' scratch and partial slots, its
-// residents' allocation records and SLA trackers, its queue, its heap.
+// runShard performs one shard's slice of a pass at a new instant:
+// either a full refresh of every host in the shard (which empties its
+// dirty queue), or — in a delta tick — only the hosts made dirty by
+// events (the shard's queue) or by a resident's demand trace
+// advancing (the shard's due-heap). Everything touched here is owned
+// by this shard: its hosts' scratch and partial slots, its residents'
+// allocation records and SLA trackers, its queue, its heap.
 func (c *Cluster) runShard(s int, now sim.Time, full bool) {
 	if full {
+		for _, i := range c.dirtyQ[s] {
+			c.dirtyFlag[i] = false
+		}
+		c.dirtyQ[s] = c.dirtyQ[s][:0]
 		b := c.shardBounds[s]
 		for i := b.lo; i < b.hi; i++ {
 			c.refreshHost(i, now)
@@ -819,14 +836,8 @@ func (c *Cluster) runShard(s int, now sim.Time, full bool) {
 		c.shardEvals[s] += int64(b.hi - b.lo)
 		return
 	}
+	c.drainDirty(s, now)
 	evals := int64(0)
-	q := c.dirtyQ[s]
-	for _, i := range q {
-		c.dirtyFlag[i] = false
-		c.refreshHost(int(i), now)
-	}
-	evals += int64(len(q))
-	c.dirtyQ[s] = q[:0]
 	h := c.dueHeaps[s]
 	for len(h) > 0 && c.hostNext[h[0]] <= now {
 		c.refreshHost(int(h[0]), now)
@@ -834,6 +845,18 @@ func (c *Cluster) runShard(s int, now sim.Time, full bool) {
 		evals++
 	}
 	c.shardEvals[s] += evals
+}
+
+// drainDirty refreshes the hosts in shard s's dirty queue and empties
+// the queue.
+func (c *Cluster) drainDirty(s int, now sim.Time) {
+	q := c.dirtyQ[s]
+	for _, i := range q {
+		c.dirtyFlag[i] = false
+		c.refreshHost(int(i), now)
+	}
+	c.shardEvals[s] += int64(len(q))
+	c.dirtyQ[s] = q[:0]
 }
 
 // refreshHost recomputes one host's partial slot and, in delta mode,
@@ -996,10 +1019,18 @@ func (c *Cluster) closeStranded(now sim.Time) {
 // per-VM state is indexed by dense IDs. Floating-point accumulation
 // order is fixed (hosts in ID order, VMs in ascending ID within each
 // host, pending VMs in creation order) so results stay byte-identical
-// run to run — and identical between the full-scan and delta modes,
-// because a clean host's cached partial is bitwise what recomputation
-// would produce and an unchanged allocation run performs no
-// floating-point operations at all in either mode.
+// run to run — and identical to a full scan on every path, because a
+// clean host's cached partial is bitwise what recomputation would
+// produce and an unchanged allocation run performs no floating-point
+// operations at all.
+//
+// Which hosts a post-Start pass refreshes: all of them on the first
+// pass and, with delta off, on every pass at a new instant; the hosts
+// dirtied since the previous pass when the clock has not moved since
+// it (migration bursts, settles and commands all land on one instant);
+// and with delta on, the dirty hosts plus those whose demand deadline
+// has come at a new instant. Every pass still reduces all slots and
+// appends one sample to each telemetry series.
 func (c *Cluster) evaluate() {
 	c.tickCount++
 	now := c.eng.Now()
@@ -1010,11 +1041,20 @@ func (c *Cluster) evaluate() {
 		c.evaluateDirect(now)
 		return
 	}
-	// A delta tick only touches dirty hosts; every tick before the
-	// delta bookkeeping is primed (the Start evaluation) is full, as is
-	// every tick when delta is off.
-	full := !c.delta || !c.primed
-	if c.evalWork != nil {
+	full := !c.primed || !c.delta || c.fullScan
+	switch {
+	case c.primed && now == c.evalAt && !c.fullScan:
+		// Same-instant pass: demand is a function of VM and time, and
+		// every other input of a host's partial moves only through
+		// noteDirty, so the dirty queues name every stale slot. Nothing
+		// in a due-heap is due either: the previous pass at this
+		// instant pushed every deadline past it. The queues typically
+		// hold a host or two, so the pass runs here instead of on the
+		// workers.
+		for s := range c.shardBounds {
+			c.drainDirty(s, now)
+		}
+	case c.evalWork != nil:
 		// Fan the per-host work out to the persistent workers, then
 		// reduce the per-host slots serially in host-ID order below.
 		c.evalNow = now
@@ -1025,12 +1065,13 @@ func (c *Cluster) evaluate() {
 		for range c.shardBounds {
 			<-c.evalDone
 		}
-	} else {
+	default:
 		for s := range c.shardBounds {
 			c.runShard(s, now, full)
 		}
 	}
 	c.primed = true
+	c.evalAt = now
 	totalPower := power.Watts(0)
 	totalDemand, totalDelivered := 0.0, 0.0
 	active, stranded := 0, 0
@@ -1070,10 +1111,11 @@ func (c *Cluster) evaluateDirect(now sim.Time) {
 }
 
 // EvalCounts returns how many evaluation passes have run and how many
-// per-host evaluations they performed in total. Full-scan mode
-// evaluates every host every pass; delta mode's host count is the
-// fleet's actual change volume, so 1 − hostEvals/(ticks×hosts) is the
-// skip ratio. Diagnostics only — deterministic within a mode but
+// per-host evaluations they performed in total. With delta off a pass
+// at a new instant evaluates every host, and a pass at the instant of
+// the one before only the hosts dirtied in between; delta mode's host
+// count is the fleet's actual change volume. 1 − hostEvals/(ticks×hosts)
+// is the skip ratio. Diagnostics only — deterministic within a mode but
 // different between modes, so the numbers must never reach a report.
 // Not safe to call while a sharded tick is in flight (call between
 // engine steps or after Close).

@@ -34,13 +34,13 @@ func sameClusterResults(t *testing.T, ref, got *Cluster) {
 // evaluation: the eventful half-day scenario (migration, crash,
 // arrival, departure) must produce bit-identical telemetry, SLA,
 // energy and stranded accounting with delta on, for every shard and
-// worker count, compared to the serial full-scan reference.
+// worker count, compared to the serial full-scan oracle.
 func TestDeltaEvaluateBitIdentical(t *testing.T) {
-	ref := runEvalScenario(t, 0, 0, false)
+	ref := runEvalScenario(t, 0, Config{}, true)
 	for _, shards := range []int{0, 1, 2, 4} {
 		for _, workers := range []int{1, 3} {
 			t.Run(fmt.Sprintf("delta/shards=%d/workers=%d", shards, workers), func(t *testing.T) {
-				got := runEvalScenario(t, shards, workers, true)
+				got := runEvalScenario(t, workers, Config{Shards: shards, Delta: true}, false)
 				sameClusterResults(t, ref, got)
 			})
 		}
@@ -86,33 +86,44 @@ func buildQuiescentCluster(t testing.TB, eng *sim.Engine, cfg Config, hosts, vms
 // scan. Without this gate the delta path could silently degenerate
 // into a full scan and every perf claim would rot.
 func TestDeltaSkipsQuiescentHosts(t *testing.T) {
-	run := func(delta bool) *Cluster {
+	run := func(delta, fullScan bool) *Cluster {
 		eng := sim.NewEngine(1)
 		c := buildQuiescentCluster(t, eng, Config{Horizon: 6 * time.Hour, Delta: delta}, 16, 96)
+		c.fullScan = fullScan
 		c.Start()
 		eng.RunUntil(6 * time.Hour)
 		c.Flush()
 		c.Close()
 		return c
 	}
-	full := run(false)
-	delta := run(true)
-	sameClusterResults(t, full, delta)
+	ref := run(false, true)
+	full := run(false, false)
+	delta := run(true, false)
+	sameClusterResults(t, ref, full)
+	sameClusterResults(t, ref, delta)
 
+	// The Start pass and one tick a minute for six hours are the passes
+	// at a new instant; the Flush lands on the last tick's instant with
+	// no host dirtied since.
+	const newInstants = 6*60 + 1
+	rTicks, rEvals := ref.EvalCounts()
 	fTicks, fEvals := full.EvalCounts()
 	dTicks, dEvals := delta.EvalCounts()
-	if fTicks != dTicks {
-		t.Fatalf("tick counts differ: full %d vs delta %d", fTicks, dTicks)
+	if rTicks != newInstants+1 || fTicks != rTicks || dTicks != rTicks {
+		t.Fatalf("passes: oracle %d, full %d, delta %d; want %d each", rTicks, fTicks, dTicks, newInstants+1)
 	}
-	if fEvals < fTicks*16 {
-		t.Fatalf("full mode evaluated %d host-slots over %d ticks, want >= %d", fEvals, fTicks, fTicks*16)
+	if rEvals != rTicks*16 {
+		t.Fatalf("full-scan oracle evaluated %d host-slots over %d passes, want %d", rEvals, rTicks, rTicks*16)
+	}
+	if fEvals != newInstants*16 {
+		t.Fatalf("full mode evaluated %d host-slots, want %d: all 16 hosts at each new instant, none at the Flush", fEvals, newInstants*16)
 	}
 	// The fleet's demand edges land on 15-minute boundaries while ticks
 	// are 1 minute apart, so delta should skip the vast majority of
 	// host-slots. Half the bound the workload implies keeps the gate
 	// robust to placement details.
-	if dEvals*2 > fEvals {
-		t.Fatalf("delta evaluated %d of %d host-slots — not skipping quiescent hosts", dEvals, fEvals)
+	if dEvals*2 > rEvals {
+		t.Fatalf("delta evaluated %d of %d host-slots — not skipping quiescent hosts", dEvals, rEvals)
 	}
 }
 
@@ -120,17 +131,19 @@ func TestDeltaSkipsQuiescentHosts(t *testing.T) {
 // for the Flush/Close ordering bug class: a Flush issued after Close
 // must force a full (non-delta) evaluation pass so the final report
 // includes the analytically integrated tail — energy and SLA accrued
-// since each quiescent host's last re-evaluation. Both orderings must
-// produce the full-scan reference's exact bytes.
+// since each quiescent host's last re-evaluation. Both orderings, delta
+// on or off, must produce the full-scan oracle's exact bytes.
 func TestFlushAfterCloseDeltaKeepsTailAccounting(t *testing.T) {
-	run := func(delta bool, closeFirst bool) *Cluster {
+	type mode struct{ delta, closeFirst, fullScan bool }
+	run := func(m mode) *Cluster {
 		eng := sim.NewEngine(1)
-		c := buildQuiescentCluster(t, eng, Config{Horizon: 6 * time.Hour, Shards: 2, Delta: delta}, 16, 96)
+		c := buildQuiescentCluster(t, eng, Config{Horizon: 6 * time.Hour, Shards: 2, Delta: m.delta}, 16, 96)
+		c.fullScan = m.fullScan
 		c.Start()
 		// Stop between ticks so open accounting runs and analytic energy
 		// segments are live when the books close.
 		eng.RunUntil(4*time.Hour + 30*time.Second)
-		if closeFirst {
+		if m.closeFirst {
 			c.Close()
 			c.Flush()
 		} else {
@@ -139,10 +152,10 @@ func TestFlushAfterCloseDeltaKeepsTailAccounting(t *testing.T) {
 		}
 		return c
 	}
-	ref := run(false, false)
-	sameClusterResults(t, ref, run(true, false))
-	sameClusterResults(t, ref, run(true, true))
-	sameClusterResults(t, ref, run(false, true))
+	ref := run(mode{fullScan: true})
+	for _, m := range []mode{{}, {closeFirst: true}, {delta: true}, {delta: true, closeFirst: true}} {
+		sameClusterResults(t, ref, run(m))
+	}
 }
 
 // TestDeltaSteadyStateAllocFree extends the allocation gate to the
@@ -172,21 +185,25 @@ func TestDeltaSteadyStateAllocFree(t *testing.T) {
 	c.Close()
 }
 
-// TestEvalCountsCoverAllPaths sanity-checks the diagnostics counters:
-// full mode accounts every host every tick, and the direct (pre-Start
-// / post-Close) path is counted too.
+// TestEvalCountsCoverAllPaths pins the diagnostics counters exactly,
+// with delta off: every host at a pass at a new instant, only the
+// hosts dirtied since at a pass on the previous pass's instant, and
+// every host on the direct (post-Close) path.
 func TestEvalCountsCoverAllPaths(t *testing.T) {
 	eng := sim.NewEngine(1)
 	c := buildQuiescentCluster(t, eng, Config{Horizon: time.Hour}, 4, 8)
 	c.Start()
 	eng.RunUntil(30 * time.Minute)
-	c.Flush()
+	c.HostChanged(2)
+	c.Flush() // on the 30-minute tick's instant: host 2 only
 	c.Close()
+	c.Flush() // direct path: all four hosts
 	ticks, evals := c.EvalCounts()
-	if ticks == 0 {
-		t.Fatal("no ticks counted")
+	// The Start pass and 30 ticks are passes at a new instant.
+	if ticks != 31+2 {
+		t.Fatalf("counted %d passes, want %d", ticks, 31+2)
 	}
-	if evals < ticks*4 {
-		t.Fatalf("full mode counted %d host evals over %d ticks on 4 hosts, want >= %d", evals, ticks, ticks*4)
+	if want := int64(31*4 + 1 + 4); evals != want {
+		t.Fatalf("counted %d host evals over %d passes on 4 hosts, want %d", evals, ticks, want)
 	}
 }

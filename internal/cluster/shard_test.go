@@ -21,21 +21,24 @@ import (
 // min(shards, workers); 0 leaves GOMAXPROCS alone.
 func runShardScenario(t testing.TB, shards, workers int) *Cluster {
 	t.Helper()
-	return runEvalScenario(t, shards, workers, false)
+	return runEvalScenario(t, workers, Config{Shards: shards}, false)
 }
 
 // runEvalScenario is runShardScenario with the evaluation mode
-// explicit, so the delta tests share the exact same event sequence.
-func runEvalScenario(t testing.TB, shards, workers int, delta bool) *Cluster {
+// explicit — cfg's Shards and Delta, and fullScan for the full-scan
+// oracle — so the delta tests share the exact same event sequence.
+func runEvalScenario(t testing.TB, workers int, cfg Config, fullScan bool) *Cluster {
 	t.Helper()
 	if workers > 0 {
 		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(workers))
 	}
 	eng := sim.NewEngine(1)
-	c, err := New(eng, Config{Horizon: 12 * time.Hour, Shards: shards, Delta: delta})
+	cfg.Horizon = 12 * time.Hour
+	c, err := New(eng, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
+	c.fullScan = fullScan
 	for h := 0; h < 8; h++ {
 		if _, err := c.AddHost(host.Config{Cores: 16, MemoryGB: 256}); err != nil {
 			t.Fatal(err)

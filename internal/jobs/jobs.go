@@ -133,8 +133,13 @@ func (j *Job) ID() string { return j.id }
 // Tenant returns the submitting tenant.
 func (j *Job) Tenant() string { return j.tenant }
 
-// Payload returns the submission payload, immutable after Submit.
-func (j *Job) Payload() any { return j.payload }
+// Payload returns the submission payload, or nil once the job is
+// terminal: a finished job keeps its status and result, not its inputs.
+func (j *Job) Payload() any {
+	j.q.mu.Lock()
+	defer j.q.mu.Unlock()
+	return j.payload
+}
 
 // Done returns a channel closed when the job reaches a terminal state.
 func (j *Job) Done() <-chan struct{} { return j.done }
@@ -565,9 +570,13 @@ func (q *Queue) worker() {
 	}
 }
 
-// retireLocked appends j to the terminal FIFO and forgets the oldest
-// finished jobs past MaxTerminal; callers hold q.mu.
+// retireLocked drops j's payload, appends j to the terminal FIFO and
+// forgets the oldest finished jobs past MaxTerminal; callers hold q.mu.
+// The FIFO keeps up to MaxTerminal jobs queryable, so a payload kept
+// past the run would hold that many inputs (a scenario payload carries
+// every VM's demand trace) for status lookups that never read them.
 func (q *Queue) retireLocked(j *Job) {
+	j.payload = nil
 	q.terminal = append(q.terminal, j)
 	for len(q.terminal) > q.cfg.MaxTerminal {
 		old := q.terminal[0]

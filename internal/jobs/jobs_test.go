@@ -313,6 +313,49 @@ func TestTerminalEviction(t *testing.T) {
 	}
 }
 
+// TestTerminalJobDropsPayload pins that the ledger of finished jobs
+// holds no inputs: a job's payload is readable while it is queued or
+// running and nil once it is done, cancelled or born done as a cache
+// hit, while its result stays readable.
+func TestTerminalJobDropsPayload(t *testing.T) {
+	type input struct{ trace []float64 }
+	release := make(chan struct{})
+	seen := make(chan any, 1)
+	q := New(Config{Workers: 1}, func(ctx context.Context, j *Job) ([]byte, error) {
+		seen <- j.Payload()
+		<-release
+		return []byte(j.ID()), nil
+	})
+	q.Start()
+	defer q.Drain(context.Background())
+	running, _ := q.Submit("t", &input{trace: make([]float64, 1440)})
+	if p, _ := (<-seen).(*input); p == nil || len(p.trace) != 1440 {
+		t.Fatal("running job does not see its submitted payload")
+	}
+	queued, _ := q.Submit("t", &input{})
+	if queued.Payload() == nil {
+		t.Fatal("queued job's payload dropped before it ran")
+	}
+	if err := q.Cancel(queued.ID()); err != nil {
+		t.Fatal(err)
+	}
+	close(release)
+	<-running.Done()
+	<-queued.Done()
+	hit, err := q.SubmitCompleted("t", &input{}, []byte("cached"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, j := range []*Job{running, queued, hit} {
+		if j.Payload() != nil {
+			t.Fatalf("%s (%v) kept its payload", j.ID(), j.State())
+		}
+	}
+	if res, _ := running.Result(); string(res) != running.ID() {
+		t.Fatalf("done job's result = %q, want %q", res, running.ID())
+	}
+}
+
 // TestConcurrentSubmitCancelComplete is the race-detector workout: 16
 // goroutines submit, a chaser cancels every other job by ID, workers
 // complete the rest, all interleaved.

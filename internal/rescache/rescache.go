@@ -90,9 +90,29 @@ func New(budgetBytes int64) *Cache {
 func (c *Cache) Get(key string) ([]byte, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	el, ok := c.entries[key]
+	val, ok := c.hit(key)
 	if !ok {
 		c.misses++
+	}
+	return val, ok
+}
+
+// Hit is Get for a caller that will validate the request further on
+// a miss: a hit counts and refreshes recency as in Get, but a miss
+// counts nothing, so the later Get that follows a successful
+// validation counts it exactly once, and a request refused in between
+// counts neither.
+func (c *Cache) Hit(key string) ([]byte, bool) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.hit(key)
+}
+
+// hit returns key's bytes, counting the hit and refreshing recency;
+// callers hold c.mu.
+func (c *Cache) hit(key string) ([]byte, bool) {
+	el, ok := c.entries[key]
+	if !ok {
 		return nil, false
 	}
 	c.hits++

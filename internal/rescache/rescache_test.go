@@ -43,6 +43,32 @@ func TestGetPutRoundTrip(t *testing.T) {
 	}
 }
 
+// TestHitCountsOnlyHits pins the lookup the service makes before it
+// has validated a request: a miss counts nothing, a hit counts and
+// refreshes recency exactly as Get does.
+func TestHitCountsOnlyHits(t *testing.T) {
+	c := New(20) // room for two 10-byte values
+	if _, ok := c.Hit("a"); ok {
+		t.Fatal("empty cache reported a hit")
+	}
+	if st := c.Stats(); st.Hits != 0 || st.Misses != 0 {
+		t.Fatalf("a miss through Hit counted: %+v", st)
+	}
+	c.Put("a", []byte("0123456789"))
+	c.Put("b", make([]byte, 10))
+	got, ok := c.Hit("a") // a becomes most recent, so c evicts b
+	if !ok || string(got) != "0123456789" {
+		t.Fatalf("hit = %q, %v", got, ok)
+	}
+	c.Put("c", make([]byte, 10))
+	if !c.Contains("a") || c.Contains("b") {
+		t.Fatal("Hit did not refresh recency")
+	}
+	if st := c.Stats(); st.Hits != 1 || st.Misses != 0 {
+		t.Fatalf("stats = %+v, want one hit and no miss", st)
+	}
+}
+
 func TestLRUEvictionOrder(t *testing.T) {
 	c := New(30) // room for three 10-byte values
 	val := func() []byte { return make([]byte, 10) }
