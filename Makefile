@@ -48,14 +48,17 @@ fmt:
 # must match the serial full scan bit for bit, and so must the
 # same-instant passes (only the hosts dirtied since the last pass)
 # across shards × delta, event log included; the incremental planner
-# must match its full-scan oracle; forked worlds must match cold ones;
+# must match its full-scan oracle; the packing core, the drain planner
+# and the drain replay (consecutive replans with small changes between
+# them, its fuzz target's seed corpus included) must match the
+# map-based planner they replaced; forked worlds must match cold ones;
 # and the lossy control-plane message layer must replay identically for
 # a fixed seed; and the event queue must fire, cancel and count
 # exactly as a sorted-slice reference does (its fuzz target's seed
 # corpus included). Run explicitly in CI (it is also part of `make
 # test`) so a violation is unmissable.
 determinism:
-	$(GO) test -run 'TestRunAllMatchesGolden|TestFaultedExperimentsMatchGolden|TestHyperscaleFullScanMatchesGolden|TestPlaneDeterministicAcrossReruns|TestDeltaEvaluateBitIdentical|TestShardedEvaluateBitIdentical|TestSameInstantEvaluateMatchesFullScan|TestIncrementalPlanningParity|TestForkMatchesColdStart|TestForkGridMatchesColdStart|TestConcurrentForksMatchColdStart|TestEngineMatchesReference|FuzzEngineMatchesReference' -v \
+	$(GO) test -run 'TestRunAllMatchesGolden|TestFaultedExperimentsMatchGolden|TestHyperscaleFullScanMatchesGolden|TestPlaneDeterministicAcrossReruns|TestDeltaEvaluateBitIdentical|TestShardedEvaluateBitIdentical|TestSameInstantEvaluateMatchesFullScan|TestIncrementalPlanningParity|TestPackMatchesOracle|TestPlanDrainMatchesOracle|TestPlanDrainMatchesOracleLive|TestDrainReplayMatchesOracle|FuzzDrainReplay|TestForkMatchesColdStart|TestForkGridMatchesColdStart|TestConcurrentForksMatchColdStart|TestEngineMatchesReference|FuzzEngineMatchesReference' -v \
 		./internal/experiments/ ./internal/ctrlplane/ ./internal/cluster/ ./internal/core/ ./internal/sim/ .
 
 bench:
@@ -141,25 +144,27 @@ bench-hyperscale-smoke:
 # steady-state control step over the 16384-host / 131072-VM
 # quiescent-majority fixture (the full-scan test oracle versus the
 # incremental planner; the acceptance bar is incremental >= 10x faster
-# than full-scan at 0 allocs/op), and the forecast upkeep as simulated
+# than full-scan at 0 allocs/op), the forecast upkeep as simulated
 # time moves one evaluation step per op, on a 4096-VM mixed fleet and
-# on the hyperscale fixture:
+# on the hyperscale fixture, and one migration-completion replan, on a
+# wide drain with short first-fit scans and on one shaped like
+# hyper -quick's, whose scans are long:
 #
 #	make bench-manager LABEL=manager-post-incremental
 bench-manager: LABEL ?= manager
 bench-manager:
-	$(GO) test -run '^$$' -bench 'BenchmarkManagerControlStepHyperscale|BenchmarkForecastUpkeep' \
+	$(GO) test -run '^$$' -bench 'BenchmarkManagerControlStepHyperscale|BenchmarkForecastUpkeep|BenchmarkDrainReplan' \
 		-benchmem -benchtime=50x -count=3 -timeout 30m ./internal/core/ \
 		| $(GO) run ./cmd/benchjson -label $(LABEL) -out BENCH_manager.json
 
 # The manager-cost gate without a measurement run: one iteration of the
-# hyperscale control-step and forecast-upkeep benchmarks (so the
-# fixtures cannot rot), the steady-state 0-alloc assertion, and the
-# parity property tests that hold the incremental planner against its
-# full-scan oracle. CI runs this as its manager-gate job; part of
+# hyperscale control-step, forecast-upkeep and drain-replan benchmarks
+# (so the fixtures cannot rot), the steady-state 0-alloc assertion, and
+# the parity property tests that hold the incremental planner against
+# its full-scan oracle. CI runs this as its manager-gate job; part of
 # `make ci`.
 bench-manager-smoke:
-	$(GO) test -run '^$$' -bench 'BenchmarkManagerControlStepHyperscale|BenchmarkForecastUpkeep' -benchmem -benchtime=1x \
+	$(GO) test -run '^$$' -bench 'BenchmarkManagerControlStepHyperscale|BenchmarkForecastUpkeep|BenchmarkDrainReplan' -benchmem -benchtime=1x \
 		./internal/core/
 	$(GO) test -run 'TestManagerStepSteadyStateAllocFree|TestIncrementalPlanningParity' -v \
 		./internal/core/

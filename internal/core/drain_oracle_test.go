@@ -227,6 +227,16 @@ func orderReusable(prev []int, items []Item) bool {
 	return true
 }
 
+// lastOrder lists the keys of the drain's last pack: the previous
+// processing order.
+func lastOrder(d *drainScratch) []int {
+	keys := make([]int, len(d.last))
+	for j, e := range d.last {
+		keys[j] = e.key
+	}
+	return keys
+}
+
 func sameAssignment(a, b Assignment) bool {
 	if len(a) != len(b) {
 		return false
@@ -275,10 +285,14 @@ func TestPackMatchesOracle(t *testing.T) {
 	}
 }
 
+// drainGroups is drainWorld's anti-affinity palette: half the VMs
+// carry one of three groups, so many grouped evacuees fit nowhere.
+var drainGroups = []string{"", "", "", "db", "web", "cache"}
+
 // drainWorld is a started cluster with random residents and in-flight
 // migrations under a manager that never runs on its own: the test
-// drives planDrain directly.
-func drainWorld(t *testing.T, seed uint64, kind PackKind) (*cluster.Cluster, *Manager, *sim.RNG) {
+// drives planDrain directly. Each VM's group is drawn from groups.
+func drainWorld(t *testing.T, seed uint64, kind PackKind, groups []string) (*cluster.Cluster, *Manager, *sim.RNG) {
 	t.Helper()
 	rng := sim.NewRNG(seed)
 	eng := sim.NewEngine(seed)
@@ -293,7 +307,6 @@ func drainWorld(t *testing.T, seed uint64, kind PackKind) (*cluster.Cluster, *Ma
 			t.Fatal(err)
 		}
 	}
-	groups := []string{"", "", "", "db", "web", "cache"}
 	for i := 0; i < nHosts*4; i++ {
 		cfg := vm.Config{
 			VCPUs:    4,
@@ -336,7 +349,7 @@ func TestPlanDrainMatchesOracle(t *testing.T) {
 		if seed%2 == 0 {
 			kind = PackBFD
 		}
-		cl, m, rng := drainWorld(t, seed, kind)
+		cl, m, rng := drainWorld(t, seed, kind, drainGroups)
 		hosts := cl.Hosts()
 		forecasts := make([]float64, cl.MaxVMID())
 		var evac []*host.Host
@@ -374,7 +387,7 @@ func TestPlanDrainMatchesOracle(t *testing.T) {
 				forecasts[i] = max(forecasts[i], 0)
 			}
 			want, wantOK := oraclePlanDrain(m, forecasts, c)
-			prev := append([]int(nil), m.drain.prev...)
+			prev := lastOrder(&m.drain)
 			sorts := m.drain.sorts
 			got, gotOK := densePlan(m, forecasts, c)
 			if gotOK != wantOK || !sameAssignment(got, want) {
@@ -403,6 +416,303 @@ func TestPlanDrainMatchesOracle(t *testing.T) {
 			hits, misses, feasible, infeasible)
 	}
 	t.Logf("%d order-reuse hits, %d misses; %d feasible, %d infeasible plans", hits, misses, feasible, infeasible)
+}
+
+// hostRole is a host's part in a replayHarness census.
+type hostRole uint8
+
+const (
+	roleServing hostRole = iota
+	roleEvacuating
+	roleOut // neither: parked, say
+)
+
+// replayCoverage counts what consecutive replans exercised: replays
+// and, within them, unchanged evacuees a dirty bin moved, resized
+// evacuees (and those that landed in their old bin again) and dropped
+// ones; and the full packs run instead of a replay after a re-sort,
+// after an infeasible pack and under BFD.
+type replayCoverage struct {
+	replays, moved, resized, resizedStayed, dropped int
+	resorted, afterInfeasible, underBFD             int
+}
+
+// replayHarness drives consecutive planDrain calls on a drainWorld
+// fleet with one small change between calls — a move starting or
+// finishing, a forecast nudged, an evacuee grown within its order, a
+// host joining or leaving the drain or the serving set, a grouped move
+// landing on a bin — and holds every plan to the oracle and every
+// replay decision to what the previous plan allows.
+type replayHarness struct {
+	t         *testing.T
+	cl        *cluster.Cluster
+	m         *Manager
+	rng       *sim.RNG
+	kind      PackKind
+	forecasts []float64
+	role      []hostRole // by host.ID-1
+	cov       replayCoverage
+}
+
+func newReplayHarness(t *testing.T, seed uint64, kind PackKind) *replayHarness {
+	t.Helper()
+	// One VM in five carries a group, so most drains are feasible.
+	cl, m, rng := drainWorld(t, seed, kind, []string{"", "", "", "", "", "", "", "", "db", "web"})
+	h := &replayHarness{t: t, cl: cl, m: m, rng: rng, kind: kind}
+	h.forecasts = make([]float64, cl.MaxVMID())
+	h.rescale(2)
+	h.role = make([]hostRole, len(cl.Hosts()))
+	for i := range h.role {
+		if i%3 == 0 {
+			h.role[i] = roleEvacuating
+		}
+	}
+	return h
+}
+
+// census lists serving and evacuating hosts in cluster order, as
+// takeCensus does.
+func (h *replayHarness) census() census {
+	var c census
+	for _, hs := range h.cl.Hosts() {
+		switch h.role[hs.ID()-1] {
+		case roleServing:
+			c.serving = append(c.serving, hs)
+		case roleEvacuating:
+			c.evacuating = append(c.evacuating, hs)
+		}
+	}
+	return c
+}
+
+// plan runs one replan, compares it with the oracle, checks that it
+// replayed exactly when the previous plan allowed, and tallies what it
+// exercised.
+func (h *replayHarness) plan(step int) {
+	h.t.Helper()
+	c := h.census()
+	d := &h.m.drain
+	prev, prevOK := slices.Clone(d.last), d.lastOK
+	sorts, replays := d.sorts, d.replays
+	want, wantOK := oraclePlanDrain(h.m, h.forecasts, c)
+	got, gotOK := densePlan(h.m, h.forecasts, c)
+	if gotOK != wantOK || !sameAssignment(got, want) {
+		h.t.Fatalf("step %d: dense plan %v,%v; oracle %v,%v", step, got, gotOK, want, wantOK)
+	}
+	reused, replayed := d.sorts == sorts, d.replays != replays
+	if replayed != (reused && prevOK && h.kind == PackFFD) {
+		h.t.Fatalf("step %d: replayed %v, but order reused %v, previous pack feasible %v, %v",
+			step, replayed, reused, prevOK, h.kind)
+	}
+	switch {
+	case !reused:
+		h.cov.resorted++
+	case !prevOK:
+		h.cov.afterInfeasible++
+	case h.kind == PackBFD:
+		h.cov.underBFD++
+	}
+	if !replayed || !gotOK {
+		return
+	}
+	h.cov.replays++
+	now := make(map[int]planned, len(d.last))
+	for _, e := range d.last {
+		now[e.key] = e
+	}
+	for _, e := range prev {
+		switch n, ok := now[e.key]; {
+		case !ok:
+			h.cov.dropped++
+		case n.cpu != e.cpu || n.mem != e.mem || n.group != e.group:
+			h.cov.resized++
+			if n.bin == e.bin {
+				h.cov.resizedStayed++
+			}
+		case n.bin != e.bin:
+			h.cov.moved++
+		}
+	}
+}
+
+// step applies change op (taken modulo the number of changes).
+func (h *replayHarness) step(op int) {
+	switch op % 7 {
+	case 0:
+		h.startMove()
+	case 1:
+		h.finishMove()
+	case 2:
+		h.forecasts[h.rng.Intn(len(h.forecasts))] += h.rng.Range(-0.3, 0.3)
+		h.clamp()
+	case 3:
+		h.grow()
+	case 4:
+		h.flipHost()
+	case 5:
+		h.groupMove()
+	case 6:
+		h.rescale([]float64{1, 2, 3, 8}[h.rng.Intn(4)])
+	}
+}
+
+func (h *replayHarness) clamp() {
+	for i := range h.forecasts {
+		h.forecasts[i] = max(h.forecasts[i], 0)
+	}
+}
+
+// rescale draws every forecast afresh; scale 4 usually makes the drain
+// infeasible.
+func (h *replayHarness) rescale(scale float64) {
+	for i := range h.forecasts {
+		h.forecasts[i] = float64(h.rng.Intn(8)) * 0.25 * scale
+	}
+}
+
+// startMove starts one evacuee's move to its planned destination, or
+// to a random serving host if the last plan did not place it.
+func (h *replayHarness) startMove() {
+	items := h.m.drain.items
+	for try := 0; try < 4 && len(items) > 0; try++ {
+		vid := vm.ID(items[h.rng.Intn(len(items))].Key)
+		dst := h.randomHost(roleServing)
+		if h.m.drain.lastOK {
+			// An infeasible plan's placement is only partly written.
+			dst, _ = h.m.drain.dest(vid)
+		}
+		if dst != 0 && h.cl.StartMigration(vid, dst) == nil {
+			return
+		}
+	}
+}
+
+// finishMove runs the world to the first in-flight move's completion.
+func (h *replayHarness) finishMove() {
+	var end sim.Time = -1
+	for _, mig := range h.cl.Migrations().Inflights() {
+		if end < 0 || mig.End < end {
+			end = mig.End
+		}
+	}
+	if end >= 0 {
+		h.cl.Engine().RunUntil(end)
+	}
+}
+
+// grow raises one evacuee's forecast by less than the gap to the item
+// ahead of it in the last plan, so the order holds but the evacuee may
+// no longer fit its old bin.
+func (h *replayHarness) grow() {
+	last := h.m.drain.last
+	if len(last) == 0 {
+		return
+	}
+	j := h.rng.Intn(len(last))
+	gap := 1.0
+	if j > 0 {
+		gap = last[j-1].cpu - last[j].cpu
+	}
+	if gap > 0 && h.forecasts[last[j].key-1] == last[j].cpu {
+		h.forecasts[last[j].key-1] += gap * h.rng.Range(0.5, 0.99)
+	}
+}
+
+// flipHost moves one host between serving, evacuating and neither.
+func (h *replayHarness) flipHost() {
+	i := h.rng.Intn(len(h.role))
+	h.role[i] = (h.role[i] + 1 + hostRole(h.rng.Intn(2))) % 3
+}
+
+// groupMove starts moving a VM that carries an anti-affinity group to
+// a serving host, whose bin then carries the group.
+func (h *replayHarness) groupMove() {
+	vms := h.cl.VMs()
+	for try := 0; try < 8; try++ {
+		v := vms[h.rng.Intn(len(vms))]
+		if v.Group() == "" || h.cl.Migrating(v.ID()) {
+			continue
+		}
+		if dst := h.randomHost(roleServing); dst != 0 && h.cl.StartMigration(v.ID(), dst) == nil {
+			return
+		}
+	}
+}
+
+func (h *replayHarness) randomHost(r hostRole) host.ID {
+	var ids []host.ID
+	for i, have := range h.role {
+		if have == r {
+			ids = append(ids, host.ID(i+1))
+		}
+	}
+	if len(ids) == 0 {
+		return 0
+	}
+	return ids[h.rng.Intn(len(ids))]
+}
+
+// TestDrainReplayMatchesOracle holds consecutive replans to the oracle
+// while small changes land between them, and requires that every path
+// of the replay and every fallback to the full pack ran. Leaving
+// clean the old bin of a resized evacuee that lands there again, a
+// dropped evacuee's bin or a moved evacuee's old bin each fails it. The
+// growth step is what catches the first: nudges alone seldom resize an
+// evacuee and keep the order.
+func TestDrainReplayMatchesOracle(t *testing.T) {
+	var cov replayCoverage
+	weights := []int{0, 0, 0, 1, 1, 2, 3, 3, 3, 4, 5, 6}
+	for seed := uint64(1); seed <= 24; seed++ {
+		kind := PackFFD
+		if seed%4 == 0 {
+			kind = PackBFD
+		}
+		h := newReplayHarness(t, seed, kind)
+		h.plan(0)
+		for call := 1; call <= 80; call++ {
+			h.step(weights[h.rng.Intn(len(weights))])
+			h.plan(call)
+		}
+		c := h.cov
+		cov.replays += c.replays
+		cov.moved += c.moved
+		cov.resized += c.resized
+		cov.resizedStayed += c.resizedStayed
+		cov.dropped += c.dropped
+		cov.resorted += c.resorted
+		cov.afterInfeasible += c.afterInfeasible
+		cov.underBFD += c.underBFD
+	}
+	if cov.replays == 0 || cov.moved == 0 || cov.resized == 0 || cov.resizedStayed == 0 || cov.dropped == 0 ||
+		cov.resorted == 0 || cov.afterInfeasible == 0 || cov.underBFD == 0 {
+		t.Fatalf("coverage %+v: want every count > 0", cov)
+	}
+	t.Logf("coverage %+v", cov)
+}
+
+// FuzzDrainReplay drives the replay harness with fuzzed change
+// sequences: each byte picks one change between two replans.
+func FuzzDrainReplay(f *testing.F) {
+	f.Add(uint64(1), false, []byte{3, 0, 3, 3, 1, 0, 2, 3, 4, 3, 5, 0, 3})
+	f.Add(uint64(2), false, []byte{6, 0, 0, 3, 6, 3, 1, 1, 3, 4, 4, 3})
+	f.Add(uint64(3), true, []byte{0, 3, 1, 2, 4, 5, 6, 3})
+	f.Add(uint64(5), false, []byte{5, 3, 5, 3, 0, 1, 3, 3, 3, 2, 2, 0, 0, 1})
+	f.Add(uint64(8), false, []byte{4, 3, 4, 3, 0, 3, 1, 3, 6, 3, 0, 3})
+	f.Fuzz(func(t *testing.T, seed uint64, bfd bool, ops []byte) {
+		if len(ops) > 64 {
+			ops = ops[:64]
+		}
+		kind := PackFFD
+		if bfd {
+			kind = PackBFD
+		}
+		h := newReplayHarness(t, seed, kind)
+		h.plan(0)
+		for i, op := range ops {
+			h.step(int(op))
+			h.plan(i + 1)
+		}
+	})
 }
 
 // TestPlanDrainMatchesOracleLive compares the planners on the live
@@ -438,6 +748,14 @@ func TestPlanDrainMatchesOracleLive(t *testing.T) {
 	t.Logf("compared %d live drain plans", compared)
 }
 
+// drainShape sizes a drainReplanFixture: hosts 16-core/256 GB hosts
+// with vmsPerHost 2-vCPU VMs of memGB each, diurnal demand from base
+// cores up to half a core more, and the first evacuate hosts draining.
+type drainShape struct {
+	hosts, vmsPerHost, evacuate int
+	memGB, base                 float64
+}
+
 // drainReplanFixture builds a fleet with a drain in progress: the
 // first evacuate hosts enter maintenance, each such entry starts what
 // migrations the slots admit, and continueMoves then runs until it
@@ -445,14 +763,14 @@ func TestPlanDrainMatchesOracleLive(t *testing.T) {
 // the whole drain and has each planned move refused — the regime of
 // the completion path, which sees hundreds of refusals per move it
 // starts.
-func drainReplanFixture(tb testing.TB, nHosts, vmsPerHost, evacuate int) *Manager {
+func drainReplanFixture(tb testing.TB, s drainShape) *Manager {
 	tb.Helper()
 	eng := sim.NewEngine(1)
 	cl, err := cluster.New(eng, cluster.Config{})
 	if err != nil {
 		tb.Fatal(err)
 	}
-	for i := 0; i < nHosts; i++ {
+	for i := 0; i < s.hosts; i++ {
 		if _, err := cl.AddHost(host.Config{Cores: 16, MemoryGB: 256}); err != nil {
 			tb.Fatal(err)
 		}
@@ -460,16 +778,16 @@ func drainReplanFixture(tb testing.TB, nHosts, vmsPerHost, evacuate int) *Manage
 	rng := sim.NewRNG(1)
 	traces := make([]*workload.Trace, 64)
 	for i := range traces {
-		traces[i] = workload.Diurnal(rng.Fork(), workload.DiurnalSpec{BaseCores: 0.1, PeakCores: 0.6})
+		traces[i] = workload.Diurnal(rng.Fork(), workload.DiurnalSpec{BaseCores: s.base, PeakCores: s.base + 0.5})
 	}
-	for i := 0; i < nHosts*vmsPerHost; i++ {
-		cfg := vm.Config{VCPUs: 2, MemoryGB: 8, Trace: traces[i%len(traces)]}
+	for i := 0; i < s.hosts*s.vmsPerHost; i++ {
+		cfg := vm.Config{VCPUs: 2, MemoryGB: s.memGB, Trace: traces[i%len(traces)]}
 		if i%8 == 0 {
 			// Distinct groups among each host's residents (host IDs
-			// repeat every nHosts VMs), shared across hosts.
+			// repeat every s.hosts VMs), shared across hosts.
 			cfg.Group = fmt.Sprintf("g%d", i%53)
 		}
-		if _, err := cl.AddVM(cfg, host.ID(i%nHosts+1)); err != nil {
+		if _, err := cl.AddVM(cfg, host.ID(i%s.hosts+1)); err != nil {
 			tb.Fatal(err)
 		}
 	}
@@ -480,7 +798,7 @@ func drainReplanFixture(tb testing.TB, nHosts, vmsPerHost, evacuate int) *Manage
 	cl.Start()
 	m.Start()
 	eng.RunUntil(time.Minute)
-	for i := 1; i <= evacuate; i++ {
+	for i := 1; i <= s.evacuate; i++ {
 		if err := m.EnterMaintenance(host.ID(i)); err != nil {
 			tb.Fatal(err)
 		}
@@ -504,7 +822,7 @@ func drainReplanFixture(tb testing.TB, nHosts, vmsPerHost, evacuate int) *Manage
 // StartMigration, the park scan and the load-balancing pass —
 // allocates nothing.
 func TestDrainReplanSteadyStateAllocFree(t *testing.T) {
-	m := drainReplanFixture(t, 64, 16, 8)
+	m := drainReplanFixture(t, drainShape{hosts: 64, vmsPerHost: 16, evacuate: 8, memGB: 8, base: 0.1})
 	failed := m.stats.MigrationsFailed
 	m.continueMoves()
 	if m.stats.MigrationsFailed == failed {
@@ -515,13 +833,101 @@ func TestDrainReplanSteadyStateAllocFree(t *testing.T) {
 	}
 }
 
-// BenchmarkDrainReplan measures one completion replan at hyper -quick
-// scale (256 hosts, 4,096 VMs) with 32 hosts draining.
+// TestDrainRefusalsWithoutFreeSlot pins the refused-start shortcut in
+// drainEvacuating: when every evacuating host's migration slots are
+// taken, each eligible planned evacuee counts exactly one refusal and
+// no move starts.
+func TestDrainRefusalsWithoutFreeSlot(t *testing.T) {
+	eng := sim.NewEngine(1)
+	cl, err := cluster.New(eng, cluster.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 8; i++ {
+		if _, err := cl.AddHost(host.Config{Cores: 16, MemoryGB: 256}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Hosts 1 and 2 carry six VMs each, the other hosts two.
+	for i := 0; i < 24; i++ {
+		on := host.ID(i%8 + 1)
+		if i >= 16 {
+			on = host.ID(i%2 + 1)
+		}
+		if _, err := cl.AddVM(vm.Config{VCPUs: 2, MemoryGB: 8, Trace: workload.Constant(0.5)}, on); err != nil {
+			t.Fatal(err)
+		}
+	}
+	m, err := NewManager(cl, Config{Policy: DPMS3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cl.Start()
+	// Fill both sources' four slots, spreading the moves over hosts 3-8
+	// so the destinations keep free slots.
+	dst := 3
+	for _, src := range []host.ID{1, 2} {
+		h, _ := cl.Host(src)
+		for _, vid := range h.VMs()[:4] {
+			if err := cl.StartMigration(vid, host.ID(dst)); err != nil {
+				t.Fatal(err)
+			}
+			dst = dst%6 + 3
+		}
+	}
+	m.evacuating.add(1)
+	m.evacuating.add(2)
+	m.invalidate()
+	forecasts := m.observeAll()
+	eligible := 0
+	if !m.planDrain(forecasts, m.takeCensus()) {
+		t.Fatal("drain plan infeasible")
+	}
+	for _, src := range []host.ID{1, 2} {
+		h, _ := cl.Host(src)
+		for _, vid := range h.VMs() {
+			if _, planned := m.drain.dest(vid); planned && !cl.Migrating(vid) {
+				eligible++
+			}
+		}
+	}
+	if eligible != 4 {
+		t.Fatalf("%d eligible planned evacuees, want 4", eligible)
+	}
+	inflight := cl.Migrations().Inflight()
+	m.drainEvacuating(forecasts)
+	if m.stats.MigrationsFailed != eligible || m.stats.MigrationsConsolidation != 0 {
+		t.Fatalf("drain counted %d refusals and %d starts; want %d and 0",
+			m.stats.MigrationsFailed, m.stats.MigrationsConsolidation, eligible)
+	}
+	if got := cl.Migrations().Inflight(); got != inflight {
+		t.Fatalf("%d migrations in flight after the drain, want %d", got, inflight)
+	}
+}
+
+// BenchmarkDrainReplan measures one completion replan (a warmed-up
+// continueMoves with every planned move refused) on two drains of
+// hyper -quick's size, 256 hosts and 4,096 VMs:
+//
+//   - wide: 32 hosts drain into 224 serving bins with room to spare,
+//     so first-fit scans are short;
+//   - hyper: shaped like hyper -quick's own drains, 181 hosts drain
+//     into 75 serving bins near the packing target, so scans are long.
 func BenchmarkDrainReplan(b *testing.B) {
-	m := drainReplanFixture(b, 256, 16, 32)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		m.continueMoves()
+	for _, bc := range []struct {
+		name  string
+		shape drainShape
+	}{
+		{"wide", drainShape{hosts: 256, vmsPerHost: 16, evacuate: 32, memGB: 8, base: 0.1}},
+		{"hyper", drainShape{hosts: 256, vmsPerHost: 16, evacuate: 85, memGB: 4, base: 0.3}},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			m := drainReplanFixture(b, bc.shape)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				m.continueMoves()
+			}
+		})
 	}
 }

@@ -1066,6 +1066,7 @@ func (m *Manager) drainEvacuating(forecasts []float64) {
 		return
 	}
 	migrated := 0
+	migs := m.cl.Migrations()
 	for _, src := range c.evacuating {
 		for _, vid := range src.VMs() {
 			if m.cl.Migrating(vid) || m.migrationHeld(vid) || m.migCmdPending(vid) {
@@ -1076,6 +1077,15 @@ func (m *Manager) drainEvacuating(forecasts []float64) {
 			}
 			dst, planned := m.drain.dest(vid)
 			if !planned {
+				continue
+			}
+			if m.cp == nil && !migs.CanStart(int(src.ID()), int(dst)) {
+				// StartMigration would refuse it with every slot of an
+				// endpoint taken, having changed nothing: count the
+				// refusal without the call. Over a control plane the
+				// order still goes out, and the refusal comes back as a
+				// nack.
+				m.stats.MigrationsFailed++
 				continue
 			}
 			if err := m.startMigration(vid, dst); err != nil {
@@ -1123,7 +1133,9 @@ func (m *Manager) drainEvacuating(forecasts []float64) {
 // residual capacity of the serving hosts, leaving the plan in m.drain
 // (see drainScratch.dest). Serving hosts' own VMs are pre-charged
 // against their bins (they stay put), each host's in ascending VM-ID
-// order; only evacuees are packing items, and none has a home bin. It
+// order; only evacuees are packing items, and none has a home bin. A
+// first-fit plan whose evacuee order is reused replays the previous
+// pack (drainScratch.replay); any other runs the full pack. It
 // reports whether every evacuee found a destination.
 func (m *Manager) planDrain(forecasts []float64, c census) bool {
 	d := &m.drain
@@ -1158,8 +1170,14 @@ func (m *Manager) planDrain(forecasts []float64, c census) bool {
 		}
 	}
 	d.items = items
-	d.sortItems(m.cl.MaxVMID())
-	return d.pk.pack(items, nil, m.cfg.Packing)
+	d.noteStart()
+	if d.sortItems(m.cl.MaxVMID()) && d.lastOK && m.cfg.Packing == PackFFD {
+		d.replays++
+		return d.replay()
+	}
+	ok := d.pk.pack(items, nil, m.cfg.Packing)
+	d.record(ok)
+	return ok
 }
 
 // pickLBDestination picks the load-balancing target for one VM: the
@@ -1315,6 +1333,11 @@ func (m *Manager) balanceLoad(forecasts []float64) {
 			continue
 		}
 		if loads[src.ID()-1] <= m.cfg.LBThreshold*src.Cores() {
+			continue
+		}
+		if !m.cl.Migrations().HasSlot(int(src.ID())) {
+			// Every move off src would be refused a slot, so every
+			// pickLBDestination below would come back empty.
 			continue
 		}
 		// Move smallest VMs first: cheapest moves that relieve

@@ -235,6 +235,53 @@ func TestLoadBalancingSpreadsHotHost(t *testing.T) {
 	}
 }
 
+// TestLoadBalancingUsesLastSlot pins the free-slot skip in balanceLoad:
+// a hot host with 3 of its 4 migration slots busy still sheds a VM
+// through the last one, and then sheds no more.
+func TestLoadBalancingUsesLastSlot(t *testing.T) {
+	eng := sim.NewEngine(1)
+	cl, err := cluster.New(eng, cluster.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 5; i++ {
+		if _, err := cl.AddHost(host.Config{Cores: 16, MemoryGB: 128}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Host 1 carries 32 cores of demand on 16.
+	for i := 0; i < 8; i++ {
+		if _, err := cl.AddVM(vm.Config{VCPUs: 4, MemoryGB: 8, Trace: workload.Constant(4)}, 1); err != nil {
+			t.Fatal(err)
+		}
+	}
+	m, err := NewManager(cl, Config{Policy: NoPM})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cl.Start()
+	for i := 0; i < 3; i++ {
+		if err := cl.StartMigration(vm.ID(i+1), host.ID(i+2)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	migs := cl.Migrations()
+	if migs.HostLoad(1) != 3 || !migs.HasSlot(1) {
+		t.Fatalf("host 1 has %d migrations in flight, HasSlot %v; want 3 and a free slot", migs.HostLoad(1), migs.HasSlot(1))
+	}
+	m.balanceLoad(m.observeAll())
+	if m.stats.MigrationsLB != 1 {
+		t.Fatalf("load balancer started %d moves off the hot host, want 1 through its last slot", m.stats.MigrationsLB)
+	}
+	if migs.HostLoad(1) != 4 || migs.HasSlot(1) {
+		t.Fatalf("host 1 has %d migrations in flight, HasSlot %v; want 4 and no free slot", migs.HostLoad(1), migs.HasSlot(1))
+	}
+	m.balanceLoad(m.observeAll())
+	if m.stats.MigrationsLB != 1 || m.stats.MigrationsFailed != 0 {
+		t.Fatalf("saturated hot host: %d LB moves, %d refusals; want 1 and 0", m.stats.MigrationsLB, m.stats.MigrationsFailed)
+	}
+}
+
 func TestMinActiveRespected(t *testing.T) {
 	cfg := Config{Policy: DPMS3, MinActive: 2}
 	cl, _ := runScenario(t, 4, flatTraces(2, 0.25), cfg, 4*time.Hour)

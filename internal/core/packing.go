@@ -176,10 +176,7 @@ func ordered(items []Item, order []int32) bool {
 // packed with the chosen heuristic. It reports false as soon as an
 // item fits nowhere, leaving place partly written.
 func (p *packer) pack(items []Item, home []int32, kind PackKind) bool {
-	if cap(p.place) < len(items) {
-		p.place = make([]int32, len(items))
-	}
-	p.place = p.place[:len(items)]
+	p.sizePlace(len(items))
 	movers := p.order
 	if home != nil {
 		// Pass 1: sticky placement on the current bin.
@@ -213,12 +210,7 @@ func (p *packer) pack(items []Item, home []int32, kind PackKind) bool {
 				}
 			}
 		default: // PackFFD
-			for b := range p.bins {
-				if p.bins[b].fits(it) {
-					chosen = int32(b)
-					break
-				}
-			}
+			chosen = p.firstFit(it, 0)
 		}
 		if chosen < 0 {
 			return false
@@ -227,6 +219,25 @@ func (p *packer) pack(items []Item, home []int32, kind PackKind) bool {
 		p.place[i] = chosen
 	}
 	return true
+}
+
+// sizePlace sizes the placement to n items.
+func (p *packer) sizePlace(n int) {
+	if cap(p.place) < n {
+		p.place = make([]int32, n)
+	}
+	p.place = p.place[:n]
+}
+
+// firstFit returns the first bin at or after position from that fits
+// the item, or -1.
+func (p *packer) firstFit(it *Item, from int32) int32 {
+	for b := int(from); b < len(p.bins); b++ {
+		if p.bins[b].fits(it) {
+			return int32(b)
+		}
+	}
+	return -1
 }
 
 // Pack assigns every item to a bin, keeping items on their current bin

@@ -175,11 +175,12 @@ func (m *Manager) HostLoad(h int) int {
 // finish a migration — copy it first, as FailHost does.
 func (m *Manager) Inflights() []*Migration { return m.inflight }
 
+// HasSlot reports whether host h can take part in one more migration.
+func (m *Manager) HasSlot(h int) bool { return m.HostLoad(h) < m.perHostLimit }
+
 // CanStart reports whether a src→dst migration would be admitted.
 func (m *Manager) CanStart(src, dst int) bool {
-	return src != dst &&
-		m.HostLoad(src) < m.perHostLimit &&
-		m.HostLoad(dst) < m.perHostLimit
+	return src != dst && m.HasSlot(src) && m.HasSlot(dst)
 }
 
 // Start begins migrating the VM with the given memory footprint from
