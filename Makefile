@@ -4,7 +4,7 @@
 GO ?= go
 GOFMT ?= gofmt
 
-.PHONY: build test test-shuffle race vet fmt staticcheck determinism bench bench-smoke bench-baseline bench-hotpath bench-alloc bench-scale bench-scale-smoke bench-hyperscale bench-hyperscale-smoke bench-manager bench-manager-smoke bench-setup bench-setup-smoke bench-api bench-api-smoke bench-e2e-smoke scenario-gate sweep-quick ci clean
+.PHONY: build test test-shuffle race vet fmt staticcheck gate-names determinism bench bench-smoke bench-baseline bench-hotpath bench-alloc bench-scale bench-scale-smoke bench-hyperscale bench-hyperscale-smoke bench-manager bench-manager-smoke bench-setup bench-setup-smoke bench-api bench-api-smoke bench-e2e-smoke scenario-gate sweep-quick ci clean
 
 build:
 	$(GO) build ./...
@@ -41,13 +41,20 @@ fmt:
 		echo "gofmt needed on:"; echo "$$out"; exit 1; \
 	fi
 
+# Fails (and names the stale alternative) if any -run or -bench list
+# below names no test, benchmark or fuzz target: `go test -run 'A|Gone'`
+# passes silently once Gone is renamed or deleted.
+gate-names:
+	GO=$(GO) sh scripts/check_run_names.sh Makefile
+
 # The determinism gate: the full experiment suite must render the
 # golden bytes on 1 worker and many, with and without a sharded
 # evaluation tick; the faulted experiments must match their golden
-# sections across shards × workers × delta; the delta and sharded ticks
-# must match the serial full scan bit for bit, and so must the
-# same-instant passes (only the hosts dirtied since the last pass)
-# across shards × delta, event log included; the incremental planner
+# sections across shards × workers; the event-driven tick, serial and
+# sharded, must match the full-scan test oracle bit for bit, and so must
+# the same-instant passes (only the hosts dirtied since the last pass),
+# event log included, hyper -quick's five runs, and the differential
+# fuzz target's seed corpus of event programs; the incremental planner
 # must match its full-scan oracle; the packing core, the drain planner
 # and the drain replay (consecutive replans with small changes between
 # them, its fuzz target's seed corpus included) must match the
@@ -58,7 +65,7 @@ fmt:
 # corpus included). Run explicitly in CI (it is also part of `make
 # test`) so a violation is unmissable.
 determinism:
-	$(GO) test -run 'TestRunAllMatchesGolden|TestFaultedExperimentsMatchGolden|TestHyperscaleFullScanMatchesGolden|TestPlaneDeterministicAcrossReruns|TestDeltaEvaluateBitIdentical|TestShardedEvaluateBitIdentical|TestSameInstantEvaluateMatchesFullScan|TestIncrementalPlanningParity|TestPackMatchesOracle|TestPlanDrainMatchesOracle|TestPlanDrainMatchesOracleLive|TestDrainReplayMatchesOracle|FuzzDrainReplay|TestForkMatchesColdStart|TestForkGridMatchesColdStart|TestConcurrentForksMatchColdStart|TestEngineMatchesReference|FuzzEngineMatchesReference' -v \
+	$(GO) test -run 'TestRunAllMatchesGolden|TestFaultedExperimentsMatchGolden|TestHyperscaleQuickMatchesFullScan|TestPlaneDeterministicAcrossReruns|TestDeltaEvaluateBitIdentical|TestShardedEvaluateBitIdentical|TestSameInstantEvaluateMatchesFullScan|FuzzEvaluateMatchesFullScan|TestIncrementalPlanningParity|TestPackMatchesOracle|TestPlanDrainMatchesOracle|TestPlanDrainMatchesOracleLive|TestDrainReplayMatchesOracle|FuzzDrainReplay|TestForkMatchesColdStart|TestForkGridMatchesColdStart|TestConcurrentForksMatchColdStart|TestEngineMatchesReference|FuzzEngineMatchesReference' -v \
 		./internal/experiments/ ./internal/ctrlplane/ ./internal/cluster/ ./internal/core/ ./internal/sim/ .
 
 bench:
@@ -96,11 +103,12 @@ bench-hotpath:
 		-benchmem -count=3 ./internal/cluster/ ./internal/core/ ./internal/sim/ \
 		| $(GO) run ./cmd/benchjson -label $(LABEL) -out BENCH_hotpath.json
 
-# Record the datacenter-scale benchmarks (one evaluation tick and one
-# full simulated day at 2048 hosts / 16384 VMs, serial and sharded)
+# Record the datacenter-scale benchmarks (one full-scan-oracle pass and
+# one full simulated day at 2048 hosts / 16384 VMs, serial and sharded)
 # into BENCH_scale.json. The checked-in artifact holds the pre/post
-# numbers of the sharded-evaluation rework; the speedup is only
-# visible with GOMAXPROCS >= the shard count:
+# numbers of the sharded-evaluation rework and of the deadline sweep;
+# the sharding speedup is only visible with GOMAXPROCS >= the shard
+# count:
 #
 #	make bench-scale LABEL=scale-post-sharded
 bench-scale: LABEL ?= scale
@@ -117,12 +125,14 @@ bench-scale-smoke:
 		./internal/cluster/
 
 # Record the hyperscale benchmarks (one steady-state evaluation tick on
-# the 16384-host / 131072-VM quiescent-majority fixture, full-scan
-# versus delta) into BENCH_hyperscale.json. The checked-in artifact
-# holds the pre/post numbers of the delta-evaluation rework; the
-# acceptance bar is delta >= 10x faster than full-scan at 0 allocs/op:
+# the 16384-host / 131072-VM quiescent-majority fixture: the full-scan
+# test oracle versus the event-driven tick) into BENCH_hyperscale.json.
+# The checked-in artifact holds the pre/post numbers of the
+# delta-evaluation rework and of the deadline sweep that replaced the
+# due-heaps; the acceptance bar is the tick >= 10x faster than the
+# oracle at 0 allocs/op:
 #
-#	make bench-hyperscale LABEL=hyperscale-post-delta
+#	make bench-hyperscale LABEL=hyperscale-post-sweep
 bench-hyperscale: LABEL ?= hyperscale
 bench-hyperscale:
 	$(GO) test -run '^$$' -bench 'BenchmarkHyperscaleEvaluate' \
@@ -130,15 +140,15 @@ bench-hyperscale:
 		| $(GO) run ./cmd/benchjson -label $(LABEL) -out BENCH_hyperscale.json
 
 # The hyperscale gate without a measurement run: one iteration of the
-# tick benchmark, the delta 0-alloc gate, the quick-mode heap budget
-# assertion, and the full-scan replay of the delta-default hyperscale
-# experiment against its golden section. CI runs this as its
-# hyperscale smoke job.
+# tick benchmarks, the tick's 0-alloc gate, the quick-mode heap budget
+# assertion (which also compares the report with its golden section),
+# and hyper -quick's five runs compared bit for bit with the full-scan
+# oracle. CI runs this as its hyperscale smoke job.
 bench-hyperscale-smoke:
 	$(GO) test -run '^$$' -bench 'BenchmarkHyperscaleEvaluate' -benchmem -benchtime=1x \
 		./internal/cluster/
-	$(GO) test -run 'TestDeltaSteadyStateAllocFree|TestHyperscaleQuickHeapBudget|TestHyperscaleFullScanMatchesGolden' -v \
-		./internal/cluster/ ./internal/experiments/
+	$(GO) test -run 'TestDeltaSteadyStateAllocFree|TestHyperscaleQuickHeapBudget|TestHyperscaleQuickMatchesFullScan' -v \
+		./internal/cluster/ ./internal/experiments/ .
 
 # Record the manager-planning benchmarks into BENCH_manager.json: one
 # steady-state control step over the 16384-host / 131072-VM
@@ -259,7 +269,7 @@ sweep-quick:
 
 # Everything the CI workflow runs, in the same order, for one local
 # command that predicts a green pipeline.
-ci: vet fmt build test test-shuffle race determinism bench-alloc bench-scale-smoke bench-hyperscale-smoke bench-manager-smoke bench-setup-smoke bench-api-smoke bench-e2e-smoke scenario-gate bench-smoke
+ci: vet fmt gate-names build test test-shuffle race determinism bench-alloc bench-scale-smoke bench-hyperscale-smoke bench-manager-smoke bench-setup-smoke bench-api-smoke bench-e2e-smoke scenario-gate bench-smoke
 
 clean:
 	$(GO) clean ./...

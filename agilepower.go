@@ -258,13 +258,6 @@ type Scenario struct {
 	// Purely a wall-clock knob for datacenter-scale fleets: results
 	// are byte-identical for every value.
 	Shards int
-	// Delta switches the evaluation tick from a full per-host scan to
-	// event-driven delta evaluation: only hosts whose inputs changed
-	// since the last tick (demand edge, placement, migration, power
-	// transition, DVFS move) are re-evaluated, and quiescent hosts'
-	// energy integrates analytically. Purely a wall-clock knob like
-	// Shards: results are byte-identical with it on or off.
-	Delta bool
 	// TelemetryCap, when positive, bounds each recorded time series
 	// (power, demand, delivered, active hosts) to at most this many
 	// stored samples via deterministic bucket folding — memory stays
@@ -491,11 +484,12 @@ type Result struct {
 	Profile   *Profile
 
 	// EvalTicks and HostEvals count evaluation passes and the per-host
-	// evaluations they performed — the delta-evaluation skip ratio is
-	// 1 − HostEvals/(EvalTicks×Hosts). Execution diagnostics like wall
-	// time: deterministic within an evaluation mode but different
-	// between delta and full, so experiments report them on the
-	// progress stream, never in byte-compared reports.
+	// evaluations they performed — the event-driven tick's skip ratio
+	// is 1 − HostEvals/(EvalTicks×Hosts). Execution diagnostics like
+	// wall time: deterministic, but they move whenever the tick's
+	// bookkeeping does while every report byte stays put, so
+	// experiments report them on the progress stream, never in
+	// byte-compared reports.
 	EvalTicks int64
 	HostEvals int64
 }

@@ -39,7 +39,7 @@ var setupSizes = []struct {
 }
 
 // setupScenario mirrors the hyperscale experiment's world shape: a
-// homogeneous fleet, delta evaluation, capped telemetry, pooled traces.
+// homogeneous fleet, capped telemetry, pooled traces.
 func setupScenario(hosts, vms int) Scenario {
 	return Scenario{
 		Name:         "bench-setup",
@@ -47,7 +47,6 @@ func setupScenario(hosts, vms int) Scenario {
 		VMs:          HyperscaleFleet(vms, 1),
 		Horizon:      time.Hour,
 		Seed:         1,
-		Delta:        true,
 		TelemetryCap: 4096,
 		Manager:      ManagerConfig{Policy: DPMS3},
 	}

@@ -40,7 +40,6 @@ func main() {
 	ctrlDelay := flag.Duration("ctrlplane-delay", 0, "mean one-way management-network delay for the ctrl experiment (0 with zero loss = no control plane)")
 	ctrlLoss := flag.Float64("ctrlplane-loss", 0, "per-leg management-network loss probability in [0,1]")
 	shards := flag.Int("shards", 0, "shard each simulation's evaluation tick across this many host ranges (0/1 = serial); output is identical for every value")
-	delta := flag.String("delta", "", "evaluation mode: 'on' forces event-driven delta evaluation, 'off' forces the full scan, empty lets each experiment choose; output is identical in either mode")
 	telemetryCap := flag.Int("telemetry-cap", 0, "bound each recorded time series to this many stored samples (0 = experiment default)")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile to this file")
 	memProfile := flag.String("memprofile", "", "write a heap profile to this file on exit")
@@ -72,22 +71,10 @@ func main() {
 		os.Exit(1)
 	}
 
-	var deltaMode experiments.DeltaMode
-	switch *delta {
-	case "":
-		deltaMode = experiments.DeltaDefault
-	case "on":
-		deltaMode = experiments.DeltaOn
-	case "off":
-		deltaMode = experiments.DeltaOff
-	default:
-		fmt.Fprintf(os.Stderr, "powerbench: invalid -delta %q (want on, off, or empty)\n", *delta)
-		os.Exit(1)
-	}
 	opts := experiments.Options{
 		Seed: *seed, Profile: profile, Workers: *workers,
 		CtrlDelay: *ctrlDelay, CtrlLoss: *ctrlLoss,
-		Shards: *shards, Delta: deltaMode, TelemetryCap: *telemetryCap,
+		Shards: *shards, TelemetryCap: *telemetryCap,
 	}
 	ids := []string{"t1", "f2", "f3"}
 	if *exp != "all" {
@@ -99,8 +86,8 @@ func main() {
 		// counterpart characterization for the management network; the
 		// -ctrlplane-* flags add an extra row to its delay×loss grid.
 		// scale is the datacenter-size run the -shards flag exists for;
-		// hyper is the 100k-host delta-evaluation run the -delta and
-		// -telemetry-cap flags exist for.
+		// hyper is the 100k-host run the -telemetry-cap flag exists
+		// for.
 		case "t1", "f2", "f3", "ctrl", "scale", "hyper":
 		default:
 			fmt.Fprintf(os.Stderr, "powerbench: unknown experiment %q (want t1, f2, f3, ctrl, scale, hyper)\n", id)

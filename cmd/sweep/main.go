@@ -26,7 +26,6 @@ func main() {
 	ctrlDelay := flag.Duration("ctrlplane-delay", 0, "mean one-way management-network delay for cluster experiments (0 with zero loss = no control plane)")
 	ctrlLoss := flag.Float64("ctrlplane-loss", 0, "per-leg management-network loss probability in [0,1]")
 	shards := flag.Int("shards", 0, "shard each simulation's evaluation tick across this many host ranges (0/1 = serial); output is identical for every value")
-	delta := flag.String("delta", "", "evaluation mode: 'on' forces event-driven delta evaluation, 'off' forces the full scan, empty lets each experiment choose; output is identical in either mode")
 	telemetryCap := flag.Int("telemetry-cap", 0, "bound each recorded time series to this many stored samples (0 = experiment default)")
 	list := flag.Bool("list", false, "list experiment ids and exit")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile to this file")
@@ -51,16 +50,11 @@ func main() {
 		fmt.Fprintln(os.Stderr, "sweep:", err)
 		os.Exit(1)
 	}
-	deltaMode, err := parseDeltaMode(*delta)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "sweep:", err)
-		os.Exit(1)
-	}
 	health := &experiments.Health{}
 	opts := experiments.Options{
 		Quick: *quick, Seed: *seed, SVGDir: *svgDir, Workers: *parallel,
 		CtrlDelay: *ctrlDelay, CtrlLoss: *ctrlLoss,
-		Shards: *shards, Delta: deltaMode, TelemetryCap: *telemetryCap,
+		Shards: *shards, TelemetryCap: *telemetryCap,
 		Health: health,
 	}
 	if *exp == "all" {
@@ -82,19 +76,5 @@ func main() {
 	if health.Unhealthy() {
 		fmt.Fprintln(os.Stderr, "sweep:", health.Summary())
 		os.Exit(3)
-	}
-}
-
-// parseDeltaMode maps the -delta flag onto the tri-state Options knob.
-func parseDeltaMode(s string) (experiments.DeltaMode, error) {
-	switch s {
-	case "":
-		return experiments.DeltaDefault, nil
-	case "on":
-		return experiments.DeltaOn, nil
-	case "off":
-		return experiments.DeltaOff, nil
-	default:
-		return 0, fmt.Errorf("invalid -delta %q (want on, off, or empty)", s)
 	}
 }

@@ -60,7 +60,7 @@ func assertSameResult(t *testing.T, a, b *Result) {
 
 // forkCases is the feature matrix the fork-identity tests run over:
 // churn, fault injection, a lossy control plane, predictive wake, DVFS,
-// heterogeneous fleets, sharded and delta evaluation — every subsystem
+// heterogeneous fleets, a sharded evaluation tick — every subsystem
 // whose RNG stream or event order a sloppy snapshot could perturb.
 func forkCases() []struct {
 	name string
@@ -112,7 +112,7 @@ func forkCases() []struct {
 		}()},
 		{"sharded delta churn", Scenario{
 			Hosts: 8, VMs: MixedFleet(32, 7), Horizon: 8 * time.Hour, Seed: 7,
-			Shards: 2, Delta: true, TelemetryCap: 64,
+			Shards: 2, TelemetryCap: 64,
 			Manager: ManagerConfig{Policy: DPMS5},
 			Churn:   &ChurnSpec{ArrivalsPerHour: 2, MeanLifetime: 3 * time.Hour},
 		}},
@@ -266,7 +266,6 @@ func TestForkRejectsWorldMismatch(t *testing.T) {
 		// must share the prototype's VMs slice, not merely equal specs.
 		{"VMs", func(sc Scenario) Scenario { sc.VMs = append([]VMSpec(nil), sc.VMs...); return sc }},
 		{"Shards", func(sc Scenario) Scenario { sc.Shards = 2; return sc }},
-		{"Delta", func(sc Scenario) Scenario { sc.Delta = true; return sc }},
 		{"TelemetryCap", func(sc Scenario) Scenario { sc.TelemetryCap = 32; return sc }},
 		{"Migration", func(sc Scenario) Scenario {
 			m := DefaultMigrationModel()

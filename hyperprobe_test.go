@@ -14,7 +14,7 @@ import (
 // behind an env var: a manual probe for the "laptop-sized heap"
 // claim, not a CI test — a full simulated day's wall time is
 // dominated by the manager's per-migration re-planning (see ROADMAP
-// item 1), not by the delta tick this probe exercises.
+// item 1), not by the evaluation tick this probe exercises.
 func TestHyperFullHeapProbe(t *testing.T) {
 	if os.Getenv("HYPER_PROBE") == "" {
 		t.Skip("set HYPER_PROBE=1 to run")
@@ -33,7 +33,7 @@ func TestHyperFullHeapProbe(t *testing.T) {
 		Horizon: 24 * time.Hour,
 		Manager: ManagerConfig{Policy: DPMS3},
 		VMs:     HyperscaleFleet(1000000, 1),
-		Shards:  16, Delta: true, TelemetryCap: 4096,
+		Shards:  16, TelemetryCap: 4096,
 	}
 	start := time.Now()
 	se, err := sc.Start()

@@ -43,8 +43,8 @@ var overflowBodies = map[string]string{
 // invalidBodies are scenario files the service must refuse with 400
 // for reasons other than a wrapped count: malformed JSON, counts or a
 // horizon outside the default budget, names the builders do not know,
-// negative knobs, churn whose expected arrivals pass the VM budget,
-// and data after the scenario object.
+// negative knobs, the retired "delta" key, churn whose expected
+// arrivals pass the VM budget, and data after the scenario object.
 var invalidBodies = []struct{ name, body string }{
 	{"bad json", `{`},
 	{"zero hosts", `{"hosts":0,"fleets":[{"kind":"flat","count":4}]}`},
@@ -55,6 +55,8 @@ var invalidBodies = []struct{ name, body string }{
 	{"horizon too long", `{"hosts":4,"fleets":[{"kind":"flat","count":4}],"horizonHours":100000}`},
 	{"negative shards", `{"hosts":4,"fleets":[{"kind":"flat","count":4}],"shards":-1}`},
 	{"negative telemetry cap", `{"hosts":4,"fleets":[{"kind":"flat","count":4}],"telemetryCap":-1}`},
+	// Every tick is event-driven now; the evaluation-mode key is gone.
+	{"delta", `{"hosts":4,"fleets":[{"kind":"flat","count":4}],"delta":true}`},
 	// 1e13 arrivals in one hour. The mean arrival gap also rounds to
 	// 0 ns, so an admitted job would never leave simulated time 0 s.
 	{"churn past the vm budget", `{"hosts":2,"fleets":[{"kind":"flat","count":1}],"horizonHours":1,` +

@@ -44,7 +44,7 @@ type Config struct {
 	// MaxHosts, MaxVMs, and MaxHorizon are the admission budget: a
 	// request above any of them is rejected with 400. MaxVMs counts
 	// the fleets' VMs plus the churn arrivals expected over the
-	// horizon. The defaults admit delta-mode hyperscale runs (128k
+	// horizon. The defaults admit hyperscale runs (128k
 	// hosts / 1M VMs / 30 days); operators shrink them on small boxes.
 	MaxHosts   int
 	MaxVMs     int

@@ -124,7 +124,8 @@ func TestCreateAndFetchRun(t *testing.T) {
 	}
 }
 
-// TestCreateRunValidation posts each of invalidBodies and expects 400.
+// TestCreateRunValidation posts each of invalidBodies and expects 400;
+// the retired "delta" key must be refused by name.
 func TestCreateRunValidation(t *testing.T) {
 	ts := newTestServer(t)
 	for _, tc := range invalidBodies {
@@ -133,6 +134,13 @@ func TestCreateRunValidation(t *testing.T) {
 			defer resp.Body.Close()
 			if resp.StatusCode != http.StatusBadRequest {
 				t.Fatalf("status = %d, want 400", resp.StatusCode)
+			}
+			var e apiError
+			if err := json.NewDecoder(resp.Body).Decode(&e); err != nil {
+				t.Fatal(err)
+			}
+			if tc.name == "delta" && !strings.Contains(e.Error, `"delta"`) {
+				t.Fatalf("error %q does not name the key", e.Error)
 			}
 		})
 	}

@@ -528,8 +528,7 @@ func TestShardsDeltaKnobsByteIdentical(t *testing.T) {
 	}
 	for _, knobs := range []string{
 		`,"shards":4`,
-		`,"delta":true`,
-		`,"shards":2,"delta":true,"telemetryCap":64`,
+		`,"shards":2,"telemetryCap":64`,
 	} {
 		st, xc, got := postWait(t, ts.URL, fmt.Sprintf(base, knobs))
 		if st != http.StatusOK {

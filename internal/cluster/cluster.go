@@ -22,20 +22,20 @@
 // byte — is identical for any shard and worker count, including the
 // serial path.
 //
-// Every cluster event (placement, migration, crash, power transition,
-// DVFS move) marks the hosts it touches dirty in per-shard queues. A
-// pass at the same simulated instant as the previous one refreshes
-// only those hosts: while the clock stands still nothing else a host's
-// partial depends on can move. On top of that, the tick can run in
-// delta mode (Config.Delta): at a new instant too, a host is
-// re-evaluated only when dirty or when a resident VM's demand trace
-// reaches its next change time (a per-shard indexed min-heap of
-// deadlines). Quiescent hosts integrate energy and SLA time
-// analytically: power accrues in closed-form watts × Δt segments
-// between real changes, and each VM's (demand, delivered) run is
-// charged in one SLA record when it ends. Because an unchanged input
-// performs no floating-point operation on any path, every pass is
-// byte-identical to a full scan.
+// The tick is event-driven (delta evaluation). Every cluster event
+// (placement, migration, crash, power transition, DVFS move) marks the
+// hosts it touches dirty in per-shard queues, and each host carries a
+// deadline: the first instant one of its residents' memoised demand
+// may change. A pass refreshes the dirty hosts, and at a new instant
+// also every host whose deadline has come (one linear sweep per
+// shard); a pass at the instant of the previous one needs only the
+// dirty hosts, since while the clock stands still nothing else a
+// host's partial depends on can move. Quiescent hosts integrate energy
+// and SLA time analytically: power accrues in closed-form watts × Δt
+// segments between real changes, and each VM's (demand, delivered)
+// run is charged in one SLA record when it ends. Because an unchanged
+// input performs no floating-point operation on any path, every pass
+// is byte-identical to a full scan, which stays only as a test oracle.
 package cluster
 
 import (
@@ -101,17 +101,6 @@ type Config struct {
 	// byte-identical for every value — see the package comment for the
 	// determinism argument.
 	Shards int
-	// Delta switches the evaluation tick from a full scan to delta
-	// evaluation: after Start, a host is re-evaluated only when
-	// something affecting its power or SLA changed — a resident's
-	// demand trace advanced, a placement/migration/crash event landed,
-	// a power transition settled, or its DVFS point moved. Quiescent
-	// hosts integrate energy and SLA time analytically between events.
-	// (A pass at the instant of the previous one refreshes only the
-	// hosts events touched in either mode; Delta carries that across
-	// time.) Like Shards, Delta is wall-clock only: every report byte
-	// is identical with it on or off.
-	Delta bool
 	// TelemetryCap, when positive, bounds each cluster telemetry series
 	// to about this many stored samples (see telemetry.Series.SetCap):
 	// long runs fold samples into fixed-width bucket means instead of
@@ -233,18 +222,17 @@ type Cluster struct {
 
 	log *events.Log
 
-	// Evaluation sharding and delta state (dormant until Start). Shard
+	// Evaluation sharding and dirty state (dormant until Start). Shard
 	// k owns the host-index range shardBounds[k]; its worker writes
 	// each host's partials into the hostPartial slots for that range,
 	// and evaluate reduces the slots serially in host-ID order. The
 	// slots are per host, not per shard, so the reduction's
 	// floating-point order cannot depend on where the shard boundaries
-	// fall. From Start on, every tick reduces from the slots — a full
-	// pass refreshes all of them first; a same-instant or delta pass
-	// only the dirty hosts', and a clean host's cached slot is bitwise
-	// what recomputing it would produce.
+	// fall. From Start on, every tick reduces from the slots — the
+	// first pass refreshes all of them; every later one only the dirty
+	// and due hosts', and a clean host's cached slot is bitwise what
+	// recomputing it would produce.
 	shards      int
-	delta       bool
 	shardBounds []shardRange
 	shardSize   int
 	hostPartial []hostPartial
@@ -255,30 +243,28 @@ type Cluster struct {
 	evalWork chan int
 	evalDone chan struct{}
 	// primed flips true after the first post-Start evaluation: until
-	// the partial slots, deadlines and heaps hold a full fleet
-	// snapshot, every tick is a full one. evalAt is the instant of the
-	// last post-Start pass.
+	// the partial slots and deadlines hold a full fleet snapshot, every
+	// tick is a full one. evalAt is the instant of the last post-Start
+	// pass.
 	primed bool
 	closed bool
 	evalAt sim.Time
 	// fullScan makes every post-Start pass a full one, same-instant
 	// passes included: the full-scan oracle the byte-identity tests
-	// compare the other paths against. Only tests set it, before Start.
+	// compare the event-driven tick against. Only tests set it, before
+	// Start (see UseFullScanOracle).
 	fullScan bool
 
 	// Dirty bookkeeping (allocated at Start). dirtyQ[s] is shard s's
 	// queue of event-dirtied host indices (deduplicated by dirtyFlag);
-	// a full pass empties it. With delta on, hostNext[i] is also kept:
-	// the earliest time a resident of host i changes demand, with
-	// dueHeaps[s] shard s's indexed min-heap over hostNext (heapPos[i]
-	// is i's position+1 in its shard's heap, 0 when absent). All arrays
-	// are preallocated to fleet size so steady-state ticks never
-	// allocate.
+	// a full pass empties it. hostNext[i] is host i's deadline: the
+	// earliest end of the memo spans its residents' demand was last read
+	// from, a lower bound on the next instant one of them changes
+	// demand (see evalHost). All arrays are preallocated to fleet size
+	// so steady-state ticks never allocate.
 	dirtyQ    [][]int32
 	dirtyFlag []bool
 	hostNext  []sim.Time
-	dueHeaps  [][]int32
-	heapPos   []int32
 
 	// Evaluation-volume counters (diagnostics, never reported):
 	// tickCount counts evaluation passes; shardEvals[s] counts per-host
@@ -290,8 +276,8 @@ type Cluster struct {
 	directEvals int64
 }
 
-// never is the hostNext sentinel for "no future demand change": such
-// hosts are left out of the due-heaps entirely.
+// never is the deadline of a host with no future demand change (no
+// residents, or only one-sample traces): the sweep never finds it due.
 const never = sim.Time(math.MaxInt64)
 
 // shardRange is one shard's half-open host-index range.
@@ -299,9 +285,8 @@ type shardRange struct{ lo, hi int }
 
 // hostPartial holds one host's contribution to the tick's aggregates,
 // written by exactly one shard worker and read by the serial reduce.
-// In delta mode a clean host's slot is simply reused: its inputs are
-// unchanged, so the cached values are bitwise what evalHost would
-// recompute.
+// A clean host's slot is simply reused: its inputs are unchanged, so
+// the cached values are bitwise what evalHost would recompute.
 type hostPartial struct {
 	power     power.Watts
 	demand    float64
@@ -355,7 +340,6 @@ func New(eng *sim.Engine, cfg Config) (*Cluster, error) {
 		cfg:             cfg,
 		migrations:      mgr,
 		shards:          cfg.Shards,
-		delta:           cfg.Delta,
 		powerSeries:     telemetry.NewSeriesCap("cluster_power_w", seriesCap),
 		demandSeries:    telemetry.NewSeriesCap("cluster_demand_cores", seriesCap),
 		deliveredSeries: telemetry.NewSeriesCap("cluster_delivered_cores", seriesCap),
@@ -697,8 +681,8 @@ func (c *Cluster) ProvisionLatencies() []time.Duration { return c.provisionLat }
 // startEval builds the evaluation machinery the fleet's size fixes at
 // Start: the shard partition (one ID-contiguous range per shard), the
 // per-host partial slots every tick reduces from, the dirty queues,
-// the delta deadlines, and the persistent worker pool when there is
-// more than one shard. Evaluations before Start (pending-VM arrivals
+// the deadlines, and the persistent worker pool when there is more
+// than one shard. Evaluations before Start (pending-VM arrivals
 // during setup) take the direct serial path.
 func (c *Cluster) startEval() {
 	n := len(c.hostList)
@@ -729,14 +713,7 @@ func (c *Cluster) startEval() {
 	for k, b := range c.shardBounds {
 		c.dirtyQ[k] = make([]int32, 0, b.hi-b.lo)
 	}
-	if c.delta {
-		c.hostNext = make([]sim.Time, n)
-		c.heapPos = make([]int32, n)
-		c.dueHeaps = make([][]int32, len(c.shardBounds))
-		for k, b := range c.shardBounds {
-			c.dueHeaps[k] = make([]int32, 0, b.hi-b.lo)
-		}
-	}
+	c.hostNext = make([]sim.Time, n)
 	if len(c.shardBounds) <= 1 {
 		return
 	}
@@ -773,8 +750,8 @@ func (c *Cluster) noteDirty(id host.ID) {
 // OnHostDirty registers fn to run whenever an event-path change
 // touches a host's scheduling inputs. One observer only; register
 // before Start. The callback fires on the serial event paths (never
-// concurrently with a running tick) and in delta and full-scan modes
-// alike.
+// concurrently with a running tick), and under the full-scan oracle
+// too.
 func (c *Cluster) OnHostDirty(fn func(host.ID)) { c.onHostDirty = fn }
 
 // VMEpoch returns a counter that advances on every VM-set change
@@ -818,18 +795,18 @@ func (c *Cluster) evalWorker() {
 
 // runShard performs one shard's slice of a pass at a new instant:
 // either a full refresh of every host in the shard (which empties its
-// dirty queue), or — in a delta tick — only the hosts made dirty by
-// events (the shard's queue) or by a resident's demand trace
-// advancing (the shard's due-heap). Everything touched here is owned
-// by this shard: its hosts' scratch and partial slots, its residents'
-// allocation records and SLA trackers, its queue, its heap.
+// dirty queue), or the hosts made dirty by events (the shard's queue)
+// and then those whose deadline has come (one sweep over the shard's
+// hostNext range). Everything touched here is owned by this shard:
+// its hosts' scratch, partial slots and deadlines, its residents'
+// allocation records, SLA trackers and memo entries, and its queue.
 func (c *Cluster) runShard(s int, now sim.Time, full bool) {
+	b := c.shardBounds[s]
 	if full {
 		for _, i := range c.dirtyQ[s] {
 			c.dirtyFlag[i] = false
 		}
 		c.dirtyQ[s] = c.dirtyQ[s][:0]
-		b := c.shardBounds[s]
 		for i := b.lo; i < b.hi; i++ {
 			c.refreshHost(i, now)
 		}
@@ -838,11 +815,11 @@ func (c *Cluster) runShard(s int, now sim.Time, full bool) {
 	}
 	c.drainDirty(s, now)
 	evals := int64(0)
-	h := c.dueHeaps[s]
-	for len(h) > 0 && c.hostNext[h[0]] <= now {
-		c.refreshHost(int(h[0]), now)
-		h = c.dueHeaps[s] // refreshHost reheapified
-		evals++
+	for i, next := range c.hostNext[b.lo:b.hi] {
+		if next <= now {
+			c.refreshHost(b.lo+i, now)
+			evals++
+		}
 	}
 	c.shardEvals[s] += evals
 }
@@ -859,99 +836,9 @@ func (c *Cluster) drainDirty(s int, now sim.Time) {
 	c.dirtyQ[s] = q[:0]
 }
 
-// refreshHost recomputes one host's partial slot and, in delta mode,
-// its next-demand-change deadline and due-heap entry.
+// refreshHost recomputes one host's partial slot and its deadline.
 func (c *Cluster) refreshHost(i int, now sim.Time) {
-	h := c.hostList[i]
-	c.hostPartial[i] = c.evalHost(h, now)
-	if c.hostNext == nil {
-		return
-	}
-	next := never
-	for _, v := range h.Residents() {
-		if _, nc := c.VMDemandNext(v, now); nc < next {
-			next = nc
-		}
-	}
-	c.hostNext[i] = next
-	c.heapSet(c.shardOf(i), int32(i))
-}
-
-// heapSet inserts, repositions, or removes host index i in shard s's
-// due-heap to match hostNext[i]. The heap is indexed (heapPos) so the
-// update is in-place and allocation-free; a host has at most one entry.
-func (c *Cluster) heapSet(s int, i int32) {
-	h := c.dueHeaps[s]
-	p := int(c.heapPos[i]) - 1
-	if c.hostNext[i] == never {
-		if p >= 0 {
-			// Remove: move the tail into the hole and sift.
-			last := len(h) - 1
-			if p != last {
-				h[p] = h[last]
-				c.heapPos[h[p]] = int32(p) + 1
-			}
-			c.heapPos[i] = 0
-			c.dueHeaps[s] = h[:last]
-			if p != last {
-				c.heapFix(s, p)
-			}
-		}
-		return
-	}
-	if p < 0 {
-		h = append(h, i)
-		c.dueHeaps[s] = h
-		p = len(h) - 1
-		c.heapPos[i] = int32(p) + 1
-	}
-	c.heapFix(s, p)
-}
-
-// heapFix restores the heap property around position p.
-func (c *Cluster) heapFix(s, p int) {
-	if !c.heapDown(s, p) {
-		c.heapUp(s, p)
-	}
-}
-
-func (c *Cluster) heapUp(s, p int) {
-	h := c.dueHeaps[s]
-	for p > 0 {
-		parent := (p - 1) / 2
-		if c.hostNext[h[parent]] <= c.hostNext[h[p]] {
-			break
-		}
-		h[p], h[parent] = h[parent], h[p]
-		c.heapPos[h[p]] = int32(p) + 1
-		c.heapPos[h[parent]] = int32(parent) + 1
-		p = parent
-	}
-}
-
-// heapDown sifts position p down; reports whether it moved.
-func (c *Cluster) heapDown(s, p int) bool {
-	h := c.dueHeaps[s]
-	n := len(h)
-	moved := false
-	for {
-		kid := 2*p + 1
-		if kid >= n {
-			break
-		}
-		if r := kid + 1; r < n && c.hostNext[h[r]] < c.hostNext[h[kid]] {
-			kid = r
-		}
-		if c.hostNext[h[p]] <= c.hostNext[h[kid]] {
-			break
-		}
-		h[p], h[kid] = h[kid], h[p]
-		c.heapPos[h[p]] = int32(p) + 1
-		c.heapPos[h[kid]] = int32(kid) + 1
-		p = kid
-		moved = true
-	}
-	return moved
+	c.hostPartial[i], c.hostNext[i] = c.evalHost(c.hostList[i], now)
 }
 
 // Close retires the evaluation machinery: shard workers stop, and
@@ -967,6 +854,13 @@ func (c *Cluster) Close() {
 		close(c.evalWork)
 	}
 }
+
+// UseFullScanOracle makes every post-Start pass refresh every host,
+// same-instant passes included: the full-scan oracle that tests hold
+// the event-driven tick to, bit for bit. No scenario, file, flag or
+// request reaches it, and nothing but tests calls it. Call before
+// Start; forks do not inherit it.
+func (c *Cluster) UseFullScanOracle() { c.fullScan = true }
 
 // Start performs the initial evaluation and schedules the periodic
 // re-evaluation loop.
@@ -1025,12 +919,11 @@ func (c *Cluster) closeStranded(now sim.Time) {
 // operations at all.
 //
 // Which hosts a post-Start pass refreshes: all of them on the first
-// pass and, with delta off, on every pass at a new instant; the hosts
-// dirtied since the previous pass when the clock has not moved since
-// it (migration bursts, settles and commands all land on one instant);
-// and with delta on, the dirty hosts plus those whose demand deadline
-// has come at a new instant. Every pass still reduces all slots and
-// appends one sample to each telemetry series.
+// pass; the hosts dirtied since the previous pass when the clock has
+// not moved since it (migration bursts, settles and commands all land
+// on one instant); and at a new instant, the dirty hosts plus those
+// whose demand deadline has come. Every pass still reduces all slots
+// and appends one sample to each telemetry series.
 func (c *Cluster) evaluate() {
 	c.tickCount++
 	now := c.eng.Now()
@@ -1041,16 +934,16 @@ func (c *Cluster) evaluate() {
 		c.evaluateDirect(now)
 		return
 	}
-	full := !c.primed || !c.delta || c.fullScan
+	full := !c.primed || c.fullScan
 	switch {
 	case c.primed && now == c.evalAt && !c.fullScan:
 		// Same-instant pass: demand is a function of VM and time, and
 		// every other input of a host's partial moves only through
-		// noteDirty, so the dirty queues name every stale slot. Nothing
-		// in a due-heap is due either: the previous pass at this
-		// instant pushed every deadline past it. The queues typically
-		// hold a host or two, so the pass runs here instead of on the
-		// workers.
+		// noteDirty, so the dirty queues name every stale slot. No
+		// deadline is due either: the previous pass at this instant
+		// refreshed every host whose deadline had come, which moved it
+		// past now. The queues typically hold a host or two, so the
+		// pass runs here instead of on the workers.
 		for s := range c.shardBounds {
 			c.drainDirty(s, now)
 		}
@@ -1096,7 +989,7 @@ func (c *Cluster) evaluateDirect(now sim.Time) {
 	totalDemand, totalDelivered := 0.0, 0.0
 	active, stranded := 0, 0
 	for _, h := range c.hostList {
-		p := c.evalHost(h, now)
+		p, _ := c.evalHost(h, now)
 		totalPower += p.power
 		totalDemand += p.demand
 		totalDelivered += p.delivered
@@ -1111,14 +1004,15 @@ func (c *Cluster) evaluateDirect(now sim.Time) {
 }
 
 // EvalCounts returns how many evaluation passes have run and how many
-// per-host evaluations they performed in total. With delta off a pass
-// at a new instant evaluates every host, and a pass at the instant of
-// the one before only the hosts dirtied in between; delta mode's host
-// count is the fleet's actual change volume. 1 − hostEvals/(ticks×hosts)
-// is the skip ratio. Diagnostics only — deterministic within a mode but
-// different between modes, so the numbers must never reach a report.
-// Not safe to call while a sharded tick is in flight (call between
-// engine steps or after Close).
+// per-host evaluations they performed in total: every host at the
+// first pass and on the direct path (before Start, after Close), and
+// otherwise the hosts dirtied since the previous pass plus, at a new
+// instant, those whose demand deadline had come — the fleet's change
+// volume. 1 − hostEvals/(ticks×hosts) is the skip ratio. Diagnostics
+// only — deterministic, but the full-scan oracle counts differently,
+// so the numbers must never reach a report. Not safe to call while a
+// sharded tick is in flight (call between engine steps or after
+// Close).
 func (c *Cluster) EvalCounts() (ticks, hostEvals int64) {
 	hostEvals = c.directEvals
 	for _, n := range c.shardEvals {
@@ -1193,11 +1087,13 @@ func (c *Cluster) OnTick(fn func(TickStats)) { c.onTick = append(c.onTick, fn) }
 
 // demandMemo is one VM's memoised demand: d holds for every instant in
 // [from, |until|), where from is the start of the trace sample the read
-// fell in. A positive until is the trace's next change after the read;
-// a negative until is the negated end of that sample, a lower bound on
-// the next change, for reads whose caller did not need it (looking it
-// up builds the trace's jump table, which full-scan runs never touch).
-// The zero value holds for no instant.
+// fell in. A positive until is the trace's next change after the read
+// (never for a one-sample trace, which cannot change); a negative until
+// is the negated end of that sample, a lower bound on the next change,
+// for reads whose caller did not need it. The evaluation tick is such a
+// caller: it takes a host's deadline from the spans its residents'
+// reads return, and looking the change up would build the trace's jump
+// table. The zero value holds for no instant.
 type demandMemo struct {
 	d     float64
 	from  sim.Time
@@ -1232,9 +1128,12 @@ func (c *Cluster) VMDemandNext(v *vm.VM, at sim.Time) (float64, sim.Time) {
 }
 
 // memoDemand answers VMDemand and, when withNext is set, VMDemandNext.
-// Without withNext the second result is meaningless. A miss at an
-// instant before the memoised span (the forecast upkeep's catch-up at
-// its previous invocation) reads the trace and leaves the memo alone.
+// The second result is encoded as demandMemo.until: without withNext it
+// may be the negated end of the trace sample instead of the next
+// change, and either way its absolute value is the first instant the
+// returned demand is no longer known to hold. A miss at an instant
+// before the memoised span (the forecast upkeep's catch-up at its
+// previous invocation) reads the trace and leaves the memo alone.
 func (c *Cluster) memoDemand(v *vm.VM, at sim.Time, withNext bool) (float64, sim.Time) {
 	var e *demandMemo
 	if i := int(v.ID()) - 1; i < len(c.demand) {
@@ -1247,10 +1146,13 @@ func (c *Cluster) memoDemand(v *vm.VM, at sim.Time, withNext bool) (float64, sim
 		}
 	}
 	d := c.readDemand(v, at)
-	iv := v.Trace().Interval
-	start := at / iv * iv
-	until := -(start + iv)
-	if withNext {
+	tr := v.Trace()
+	start := at / tr.Interval * tr.Interval
+	until := -(start + tr.Interval)
+	switch {
+	case len(tr.Samples) == 1:
+		until = never
+	case withNext:
 		until = v.NextDemandChange(at)
 	}
 	if e != nil && at >= e.from {
@@ -1353,11 +1255,26 @@ func (c *Cluster) closeRun(i int, now sim.Time) {
 // SLA trackers — each VM is resident on exactly one host), plus
 // read-only shared state (migration overhead map, engine clock), so
 // distinct hosts can be evaluated concurrently.
-func (c *Cluster) evalHost(h *host.Host, now sim.Time) hostPartial {
+//
+// It also returns the host's deadline: the earliest instant one of its
+// residents' demand may differ from the value just read. Each read
+// comes with the end of the span its value holds for (the end of the
+// trace sample, or the trace's next change once looked up), a lower
+// bound on that resident's next change; never when the host has no
+// resident whose demand can change.
+func (c *Cluster) evalHost(h *host.Host, now sim.Time) (hostPartial, sim.Time) {
 	res := h.Residents() // ascending VM ID
 	demands := h.DemandScratch()
+	next := never
 	for i, v := range res {
-		demands[i] = c.VMDemand(v, now)
+		d, until := c.memoDemand(v, now, false)
+		demands[i] = d
+		if until < 0 {
+			until = -until
+		}
+		if until < next {
+			next = until
+		}
 	}
 	alloc := h.Schedule(demands, c.migrations.CPUOverhead(int(h.ID())))
 	h.Machine().SetUtilization(alloc.Utilization)
@@ -1377,7 +1294,7 @@ func (c *Cluster) evalHost(h *host.Host, now sim.Time) hostPartial {
 		delivered: alloc.TotalDelivered,
 		avail:     h.Available(),
 		vms:       len(res),
-	}
+	}, next
 }
 
 // hostSettled runs when a host finishes a power transition.

@@ -31,18 +31,33 @@ func sameClusterResults(t *testing.T, ref, got *Cluster) {
 }
 
 // TestDeltaEvaluateBitIdentical is the determinism core of delta
-// evaluation: the eventful half-day scenario (migration, crash,
-// arrival, departure) must produce bit-identical telemetry, SLA,
-// energy and stranded accounting with delta on, for every shard and
+// evaluation, the event-driven tick: the eventful half-day scenario
+// (migration, crash, arrival, departure) must produce bit-identical
+// telemetry, SLA, energy and stranded accounting for every shard and
 // worker count, compared to the serial full-scan oracle.
 func TestDeltaEvaluateBitIdentical(t *testing.T) {
 	ref := runEvalScenario(t, 0, Config{}, true)
 	for _, shards := range []int{0, 1, 2, 4} {
 		for _, workers := range []int{1, 3} {
 			t.Run(fmt.Sprintf("delta/shards=%d/workers=%d", shards, workers), func(t *testing.T) {
-				got := runEvalScenario(t, workers, Config{Shards: shards, Delta: true}, false)
+				got := runEvalScenario(t, workers, Config{Shards: shards}, false)
 				sameClusterResults(t, ref, got)
 			})
+		}
+	}
+}
+
+// sameEvents compares two finished clusters' event logs entry by
+// entry.
+func sameEvents(t *testing.T, ref, got *Cluster) {
+	t.Helper()
+	re, ge := ref.Events().All(), got.Events().All()
+	if len(re) != len(ge) {
+		t.Fatalf("event log: %d events vs %d", len(re), len(ge))
+	}
+	for i := range re {
+		if re[i] != ge[i] {
+			t.Fatalf("event %d differs: %v vs %v", i, re[i], ge[i])
 		}
 	}
 }
@@ -81,14 +96,14 @@ func buildQuiescentCluster(t testing.TB, eng *sim.Engine, cfg Config, hosts, vms
 }
 
 // TestDeltaSkipsQuiescentHosts pins the point of the machinery: on a
-// plateau-heavy fleet the delta tick must evaluate only a small
-// fraction of host slots, while producing the same bytes as the full
-// scan. Without this gate the delta path could silently degenerate
+// plateau-heavy fleet the tick must evaluate exactly the hosts whose
+// residents' demand can have moved, while producing the same bytes as
+// the full scan. Without this gate the tick could silently degenerate
 // into a full scan and every perf claim would rot.
 func TestDeltaSkipsQuiescentHosts(t *testing.T) {
-	run := func(delta, fullScan bool) *Cluster {
+	run := func(fullScan bool) *Cluster {
 		eng := sim.NewEngine(1)
-		c := buildQuiescentCluster(t, eng, Config{Horizon: 6 * time.Hour, Delta: delta}, 16, 96)
+		c := buildQuiescentCluster(t, eng, Config{Horizon: 6 * time.Hour}, 16, 96)
 		c.fullScan = fullScan
 		c.Start()
 		eng.RunUntil(6 * time.Hour)
@@ -96,48 +111,44 @@ func TestDeltaSkipsQuiescentHosts(t *testing.T) {
 		c.Close()
 		return c
 	}
-	ref := run(false, true)
-	full := run(false, false)
-	delta := run(true, false)
-	sameClusterResults(t, ref, full)
-	sameClusterResults(t, ref, delta)
+	ref := run(true)
+	got := run(false)
+	sameClusterResults(t, ref, got)
 
 	// The Start pass and one tick a minute for six hours are the passes
 	// at a new instant; the Flush lands on the last tick's instant with
 	// no host dirtied since.
-	const newInstants = 6*60 + 1
+	const passes = 6*60 + 1 + 1
 	rTicks, rEvals := ref.EvalCounts()
-	fTicks, fEvals := full.EvalCounts()
-	dTicks, dEvals := delta.EvalCounts()
-	if rTicks != newInstants+1 || fTicks != rTicks || dTicks != rTicks {
-		t.Fatalf("passes: oracle %d, full %d, delta %d; want %d each", rTicks, fTicks, dTicks, newInstants+1)
+	ticks, evals := got.EvalCounts()
+	if rTicks != passes || ticks != passes {
+		t.Fatalf("passes: oracle %d, tick %d; want %d each", rTicks, ticks, passes)
 	}
-	if rEvals != rTicks*16 {
-		t.Fatalf("full-scan oracle evaluated %d host-slots over %d passes, want %d", rEvals, rTicks, rTicks*16)
+	if rEvals != passes*16 {
+		t.Fatalf("full-scan oracle evaluated %d host-slots over %d passes, want %d", rEvals, rTicks, passes*16)
 	}
-	if fEvals != newInstants*16 {
-		t.Fatalf("full mode evaluated %d host-slots, want %d: all 16 hosts at each new instant, none at the Flush", fEvals, newInstants*16)
-	}
-	// The fleet's demand edges land on 15-minute boundaries while ticks
-	// are 1 minute apart, so delta should skip the vast majority of
-	// host-slots. Half the bound the workload implies keeps the gate
-	// robust to placement details.
-	if dEvals*2 > rEvals {
-		t.Fatalf("delta evaluated %d of %d host-slots — not skipping quiescent hosts", dEvals, rEvals)
+	// VM v sits on host v%16+1, so the odd-numbered hosts carry only
+	// one-sample constant traces (never due) and the eight even-numbered
+	// hosts carry the 15-minute diurnals, whose memo entries end on
+	// every quarter-hour. Each host is evaluated at the Start pass, and
+	// each diurnal host again at each of the 24 quarter-hours in 6 h:
+	// 16 + 8×24 = 208 of the oracle's 5,792 host-slots.
+	if want := int64(16 + 8*24); evals != want {
+		t.Fatalf("evaluated %d of %d host-slots, want %d", evals, rEvals, want)
 	}
 }
 
 // TestFlushAfterCloseDeltaKeepsTailAccounting is the regression test
 // for the Flush/Close ordering bug class: a Flush issued after Close
-// must force a full (non-delta) evaluation pass so the final report
+// must force a full (direct) evaluation pass so the final report
 // includes the analytically integrated tail — energy and SLA accrued
-// since each quiescent host's last re-evaluation. Both orderings, delta
-// on or off, must produce the full-scan oracle's exact bytes.
+// since each quiescent host's last re-evaluation. Both orderings must
+// produce the full-scan oracle's exact bytes.
 func TestFlushAfterCloseDeltaKeepsTailAccounting(t *testing.T) {
-	type mode struct{ delta, closeFirst, fullScan bool }
+	type mode struct{ closeFirst, fullScan bool }
 	run := func(m mode) *Cluster {
 		eng := sim.NewEngine(1)
-		c := buildQuiescentCluster(t, eng, Config{Horizon: 6 * time.Hour, Shards: 2, Delta: m.delta}, 16, 96)
+		c := buildQuiescentCluster(t, eng, Config{Horizon: 6 * time.Hour, Shards: 2}, 16, 96)
 		c.fullScan = m.fullScan
 		c.Start()
 		// Stop between ticks so open accounting runs and analytic energy
@@ -153,20 +164,20 @@ func TestFlushAfterCloseDeltaKeepsTailAccounting(t *testing.T) {
 		return c
 	}
 	ref := run(mode{fullScan: true})
-	for _, m := range []mode{{}, {closeFirst: true}, {delta: true}, {delta: true, closeFirst: true}} {
+	for _, m := range []mode{{}, {closeFirst: true}} {
 		sameClusterResults(t, ref, run(m))
 	}
 }
 
 // TestDeltaSteadyStateAllocFree extends the allocation gate to the
-// delta machinery: dirty-queue drains, due-heap updates and run
+// event-driven tick: dirty-queue drains, the deadline sweep and run
 // coalescing must all ride preallocated storage. Demand edges fire
-// every 15 minutes, so the measured window includes ticks that drain
-// the due-heaps as well as ticks that skip everything.
+// every 15 minutes, so the measured window includes ticks that refresh
+// the due hosts as well as ticks that skip everything.
 func TestDeltaSteadyStateAllocFree(t *testing.T) {
 	eng := sim.NewEngine(1)
 	c := buildQuiescentCluster(t, eng,
-		Config{Horizon: 30 * 24 * time.Hour, Shards: 4, Delta: true}, 16, 96)
+		Config{Horizon: 30 * 24 * time.Hour, Shards: 4}, 16, 96)
 	c.startEval()
 	now := eng.Now()
 	c.evaluate()
@@ -180,15 +191,15 @@ func TestDeltaSteadyStateAllocFree(t *testing.T) {
 		c.evaluate()
 	})
 	if avg != 0 {
-		t.Fatalf("delta steady-state evaluate allocates %.2f times per tick, want 0", avg)
+		t.Fatalf("steady-state evaluate allocates %.2f times per tick, want 0", avg)
 	}
 	c.Close()
 }
 
-// TestEvalCountsCoverAllPaths pins the diagnostics counters exactly,
-// with delta off: every host at a pass at a new instant, only the
-// hosts dirtied since at a pass on the previous pass's instant, and
-// every host on the direct (post-Close) path.
+// TestEvalCountsCoverAllPaths pins the diagnostics counters exactly:
+// every host at the Start pass, the due hosts at a pass at a new
+// instant, only the hosts dirtied since at a pass on the previous
+// pass's instant, and every host on the direct (post-Close) path.
 func TestEvalCountsCoverAllPaths(t *testing.T) {
 	eng := sim.NewEngine(1)
 	c := buildQuiescentCluster(t, eng, Config{Horizon: time.Hour}, 4, 8)
@@ -203,7 +214,11 @@ func TestEvalCountsCoverAllPaths(t *testing.T) {
 	if ticks != 31+2 {
 		t.Fatalf("counted %d passes, want %d", ticks, 31+2)
 	}
-	if want := int64(31*4 + 1 + 4); evals != want {
+	// VM v sits on host v%4+1: hosts 1 and 3 carry one-sample constant
+	// traces and are never due; hosts 2 and 4 carry 15-minute diurnals,
+	// due at 15 and 30 minutes. So: 4 at Start, 2 diurnal hosts × 2
+	// quarter-hours, host 2 at the Flush, and 4 on the direct path.
+	if want := int64(4 + 2*2 + 1 + 4); evals != want {
 		t.Fatalf("counted %d host evals over %d passes on 4 hosts, want %d", evals, ticks, want)
 	}
 }

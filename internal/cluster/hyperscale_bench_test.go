@@ -18,7 +18,7 @@ import (
 // constant-demand VMs and never need re-evaluation after priming —
 // the >80%-quiescent population shape of a consolidated datacenter
 // trough, matching the hyperscale experiment's trough-heavy variant.
-func buildHyperscaleCluster(b *testing.B, delta bool) (*sim.Engine, *Cluster) {
+func buildHyperscaleCluster(b *testing.B) (*sim.Engine, *Cluster) {
 	b.Helper()
 	const (
 		hosts     = 16384
@@ -29,7 +29,7 @@ func buildHyperscaleCluster(b *testing.B, delta bool) (*sim.Engine, *Cluster) {
 		horizonHr = 30 * 24
 	)
 	eng := sim.NewEngine(1)
-	c, err := New(eng, Config{Horizon: horizonHr * time.Hour, Delta: delta})
+	c, err := New(eng, Config{Horizon: horizonHr * time.Hour})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -69,17 +69,19 @@ func buildHyperscaleCluster(b *testing.B, delta bool) (*sim.Engine, *Cluster) {
 
 // benchHyperscaleTick measures steady-state evaluation ticks with the
 // clock advancing one minute per tick, the cadence a real run has —
-// so in delta mode the due-heaps actually fire on the 15-minute
-// demand edges instead of the fixture sitting frozen in time.
-func benchHyperscaleTick(b *testing.B, delta bool) {
-	eng, c := buildHyperscaleCluster(b, delta)
+// so the deadline sweep actually finds the diurnal hosts due on the
+// 15-minute demand edges instead of the fixture sitting frozen in
+// time. fullScan runs the full-scan oracle instead.
+func benchHyperscaleTick(b *testing.B, fullScan bool) {
+	eng, c := buildHyperscaleCluster(b)
+	c.fullScan = fullScan
 	c.startEval()
 	defer c.Close()
 	now := eng.Now()
-	c.evaluate() // prime partials, deadlines and heaps
+	c.evaluate() // prime partials and deadlines
 	// Warm through one full 15-minute trace period so every lazy growth
-	// path (telemetry series, energy segments, due-heap fires) has
-	// happened before the timer starts; what remains is steady state.
+	// path (telemetry series, energy segments, due hosts) has happened
+	// before the timer starts; what remains is steady state.
 	for i := 0; i < 16; i++ {
 		now += sim.Time(time.Minute)
 		eng.RunUntil(now)
@@ -94,18 +96,19 @@ func benchHyperscaleTick(b *testing.B, delta bool) {
 	}
 }
 
-// BenchmarkHyperscaleEvaluateFullScan is the pre-delta baseline: every
+// BenchmarkHyperscaleEvaluateFullScan runs the full-scan oracle: every
 // tick rescans all 16,384 hosts and re-schedules all 131,072 VMs.
 func BenchmarkHyperscaleEvaluateFullScan(b *testing.B) {
-	benchHyperscaleTick(b, false)
+	benchHyperscaleTick(b, true)
 }
 
-// BenchmarkHyperscaleEvaluateDelta is the same fixture under delta
-// evaluation: work per tick is proportional to the fleet's change
-// volume (an eighth of the hosts, one tick in fifteen), with
-// quiescent hosts' energy integrating analytically. The
-// BENCH_hyperscale.json record tracks the ratio against FullScan;
-// the acceptance bar is >= 10x on this quiescent-majority fixture.
+// BenchmarkHyperscaleEvaluateDelta is the same fixture under the
+// event-driven tick (delta evaluation): work per tick is one deadline
+// sweep plus the fleet's change volume (an eighth of the hosts, one
+// tick in fifteen), with quiescent hosts' energy integrating
+// analytically. The BENCH_hyperscale.json record tracks the ratio
+// against FullScan; the acceptance bar is >= 10x on this
+// quiescent-majority fixture.
 func BenchmarkHyperscaleEvaluateDelta(b *testing.B) {
-	benchHyperscaleTick(b, true)
+	benchHyperscaleTick(b, false)
 }

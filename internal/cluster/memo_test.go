@@ -119,9 +119,9 @@ func memoHistory(eng *sim.Engine, c *Cluster, seed uint64, steps int) error {
 }
 
 // TestVMDemandMemoMatchesTrace holds the demand memo to the uncached
-// trace read: on running clusters in every evaluation mode (the delta
-// tick looks each resident's next change up through the memo, and
-// shard workers fill it concurrently), and on a fork run concurrently
+// trace read: on running clusters, serial and sharded (the tick takes
+// each host's deadline from its residents' entries, and shard workers
+// fill them concurrently), and on a fork run concurrently
 // with its running source (VM pointers are shared across forks, so a
 // memo kept anywhere but the cluster would race under -race and
 // answer one world with the other's reads).
@@ -130,10 +130,8 @@ func TestVMDemandMemoMatchesTrace(t *testing.T) {
 		name string
 		cfg  Config
 	}{
-		{"full", Config{}},
-		{"delta", Config{Delta: true}},
+		{"serial", Config{}},
 		{"sharded", Config{Shards: 3}},
-		{"sharded-delta", Config{Shards: 3, Delta: true}},
 	} {
 		for seed := uint64(1); seed <= 2; seed++ {
 			t.Run(fmt.Sprintf("%s/seed%d", tc.name, seed), func(t *testing.T) {
@@ -147,7 +145,7 @@ func TestVMDemandMemoMatchesTrace(t *testing.T) {
 		}
 	}
 	t.Run("fork", func(t *testing.T) {
-		eng, src := memoFleet(t, 9, Config{Delta: true})
+		eng, src := memoFleet(t, 9, Config{})
 		feng := sim.NewEngine(9)
 		fork, err := src.Fork(feng)
 		if err != nil {

@@ -24,11 +24,15 @@ const sameInstantHosts = 8
 // destination's crash and the repair settling on a tick's instant, a
 // park and a wake, an arrival placed and a departure on one tick's
 // instant, the surge's end and a crash with no move in flight on
-// another, and a Flush on the last tick's instant. cfg supplies Shards
-// and Delta; fullScan selects the full-scan oracle. With delta off,
-// wantEvals is the exact per-host evaluation count: every host at a
-// pass at a new instant, and the hosts dirtied since the previous pass
-// (as the OnHostDirty feed saw them) at a pass on its instant.
+// another, and a Flush on the last tick's instant. cfg supplies Shards;
+// fullScan selects the full-scan oracle. wantEvals is the event-driven
+// tick's exact per-host evaluation count: every host at the Start
+// pass; at any later pass the hosts dirtied since the previous one (as
+// the OnHostDirty feed saw them); and at a pass at a new whole minute
+// also every host holding a diurnal resident. Those traces are sampled
+// every minute from time 0, so their memo entries end on the next
+// whole minute, and every whole minute has a tick; the one constant
+// trace is never due.
 func runSameInstantScenario(t *testing.T, cfg Config, fullScan bool) (c *Cluster, wantEvals int64) {
 	t.Helper()
 	eng := sim.NewEngine(1)
@@ -61,9 +65,19 @@ func runSameInstantScenario(t *testing.T, cfg Config, fullScan bool) (c *Cluster
 	c.OnHostDirty(func(id host.ID) { dirty[id] = true })
 	last := sim.Time(-1)
 	c.OnTick(func(ts TickStats) {
-		if ts.Now != last {
+		switch {
+		case last < 0:
 			wantEvals += sameInstantHosts
-		} else {
+		case ts.Now != last && ts.Now%sim.Time(time.Minute) == 0:
+			for _, h := range c.Hosts() {
+				for _, v := range h.Residents() {
+					if len(v.Trace().Samples) > 1 {
+						dirty[h.ID()] = true
+					}
+				}
+			}
+			wantEvals += int64(len(dirty))
+		default:
 			wantEvals += int64(len(dirty))
 		}
 		last = ts.Now
@@ -127,9 +141,9 @@ func runSameInstantScenario(t *testing.T, cfg Config, fullScan bool) (c *Cluster
 // only the hosts dirtied since the previous pass, when the clock has
 // not moved — to the full-scan oracle: telemetry, aggregate SLA,
 // energy, stranded VM·s and the event log must match bit for bit for
-// shards {1, 2, 4} × delta {off, on}. With delta off the per-host
-// evaluation count must also be exactly the one the dirty feed
-// implies, so a pass that quietly fell back to a full scan fails too.
+// shards {1, 2, 4}. The per-host evaluation count must also be exactly
+// the one the dirty feed and the fixture's deadlines imply, so a pass
+// that quietly fell back to a full scan fails too.
 func TestSameInstantEvaluateMatchesFullScan(t *testing.T) {
 	ref, _ := runSameInstantScenario(t, Config{}, true)
 	refTicks, refEvals := ref.EvalCounts()
@@ -138,41 +152,36 @@ func TestSameInstantEvaluateMatchesFullScan(t *testing.T) {
 			refEvals, refTicks, refTicks*sameInstantHosts)
 	}
 	for _, shards := range []int{1, 2, 4} {
-		for _, delta := range []bool{false, true} {
-			t.Run(fmt.Sprintf("shards=%d/delta=%v", shards, delta), func(t *testing.T) {
-				got, want := runSameInstantScenario(t, Config{Shards: shards, Delta: delta}, false)
-				sameClusterResults(t, ref, got)
-				re, ge := ref.Events().All(), got.Events().All()
-				if len(re) != len(ge) {
-					t.Fatalf("event log: %d events vs %d", len(re), len(ge))
-				}
-				for i := range re {
-					if re[i] != ge[i] {
-						t.Fatalf("event %d differs: %v vs %v", i, re[i], ge[i])
-					}
-				}
-				ticks, evals := got.EvalCounts()
-				if ticks != refTicks {
-					t.Fatalf("%d passes, want the oracle's %d", ticks, refTicks)
-				}
-				if !delta && evals != want {
-					t.Fatalf("evaluated %d host-slots, want %d", evals, want)
-				}
-				if want >= refEvals {
-					t.Fatalf("the dirty feed implies %d host-slots, the oracle's %d: no same-instant pass skipped a host", want, refEvals)
-				}
-			})
-		}
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+			got, want := runSameInstantScenario(t, Config{Shards: shards}, false)
+			sameClusterResults(t, ref, got)
+			sameEvents(t, ref, got)
+			ticks, evals := got.EvalCounts()
+			if ticks != refTicks {
+				t.Fatalf("%d passes, want the oracle's %d", ticks, refTicks)
+			}
+			// 3,337 = 8 at Start + 6 diurnal hosts × the 60 whole
+			// minutes to 1h + 7 × the 420 after VM 1 lands on host 7 at
+			// 1h0m7s + 29 hosts dirtied before the 21 passes that are not
+			// the first at a whole minute (the oracle: 502 passes × 8
+			// hosts).
+			if evals != want || want != 3337 {
+				t.Fatalf("evaluated %d host-slots, the fixture implies %d, want 3,337", evals, want)
+			}
+			if want >= refEvals {
+				t.Fatalf("the dirty feed implies %d host-slots, the oracle's %d: no pass skipped a host", want, refEvals)
+			}
+		})
 	}
 }
 
 // TestSameInstantEvaluateAllocFree extends the allocation gate to the
 // same-instant pass: a DVFS move on two hosts and an evaluation at the
 // instant already evaluated must refresh exactly those two hosts
-// without touching the heap, serial, sharded, and with delta on.
+// without allocating, serial and sharded.
 func TestSameInstantEvaluateAllocFree(t *testing.T) {
-	for _, cfg := range []Config{{}, {Shards: 4}, {Shards: 4, Delta: true}} {
-		t.Run(fmt.Sprintf("shards=%d/delta=%v", cfg.Shards, cfg.Delta), func(t *testing.T) {
+	for _, cfg := range []Config{{}, {Shards: 4}} {
+		t.Run(fmt.Sprintf("shards=%d", cfg.Shards), func(t *testing.T) {
 			eng := sim.NewEngine(1)
 			cfg.Horizon = 30 * 24 * time.Hour
 			c := buildQuiescentCluster(t, eng, cfg, 16, 96)

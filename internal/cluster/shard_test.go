@@ -24,9 +24,9 @@ func runShardScenario(t testing.TB, shards, workers int) *Cluster {
 	return runEvalScenario(t, workers, Config{Shards: shards}, false)
 }
 
-// runEvalScenario is runShardScenario with the evaluation mode
-// explicit — cfg's Shards and Delta, and fullScan for the full-scan
-// oracle — so the delta tests share the exact same event sequence.
+// runEvalScenario is runShardScenario with the configuration explicit
+// — cfg's Shards, and fullScan for the full-scan oracle — so the
+// oracle comparisons share the exact same event sequence.
 func runEvalScenario(t testing.TB, workers int, cfg Config, fullScan bool) *Cluster {
 	t.Helper()
 	if workers > 0 {

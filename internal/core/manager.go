@@ -215,8 +215,8 @@ func newManager(cl *cluster.Cluster, cfg Config, incremental bool) (*Manager, er
 	if m.inc {
 		// The cluster's event feed is the invalidation signal for every
 		// epoch-keyed cache: it fires on each event-path change to a
-		// host's scheduling inputs, in delta and full-scan evaluation
-		// modes alike.
+		// host's scheduling inputs, under the full-scan test oracle
+		// too.
 		cl.OnHostDirty(func(host.ID) { m.epoch++ })
 	}
 	cl.OnHostSettled(m.hostSettled)

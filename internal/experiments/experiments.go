@@ -52,13 +52,6 @@ type Options struct {
 	// its own shard count when Shards is 0; everything else stays
 	// serial.
 	Shards int
-	// Delta selects the evaluation mode for every scenario an
-	// experiment builds: DeltaOn forces event-driven delta evaluation,
-	// DeltaOff forces the full per-host scan, and DeltaDefault (the
-	// zero value) lets each experiment choose — hyperscale defaults to
-	// delta, everything else to full. Like Shards, a wall-clock knob:
-	// reports are byte-identical in either mode.
-	Delta DeltaMode
 	// TelemetryCap bounds each recorded time series to this many stored
 	// samples via deterministic bucket folding (see
 	// Scenario.TelemetryCap). 0 leaves experiments to their defaults
@@ -171,30 +164,12 @@ func (o Options) workers() int {
 	return o.Workers
 }
 
-// DeltaMode is the Options' tri-state evaluation-mode selector.
-type DeltaMode int
-
-const (
-	// DeltaDefault lets each experiment pick its evaluation mode.
-	DeltaDefault DeltaMode = iota
-	// DeltaOn forces event-driven delta evaluation.
-	DeltaOn
-	// DeltaOff forces the full per-host scan.
-	DeltaOff DeltaMode = -1
-)
-
 // tune applies the Options' execution knobs — evaluation-tick
-// sharding, delta mode, telemetry cap — to a scenario. Purely
-// wall-clock / memory: the scenario's results are byte-identical for
-// every setting.
+// sharding, telemetry cap — to a scenario. Sharding is purely
+// wall-clock: the scenario's results are byte-identical for every
+// setting.
 func (o Options) tune(sc agilepower.Scenario) agilepower.Scenario {
 	sc.Shards = o.Shards
-	switch o.Delta {
-	case DeltaOn:
-		sc.Delta = true
-	case DeltaOff:
-		sc.Delta = false
-	}
 	if o.TelemetryCap > 0 {
 		sc.TelemetryCap = o.TelemetryCap
 	}

@@ -119,29 +119,27 @@ func TestRunAllMatchesGolden(t *testing.T) {
 
 // TestFaultedExperimentsMatchGolden replays the robust and ctrl
 // experiments — fault injection, crash/repair churn and the imperfect
-// control plane, the paths that stress the delta tick's queues, the
-// manager's cache invalidation and the forked worlds hardest — across
-// shards {1, 2, 4} × workers {1, 4} × delta {off, on}, comparing each
+// control plane, the paths that stress the tick's dirty queues and
+// deadlines, the manager's cache invalidation and the forked worlds
+// hardest — across shards {1, 2, 4} × workers {1, 4}, comparing each
 // report byte-for-byte against its golden section. Two shard counts
 // above one put the range boundaries in different places. Under -race
-// this doubles as the concurrency workout for the sharded tick, the
-// delta queues and concurrent forks of one prototype.
+// this doubles as the concurrency workout for the sharded tick and
+// concurrent forks of one prototype.
 func TestFaultedExperimentsMatchGolden(t *testing.T) {
 	for _, id := range []string{"robust", "ctrl"} {
 		want := goldenQuickSection(t, id)
 		for _, shards := range []int{1, 2, 4} {
 			for _, workers := range []int{1, 4} {
-				for _, delta := range []DeltaMode{DeltaOff, DeltaOn} {
-					name := fmt.Sprintf("%s/shards=%d/workers=%d/delta=%v", id, shards, workers, delta == DeltaOn)
-					t.Run(name, func(t *testing.T) {
-						var got bytes.Buffer
-						opts := Options{Quick: true, Shards: shards, Workers: workers, Delta: delta}
-						if err := Run(id, &got, opts); err != nil {
-							t.Fatal(err)
-						}
-						diffAt(t, name, got.Bytes(), want)
-					})
-				}
+				name := fmt.Sprintf("%s/shards=%d/workers=%d", id, shards, workers)
+				t.Run(name, func(t *testing.T) {
+					var got bytes.Buffer
+					opts := Options{Quick: true, Shards: shards, Workers: workers}
+					if err := Run(id, &got, opts); err != nil {
+						t.Fatal(err)
+					}
+					diffAt(t, name, got.Bytes(), want)
+				})
 			}
 		}
 	}

@@ -39,8 +39,9 @@ const (
 // instant) adds one row under the dpm-s3 policy.
 //
 // Energy/SLA land in the report (deterministic, byte-identical across
-// shard/worker counts and delta on/off); throughput and the delta
-// skip ratio are execution diagnostics and go to opts.Progress.
+// shard/worker counts and to the full-scan test oracle); throughput
+// and the delta skip ratio are execution diagnostics and go to
+// opts.Progress.
 func Hyperscale(w io.Writer, opts Options) error {
 	hosts, vmsN := hyperscaleHosts, hyperscaleVMs
 	horizon := 24 * time.Hour
@@ -58,7 +59,6 @@ func Hyperscale(w io.Writer, opts Options) error {
 		Horizon:      horizon,
 		Seed:         opts.seed(),
 		CtrlPlane:    opts.ctrlPlane(),
-		Delta:        true,
 		TelemetryCap: hyperscaleTelemetryCap,
 	})
 	if sc.Shards == 0 {

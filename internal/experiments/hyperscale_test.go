@@ -6,25 +6,6 @@ import (
 	"testing"
 )
 
-// TestHyperscaleFullScanMatchesGolden forces the hyperscale experiment
-// — whose default is delta evaluation — through the full per-host
-// scan on a sharded, multi-worker configuration and compares against
-// the golden bytes (which were recorded with delta on). This is the
-// headline identity: the delta tick, the analytic integration of
-// quiescent hosts, and the bounded telemetry produce exactly the
-// bytes a full scan does.
-func TestHyperscaleFullScanMatchesGolden(t *testing.T) {
-	if testing.Short() {
-		t.Skip("a quick-mode hyperscale replay; skipped with -short")
-	}
-	want := goldenQuickSection(t, "hyper")
-	var got bytes.Buffer
-	if err := Run("hyper", &got, Options{Quick: true, Shards: 2, Workers: 4, Delta: DeltaOff}); err != nil {
-		t.Fatal(err)
-	}
-	diffAt(t, "hyper full-scan", got.Bytes(), want)
-}
-
 // hyperscaleQuickHeapBudget bounds the quick hyperscale run's heap
 // growth. The quick fleet is ~400× smaller than the full one, so this
 // asserts the memory-bounding machinery (pooled traces, telemetry

@@ -85,8 +85,9 @@ func (s *Series) Reset() {
 // bucket start; when the store fills, adjacent buckets fold pairwise
 // and the bucket width doubles, so memory stays O(n) for any run
 // length. Folding is a pure function of the append sequence, so a
-// capped series is still byte-identical across shard/worker/delta
-// configurations. Must be called before the first Append.
+// capped series is still byte-identical across shard and worker counts
+// and to the full-scan test oracle. Must be called before the first
+// Append.
 func (s *Series) SetCap(n int) {
 	if len(s.points) > 0 || s.pendCount > 0 {
 		panic(fmt.Sprintf("telemetry: SetCap on non-empty series %q", s.Name))

@@ -75,10 +75,11 @@ func (t *Trace) At(at time.Duration) float64 {
 
 // NextChange returns the earliest time strictly after at when the
 // trace's value differs from its value at at, or Never for a constant
-// trace. Delta evaluation uses it to skip hosts whose demand cannot
-// have moved: equal consecutive samples are not changes, so a batch
-// trace that idles for hours reports the next run start, not the next
-// sample boundary.
+// trace. The manager's forecast upkeep looks it up (through the
+// cluster's demand memo) to skip VMs whose demand cannot have moved:
+// equal consecutive samples are not changes, so a batch trace that
+// idles for hours reports the next run start, not the next sample
+// boundary.
 func (t *Trace) NextChange(at time.Duration) time.Duration {
 	t.nextOnce.Do(t.buildNextEdge)
 	if t.nextEdge == nil {

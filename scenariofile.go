@@ -65,10 +65,6 @@ type ScenarioFile struct {
 	// simulation (wall-clock only; results are byte-identical for every
 	// value — see Scenario.Shards).
 	Shards int `json:"shards,omitempty"`
-	// Delta enables event-driven delta evaluation (wall-clock only;
-	// results are byte-identical with it on or off — see
-	// Scenario.Delta).
-	Delta bool `json:"delta,omitempty"`
 	// TelemetryCap bounds each recorded time series to this many stored
 	// samples (0 = unbounded — see Scenario.TelemetryCap).
 	TelemetryCap int `json:"telemetryCap,omitempty"`
@@ -373,14 +369,7 @@ func (f ScenarioFile) Build() (Scenario, error) {
 		Horizon:      time.Duration(f.HorizonHours * float64(time.Hour)),
 		Seed:         seed,
 		Shards:       f.Shards,
-		Delta:        f.Delta,
 		TelemetryCap: f.TelemetryCap,
-	}
-	if f.Shards < 0 {
-		return Scenario{}, fmt.Errorf("agilepower: negative shards %d", f.Shards)
-	}
-	if f.TelemetryCap < 0 {
-		return Scenario{}, fmt.Errorf("agilepower: negative telemetry cap %d", f.TelemetryCap)
 	}
 	for _, hc := range f.HostClasses {
 		sc.HostClasses = append(sc.HostClasses, HostClass{

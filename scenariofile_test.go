@@ -148,6 +148,7 @@ func TestParseScenarioRejectsUnknownKeys(t *testing.T) {
 		{"unknown assert field", `{"hosts":4,"fleets":[{"kind":"flat","count":2}],"assert":[{"kind":"no-stranded-vm","grace":"1m"}]}`, "grace"},
 		{"evalWorkers", `{"hosts":4,"fleets":[{"kind":"flat","count":2}],"shards":2,"evalWorkers":2}`, "evalWorkers"},
 		{"manager incremental", `{"hosts":4,"fleets":[{"kind":"flat","count":2}],"manager":{"incremental":"off"}}`, "incremental"},
+		{"delta", `{"hosts":4,"fleets":[{"kind":"flat","count":2}],"delta":true}`, "delta"},
 		{"trailing data", `{"hosts":4,"fleets":[{"kind":"flat","count":2}]} {"more":1}`, ""},
 	}
 	for _, tc := range cases {

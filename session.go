@@ -74,7 +74,6 @@ func buildWorld(eng *sim.Engine, s Scenario, profile *Profile) (*cluster.Cluster
 		Migration:    s.Migration,
 		Horizon:      s.Horizon,
 		Shards:       s.Shards,
-		Delta:        s.Delta,
 		TelemetryCap: s.TelemetryCap,
 	})
 	if err != nil {
@@ -293,8 +292,6 @@ func (p *Prototype) compatible(sc Scenario) error {
 		mismatch = "EvalStep"
 	case sc.Shards != w.Shards:
 		mismatch = "Shards"
-	case sc.Delta != w.Delta:
-		mismatch = "Delta"
 	case sc.TelemetryCap != w.TelemetryCap:
 		mismatch = "TelemetryCap"
 	}
