@@ -44,6 +44,7 @@ import (
 	"math"
 	"runtime"
 	"strings"
+	"sync/atomic"
 	"time"
 
 	"agilepower/internal/events"
@@ -252,7 +253,7 @@ type Cluster struct {
 	// fullScan makes every post-Start pass a full one, same-instant
 	// passes included: the full-scan oracle the byte-identity tests
 	// compare the event-driven tick against. Only tests set it, before
-	// Start (see UseFullScanOracle).
+	// Start (see UseFullScanOracle and UseFullScanOracleForAll).
 	fullScan bool
 
 	// Dirty bookkeeping (allocated at Start). dirtyQ[s] is shard s's
@@ -349,6 +350,7 @@ func New(eng *sim.Engine, cfg Config) (*Cluster, error) {
 		nextVMID:        1,
 		strandedSince:   eng.Now(),
 		log:             events.NewLog(0),
+		fullScan:        fullScanAll.Load(),
 	}
 	if cfg.TelemetryCap > 0 {
 		c.powerSeries.SetCap(cfg.TelemetryCap)
@@ -861,6 +863,21 @@ func (c *Cluster) Close() {
 // request reaches it, and nothing but tests calls it. Call before
 // Start; forks do not inherit it.
 func (c *Cluster) UseFullScanOracle() { c.fullScan = true }
+
+// fullScanAll puts every cluster New builds on the full-scan oracle
+// (see UseFullScanOracleForAll).
+var fullScanAll atomic.Bool
+
+// UseFullScanOracleForAll puts every cluster built from now on, forks
+// included, on the full-scan oracle until restore is called. It is for
+// tests whose clusters are built out of their reach: the experiments
+// build theirs through the root package, so their reports are replayed
+// on the oracle this way. Nothing but tests calls it, and not while
+// other tests build clusters in parallel.
+func UseFullScanOracleForAll() (restore func()) {
+	fullScanAll.Store(true)
+	return func() { fullScanAll.Store(false) }
+}
 
 // Start performs the initial evaluation and schedules the periodic
 // re-evaluation loop.

@@ -119,23 +119,28 @@ func memoHistory(eng *sim.Engine, c *Cluster, seed uint64, steps int) error {
 }
 
 // TestVMDemandMemoMatchesTrace holds the demand memo to the uncached
-// trace read: on running clusters, serial and sharded (the tick takes
-// each host's deadline from its residents' entries, and shard workers
-// fill them concurrently), and on a fork run concurrently
-// with its running source (VM pointers are shared across forks, so a
-// memo kept anywhere but the cluster would race under -race and
-// answer one world with the other's reads).
+// trace read: on running clusters, serial and sharded, on the
+// full-scan oracle (every resident read at every pass) and on the
+// event-driven tick (each host's deadline taken from its residents'
+// entries; shard workers fill them concurrently), and on a fork run
+// concurrently with its running source (VM pointers are shared across
+// forks, so a memo kept anywhere but the cluster would race under
+// -race and answer one world with the other's reads).
 func TestVMDemandMemoMatchesTrace(t *testing.T) {
 	for _, tc := range []struct {
-		name string
-		cfg  Config
+		name     string
+		cfg      Config
+		fullScan bool
 	}{
-		{"serial", Config{}},
-		{"sharded", Config{Shards: 3}},
+		{"full", Config{}, true},
+		{"delta", Config{}, false},
+		{"sharded", Config{Shards: 3}, true},
+		{"sharded-delta", Config{Shards: 3}, false},
 	} {
 		for seed := uint64(1); seed <= 2; seed++ {
 			t.Run(fmt.Sprintf("%s/seed%d", tc.name, seed), func(t *testing.T) {
 				eng, c := memoFleet(t, seed, tc.cfg)
+				c.fullScan = tc.fullScan
 				c.Start()
 				defer c.Close()
 				if err := memoHistory(eng, c, seed, 3000); err != nil {

@@ -141,9 +141,11 @@ func runSameInstantScenario(t *testing.T, cfg Config, fullScan bool) (c *Cluster
 // only the hosts dirtied since the previous pass, when the clock has
 // not moved — to the full-scan oracle: telemetry, aggregate SLA,
 // energy, stranded VM·s and the event log must match bit for bit for
-// shards {1, 2, 4}. The per-host evaluation count must also be exactly
-// the one the dirty feed and the fixture's deadlines imply, so a pass
-// that quietly fell back to a full scan fails too.
+// shards {1, 2, 4}, on the event-driven (delta) tick and on the sharded
+// oracle. The per-host evaluation count must also be exact: on the
+// tick, the one the dirty feed and the fixture's deadlines imply, so a
+// pass that quietly fell back to a full scan fails too; on the oracle,
+// every host at every pass, so an oracle that skipped hosts fails.
 func TestSameInstantEvaluateMatchesFullScan(t *testing.T) {
 	ref, _ := runSameInstantScenario(t, Config{}, true)
 	refTicks, refEvals := ref.EvalCounts()
@@ -152,58 +154,76 @@ func TestSameInstantEvaluateMatchesFullScan(t *testing.T) {
 			refEvals, refTicks, refTicks*sameInstantHosts)
 	}
 	for _, shards := range []int{1, 2, 4} {
-		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
-			got, want := runSameInstantScenario(t, Config{Shards: shards}, false)
-			sameClusterResults(t, ref, got)
-			sameEvents(t, ref, got)
-			ticks, evals := got.EvalCounts()
-			if ticks != refTicks {
-				t.Fatalf("%d passes, want the oracle's %d", ticks, refTicks)
-			}
-			// 3,337 = 8 at Start + 6 diurnal hosts × the 60 whole
-			// minutes to 1h + 7 × the 420 after VM 1 lands on host 7 at
-			// 1h0m7s + 29 hosts dirtied before the 21 passes that are not
-			// the first at a whole minute (the oracle: 502 passes × 8
-			// hosts).
-			if evals != want || want != 3337 {
-				t.Fatalf("evaluated %d host-slots, the fixture implies %d, want 3,337", evals, want)
-			}
-			if want >= refEvals {
-				t.Fatalf("the dirty feed implies %d host-slots, the oracle's %d: no pass skipped a host", want, refEvals)
-			}
-		})
+		for _, delta := range []bool{false, true} {
+			t.Run(fmt.Sprintf("shards=%d/delta=%v", shards, delta), func(t *testing.T) {
+				got, want := runSameInstantScenario(t, Config{Shards: shards}, !delta)
+				sameClusterResults(t, ref, got)
+				sameEvents(t, ref, got)
+				ticks, evals := got.EvalCounts()
+				if ticks != refTicks {
+					t.Fatalf("%d passes, want the oracle's %d", ticks, refTicks)
+				}
+				if !delta {
+					if evals != refEvals {
+						t.Fatalf("sharded oracle evaluated %d host-slots, want every host at each of %d passes (%d)",
+							evals, ticks, refEvals)
+					}
+					return
+				}
+				// 3,337 = 8 at Start + 6 diurnal hosts × the 60 whole
+				// minutes to 1h + 7 × the 420 after VM 1 lands on host 7
+				// at 1h0m7s + 29 hosts dirtied before the 21 passes that
+				// are not the first at a whole minute (the oracle: 502
+				// passes × 8 hosts).
+				if evals != want || want != 3337 {
+					t.Fatalf("evaluated %d host-slots, the fixture implies %d, want 3,337", evals, want)
+				}
+				if want >= refEvals {
+					t.Fatalf("the dirty feed implies %d host-slots, the oracle's %d: no pass skipped a host", want, refEvals)
+				}
+			})
+		}
 	}
 }
 
 // TestSameInstantEvaluateAllocFree extends the allocation gate to the
 // same-instant pass: a DVFS move on two hosts and an evaluation at the
-// instant already evaluated must refresh exactly those two hosts
-// without allocating, serial and sharded.
+// instant already evaluated must refresh exactly those two hosts on
+// the event-driven (delta) tick, and all sixteen on the full-scan
+// oracle, without allocating, serial and sharded.
 func TestSameInstantEvaluateAllocFree(t *testing.T) {
-	for _, cfg := range []Config{{}, {Shards: 4}} {
-		t.Run(fmt.Sprintf("shards=%d", cfg.Shards), func(t *testing.T) {
-			eng := sim.NewEngine(1)
-			cfg.Horizon = 30 * 24 * time.Hour
-			c := buildQuiescentCluster(t, eng, cfg, 16, 96)
-			c.startEval()
-			defer c.Close()
-			c.evaluate()
-			eng.RunUntil(sim.Time(time.Minute))
-			c.evaluate()
-
-			ticks0, evals0 := c.EvalCounts()
-			avg := testing.AllocsPerRun(200, func() {
-				c.HostChanged(3)
-				c.HostChanged(12)
+	const hosts = 16
+	for _, shards := range []int{0, 4} {
+		for _, delta := range []bool{false, true} {
+			t.Run(fmt.Sprintf("shards=%d/delta=%v", shards, delta), func(t *testing.T) {
+				eng := sim.NewEngine(1)
+				cfg := Config{Shards: shards, Horizon: 30 * 24 * time.Hour}
+				c := buildQuiescentCluster(t, eng, cfg, hosts, 96)
+				c.fullScan = !delta
+				c.startEval()
+				defer c.Close()
 				c.evaluate()
+				eng.RunUntil(sim.Time(time.Minute))
+				c.evaluate()
+
+				ticks0, evals0 := c.EvalCounts()
+				avg := testing.AllocsPerRun(200, func() {
+					c.HostChanged(3)
+					c.HostChanged(12)
+					c.evaluate()
+				})
+				if avg != 0 {
+					t.Fatalf("same-instant evaluate allocates %.2f times per pass, want 0", avg)
+				}
+				perPass := int64(2)
+				if !delta {
+					perPass = hosts
+				}
+				ticks, evals := c.EvalCounts()
+				if passes := ticks - ticks0; evals-evals0 != perPass*passes {
+					t.Fatalf("%d same-instant passes evaluated %d host-slots, want %d each", passes, evals-evals0, perPass)
+				}
 			})
-			if avg != 0 {
-				t.Fatalf("same-instant evaluate allocates %.2f times per pass, want 0", avg)
-			}
-			ticks, evals := c.EvalCounts()
-			if passes := ticks - ticks0; evals-evals0 != 2*passes {
-				t.Fatalf("%d same-instant passes evaluated %d host-slots, want 2 each", passes, evals-evals0)
-			}
-		})
+		}
 	}
 }

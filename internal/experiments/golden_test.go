@@ -6,6 +6,8 @@ import (
 	"os"
 	"strings"
 	"testing"
+
+	"agilepower/internal/cluster"
 )
 
 // diffAt reports the first byte where two outputs diverge, with
@@ -121,25 +123,33 @@ func TestRunAllMatchesGolden(t *testing.T) {
 // experiments — fault injection, crash/repair churn and the imperfect
 // control plane, the paths that stress the tick's dirty queues and
 // deadlines, the manager's cache invalidation and the forked worlds
-// hardest — across shards {1, 2, 4} × workers {1, 4}, comparing each
-// report byte-for-byte against its golden section. Two shard counts
-// above one put the range boundaries in different places. Under -race
-// this doubles as the concurrency workout for the sharded tick and
-// concurrent forks of one prototype.
+// hardest — across shards {1, 2, 4} × workers {1, 4}, each on the
+// event-driven (delta) tick and on the full-scan oracle, comparing
+// every report byte-for-byte against its golden section. Two shard
+// counts above one put the range boundaries in different places; the
+// oracle replays keep the oracle itself, which the cluster-level
+// identity tests compare against, tied to the golden bytes under
+// faults. Under -race this doubles as the concurrency workout for the
+// sharded tick and concurrent forks of one prototype.
 func TestFaultedExperimentsMatchGolden(t *testing.T) {
 	for _, id := range []string{"robust", "ctrl"} {
 		want := goldenQuickSection(t, id)
 		for _, shards := range []int{1, 2, 4} {
 			for _, workers := range []int{1, 4} {
-				name := fmt.Sprintf("%s/shards=%d/workers=%d", id, shards, workers)
-				t.Run(name, func(t *testing.T) {
-					var got bytes.Buffer
-					opts := Options{Quick: true, Shards: shards, Workers: workers}
-					if err := Run(id, &got, opts); err != nil {
-						t.Fatal(err)
-					}
-					diffAt(t, name, got.Bytes(), want)
-				})
+				for _, delta := range []bool{false, true} {
+					name := fmt.Sprintf("%s/shards=%d/workers=%d/delta=%v", id, shards, workers, delta)
+					t.Run(name, func(t *testing.T) {
+						if !delta {
+							defer cluster.UseFullScanOracleForAll()()
+						}
+						var got bytes.Buffer
+						opts := Options{Quick: true, Shards: shards, Workers: workers}
+						if err := Run(id, &got, opts); err != nil {
+							t.Fatal(err)
+						}
+						diffAt(t, name, got.Bytes(), want)
+					})
+				}
 			}
 		}
 	}
