@@ -58,14 +58,20 @@ gate-names:
 # must match its full-scan oracle; the packing core, the drain planner
 # and the drain replay (consecutive replans with small changes between
 # them, its fuzz target's seed corpus included) must match the
-# map-based planner they replaced; forked worlds must match cold ones;
+# map-based planner they replaced, and MinBins a fresh pack of every
+# prefix; the manager's per-host planning rows must match the
+# whole-fleet pass at every use in the parity worlds, the live drain
+# plans, the drain harness and the faulted experiments
+# (core.CheckPlanningRowsForAll), and a drain bin must follow the
+# demand of a VM migrating in;
+# forked worlds must match cold ones;
 # and the lossy control-plane message layer must replay identically for
 # a fixed seed; and the event queue must fire, cancel and count
 # exactly as a sorted-slice reference does (its fuzz target's seed
 # corpus included). Run explicitly in CI (it is also part of `make
 # test`) so a violation is unmissable.
 determinism:
-	$(GO) test -run 'TestRunAllMatchesGolden|TestFaultedExperimentsMatchGolden|TestHyperscaleQuickMatchesFullScan|TestPlaneDeterministicAcrossReruns|TestDeltaEvaluateBitIdentical|TestShardedEvaluateBitIdentical|TestSameInstantEvaluateMatchesFullScan|FuzzEvaluateMatchesFullScan|TestIncrementalPlanningParity|TestPackMatchesOracle|TestPlanDrainMatchesOracle|TestPlanDrainMatchesOracleLive|TestDrainReplayMatchesOracle|FuzzDrainReplay|TestForkMatchesColdStart|TestForkGridMatchesColdStart|TestConcurrentForksMatchColdStart|TestEngineMatchesReference|FuzzEngineMatchesReference' -v \
+	$(GO) test -run 'TestRunAllMatchesGolden|TestFaultedExperimentsMatchGolden|TestHyperscaleQuickMatchesFullScan|TestPlaneDeterministicAcrossReruns|TestDeltaEvaluateBitIdentical|TestShardedEvaluateBitIdentical|TestSameInstantEvaluateMatchesFullScan|FuzzEvaluateMatchesFullScan|TestIncrementalPlanningParity|TestBinRowsTrackInboundDemand|TestPackMatchesOracle|TestMinBinsMatchesOracle|TestPlanDrainMatchesOracle|TestPlanDrainMatchesOracleLive|TestDrainReplayMatchesOracle|FuzzDrainReplay|TestForkMatchesColdStart|TestForkGridMatchesColdStart|TestConcurrentForksMatchColdStart|TestEngineMatchesReference|FuzzEngineMatchesReference' -v \
 		./internal/experiments/ ./internal/ctrlplane/ ./internal/cluster/ ./internal/core/ ./internal/sim/ .
 
 bench:
@@ -87,14 +93,16 @@ bench-baseline:
 	$(GO) test -run '^$$' -bench=. -benchmem -benchtime=1x -count=3 . \
 		| $(GO) run ./cmd/benchjson -label $(LABEL) -out $(OUT)
 
-# Record the hot-path benchmarks (evaluate loop: a full pass, and a
-# pass at an already-evaluated instant after two hosts changed; manager
-# control step, simulated day, and the event engine: chained dispatch
-# one deep, 10,000 queued events, and a steady 512-deep
-# self-rescheduling queue) into BENCH_hotpath.json. The checked-in
-# artifact holds the pre/post numbers of the allocation-free rework, of
-# the typed event queue and of the same-instant pass; re-run after any
-# change to the evaluate, control or dispatch paths:
+# Record the hot-path benchmarks (evaluate loop on 256 hosts: the tick
+# a run fires as the clock advances one step, the full-scan oracle at
+# one repeated instant, and a pass at an already-evaluated instant
+# after two hosts changed; manager control step, simulated day, and the
+# event engine: chained dispatch one deep, 10,000 queued events, and a
+# steady 512-deep self-rescheduling queue) into BENCH_hotpath.json.
+# The checked-in artifact holds the pre/post numbers of the
+# allocation-free rework, of the typed event queue and of the
+# same-instant pass; re-run after any change to the evaluate, control
+# or dispatch paths:
 #
 #	make bench-hotpath LABEL=hotpath-post
 bench-hotpath: LABEL ?= hotpath
@@ -103,8 +111,9 @@ bench-hotpath:
 		-benchmem -count=3 ./internal/cluster/ ./internal/core/ ./internal/sim/ \
 		| $(GO) run ./cmd/benchjson -label $(LABEL) -out BENCH_hotpath.json
 
-# Record the datacenter-scale benchmarks (one full-scan-oracle pass and
-# one full simulated day at 2048 hosts / 16384 VMs, serial and sharded)
+# Record the datacenter-scale benchmarks (one tick as the clock
+# advances, one full-scan-oracle pass at a repeated instant, and one
+# full simulated day at 2048 hosts / 16384 VMs, serial and sharded)
 # into BENCH_scale.json. The checked-in artifact holds the pre/post
 # numbers of the sharded-evaluation rework and of the deadline sweep;
 # the sharding speedup is only visible with GOMAXPROCS >= the shard
@@ -118,8 +127,9 @@ bench-scale:
 		| $(GO) run ./cmd/benchjson -label $(LABEL) -out BENCH_scale.json
 
 # One iteration of the scale benchmarks: proves the 2048-host fleet
-# still builds and the sharded tick stays allocation-free, without the
-# cost of a measurement run. CI runs this alongside bench-alloc.
+# still builds and both evaluation modes run, serial and sharded,
+# without the cost of a measurement run. CI runs this alongside
+# bench-alloc.
 bench-scale-smoke:
 	$(GO) test -run '^$$' -bench 'BenchmarkScaleEvaluate' -benchmem -benchtime=1x \
 		./internal/cluster/
@@ -154,29 +164,32 @@ bench-hyperscale-smoke:
 # steady-state control step over the 16384-host / 131072-VM
 # quiescent-majority fixture (the full-scan test oracle versus the
 # incremental planner; the acceptance bar is incremental >= 10x faster
-# than full-scan at 0 allocs/op), the forecast upkeep as simulated
-# time moves one evaluation step per op, on a 4096-VM mixed fleet and
-# on the hyperscale fixture, and one migration-completion replan, on a
-# wide drain with short first-fit scans and on one shaped like
-# hyper -quick's, whose scans are long:
+# than full-scan at 0 allocs/op) and over a 32-host fleet, the
+# scale-down search (MinBins) at 200 VMs / 32 hosts, the forecast
+# upkeep as simulated time moves one evaluation step per op, on a
+# 4096-VM mixed fleet and on the hyperscale fixture, and one
+# migration-completion replan, on a wide drain with short first-fit
+# scans, on one shaped like hyper -quick's, whose scans are long, and
+# on that one with what a completion dirties changed before each op:
 #
 #	make bench-manager LABEL=manager-post-incremental
 bench-manager: LABEL ?= manager
 bench-manager:
-	$(GO) test -run '^$$' -bench 'BenchmarkManagerControlStepHyperscale|BenchmarkForecastUpkeep|BenchmarkDrainReplan' \
+	$(GO) test -run '^$$' -bench '^(BenchmarkManagerControlStepHyperscale|BenchmarkManagerControlStep|BenchmarkMinBins|BenchmarkForecastUpkeep|BenchmarkDrainReplan)$$' \
 		-benchmem -benchtime=50x -count=3 -timeout 30m ./internal/core/ \
 		| $(GO) run ./cmd/benchjson -label $(LABEL) -out BENCH_manager.json
 
 # The manager-cost gate without a measurement run: one iteration of the
-# hyperscale control-step, forecast-upkeep and drain-replan benchmarks
-# (so the fixtures cannot rot), the steady-state 0-alloc assertion, and
-# the parity property tests that hold the incremental planner against
-# its full-scan oracle. CI runs this as its manager-gate job; part of
-# `make ci`.
+# control-step, MinBins, forecast-upkeep and drain-replan benchmarks
+# (so the fixtures cannot rot), the 0-alloc assertions for the cached
+# and the recomputed control step, and the parity property tests that
+# hold the incremental planner against its full-scan oracle and its
+# planning rows against the whole-fleet pass. CI runs this as its
+# manager-gate job; part of `make ci`.
 bench-manager-smoke:
-	$(GO) test -run '^$$' -bench 'BenchmarkManagerControlStepHyperscale|BenchmarkForecastUpkeep|BenchmarkDrainReplan' -benchmem -benchtime=1x \
+	$(GO) test -run '^$$' -bench '^(BenchmarkManagerControlStepHyperscale|BenchmarkManagerControlStep|BenchmarkMinBins|BenchmarkForecastUpkeep|BenchmarkDrainReplan)$$' -benchmem -benchtime=1x \
 		./internal/core/
-	$(GO) test -run 'TestManagerStepSteadyStateAllocFree|TestIncrementalPlanningParity' -v \
+	$(GO) test -run 'TestManagerStepSteadyStateAllocFree|TestPackServingAllocFree|TestIncrementalPlanningParity' -v \
 		./internal/core/
 
 # Record the world-setup benchmarks (per-cell world construction and
@@ -214,7 +227,8 @@ bench-setup-smoke:
 # Allocation regression gate: the steady-state evaluation tick — serial
 # and sharded — and the same-instant pass, the handle-free event loop,
 # the control plane's heartbeats, reports and sweeps, the manager's
-# cached control step, the drain replan a migration completion runs,
+# cached control step and one that re-runs the MinBins search, the
+# drain replan a migration completion runs,
 # and every refused StartMigration must stay allocation-free, and the
 # full report bytes must match the pre-optimization goldens. Part of
 # `make ci`.

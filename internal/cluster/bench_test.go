@@ -71,25 +71,47 @@ func buildScaleCluster(b *testing.B, shards int) (*sim.Engine, *Cluster) {
 	return eng, c
 }
 
-// BenchmarkScaleEvaluate measures one evaluation pass over the
-// 2,048-host / 16,384-VM fixture at several shard counts. shards=1 is
-// the serial baseline the BENCH_scale.json record compares against.
-// Every op evaluates at the same instant, so the full-scan oracle is
-// forced: otherwise each pass after the first would refresh only the
-// hosts dirtied since the one before, and there are none.
+// BenchmarkScaleEvaluate measures evaluation passes over the
+// 2,048-host / 16,384-VM fixture at several shard counts; shards=1 is
+// the serial baseline:
+//
+//   - tick: each op advances the clock one EvalStep, firing the tick a
+//     run fires, which refreshes the hosts made dirty and those whose
+//     demand deadline came (here, with 1-minute traces, every host);
+//   - fullscan-oracle: each op evaluates one repeated instant with the
+//     full-scan oracle forced, a pass no run takes: otherwise each pass
+//     after the first would refresh only the hosts dirtied since the
+//     one before, and there are none.
 func BenchmarkScaleEvaluate(b *testing.B) {
-	for _, shards := range []int{1, 4, 8} {
-		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
-			_, c := buildScaleCluster(b, shards)
-			c.fullScan = true
-			c.Start()
-			defer c.Close()
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				c.evaluate()
-			}
-		})
+	for _, mode := range []string{"tick", "fullscan-oracle"} {
+		for _, shards := range []int{1, 4, 8} {
+			b.Run(fmt.Sprintf("%s/shards=%d", mode, shards), func(b *testing.B) {
+				eng, c := buildScaleCluster(b, shards)
+				benchEvaluate(b, eng, c, mode)
+			})
+		}
+	}
+}
+
+// benchEvaluate starts c and times b.N evaluation passes in the given
+// mode (see BenchmarkScaleEvaluate).
+func benchEvaluate(b *testing.B, eng *sim.Engine, c *Cluster, mode string) {
+	c.fullScan = mode == "fullscan-oracle"
+	c.Start()
+	defer c.Close()
+	step := sim.Time(c.EvalStep())
+	if !c.fullScan {
+		// One tick first, so every lazy growth path has run.
+		eng.RunUntil(eng.Now() + step)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if c.fullScan {
+			c.evaluate()
+		} else {
+			eng.RunUntil(eng.Now() + step)
+		}
 	}
 }
 
@@ -115,32 +137,35 @@ func BenchmarkScaleDay(b *testing.B) {
 	}
 }
 
-// BenchmarkClusterEvaluate measures one full evaluation pass over a
-// 32-host / 160-VM cluster — the simulator's innermost hot path. Every
-// op evaluates at the same instant, so the full-scan oracle is forced,
-// as in BenchmarkScaleEvaluate.
+// BenchmarkClusterEvaluate measures evaluation passes over 256 hosts
+// carrying 4,096 diurnal VMs, in the two modes of
+// BenchmarkScaleEvaluate: the tick a run fires as the clock advances
+// one EvalStep per op, and the full-scan oracle at one repeated
+// instant. TelemetryCap holds the four series in fixed memory, so a
+// tick costs the pass and not slice growth.
 func BenchmarkClusterEvaluate(b *testing.B) {
-	eng := sim.NewEngine(1)
-	c, err := New(eng, Config{})
-	if err != nil {
-		b.Fatal(err)
-	}
-	c.fullScan = true
-	for h := 0; h < 32; h++ {
-		if _, err := c.AddHost(host.Config{Cores: 16, MemoryGB: 256}); err != nil {
-			b.Fatal(err)
-		}
-	}
-	for v := 0; v < 160; v++ {
-		if _, err := c.AddVM(vm.Config{VCPUs: 4, MemoryGB: 8, Trace: workload.Constant(1)}, host.ID(v%32+1)); err != nil {
-			b.Fatal(err)
-		}
-	}
-	c.Start()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		c.evaluate()
+	for _, mode := range []string{"tick", "fullscan-oracle"} {
+		b.Run(mode, func(b *testing.B) {
+			const hosts = 256
+			eng := sim.NewEngine(1)
+			c, err := New(eng, Config{TelemetryCap: 4096})
+			if err != nil {
+				b.Fatal(err)
+			}
+			for h := 0; h < hosts; h++ {
+				if _, err := c.AddHost(host.Config{Cores: 16, MemoryGB: 256}); err != nil {
+					b.Fatal(err)
+				}
+			}
+			rng := sim.NewRNG(1)
+			for v := 0; v < 16*hosts; v++ {
+				tr := workload.Diurnal(rng.Fork(), workload.DiurnalSpec{BaseCores: 0.4, PeakCores: 3})
+				if _, err := c.AddVM(vm.Config{VCPUs: 4, MemoryGB: 8, Trace: tr}, host.ID(v%hosts+1)); err != nil {
+					b.Fatal(err)
+				}
+			}
+			benchEvaluate(b, eng, c, mode)
+		})
 	}
 }
 

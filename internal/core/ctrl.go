@@ -72,9 +72,14 @@ func (m *Manager) startMigration(vid vm.ID, dst host.ID) error {
 		// The cluster sees nothing until the command lands, so its
 		// dirty feed stays silent — but callers mutate the cached load
 		// vector after a successful send, and that mutation must not
-		// survive into the next cache read (the eager path rebuilds
-		// loads fresh each call). Move the epoch explicitly.
+		// survive into the next read (the full pass rebuilds loads
+		// fresh each call). Move the epoch and mark both endpoints'
+		// rows explicitly.
 		m.invalidate()
+		if src, ok := m.cl.Placement(vid); ok {
+			m.markHost(src)
+		}
+		m.markHost(dst)
 		m.cp.SendMigrate(vid, dst)
 		return nil
 	}

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"slices"
 	"sort"
 	"testing"
@@ -285,13 +286,87 @@ func TestPackMatchesOracle(t *testing.T) {
 	}
 }
 
+// oracleMinBins is the original MinBins: the aggregate lower bound,
+// then a fresh oraclePack of every prefix it does not rule out.
+func oracleMinBins(items []Item, bins []Bin, kind PackKind) (int, Assignment, bool) {
+	if len(items) == 0 {
+		return 0, Assignment{}, true
+	}
+	needCPU, needMem := 0.0, 0.0
+	for _, it := range items {
+		needCPU += it.CPU
+		needMem += it.MemGB
+	}
+	cumCPU, cumMem := 0.0, 0.0
+	for k := 1; k <= len(bins); k++ {
+		cumCPU += bins[k-1].CPUCap
+		cumMem += bins[k-1].MemCap
+		if cumCPU+1e-9 < needCPU || cumMem+1e-9 < needMem {
+			continue
+		}
+		if a, ok := oraclePack(items, bins[:k], kind); ok {
+			return k, a, true
+		}
+	}
+	return len(bins), nil, false
+}
+
+// TestMinBinsMatchesOracle holds MinBins, which sorts once and restores
+// each failed prefix on one packer, to a fresh pack of every prefix, on
+// random instances under both heuristics: homes inside and past the
+// prefixes, anti-affinity groups on items and bins, and fleets too
+// small to pack at all.
+func TestMinBinsMatchesOracle(t *testing.T) {
+	rng := sim.NewRNG(7)
+	groups := []string{"", "", "a", "b", "c"}
+	var found, none int
+	for trial := 0; trial < 2000; trial++ {
+		nBins, nItems := rng.Intn(12)+1, rng.Intn(30)
+		bins := make([]Bin, nBins)
+		for i := range bins {
+			bins[i] = Bin{Key: i + 1, CPUCap: rng.Range(0, 12), MemCap: rng.Range(0, 64)}
+			if rng.Bernoulli(0.3) {
+				bins[i].Groups = []string{groups[rng.Intn(len(groups))]}
+			}
+		}
+		items := make([]Item, nItems)
+		for i := range items {
+			items[i] = Item{
+				Key:     rng.Intn(1000)*64 + i,
+				CPU:     float64(rng.Intn(8)) * 0.5,
+				MemGB:   rng.Range(0, 16),
+				Current: rng.Intn(nBins+4) - 2,
+				Group:   groups[rng.Intn(len(groups))],
+			}
+		}
+		for _, kind := range []PackKind{PackFFD, PackBFD} {
+			wantK, want, wantOK := oracleMinBins(items, bins, kind)
+			gotK, got, gotOK := MinBins(items, bins, kind)
+			if gotK != wantK || gotOK != wantOK || !sameAssignment(got, want) {
+				t.Fatalf("trial %d %v: MinBins = %d,%v,%v; oracle %d,%v,%v", trial, kind, gotK, got, gotOK, wantK, want, wantOK)
+			}
+			if gotOK {
+				found++
+			} else {
+				none++
+			}
+		}
+	}
+	if found == 0 || none == 0 {
+		t.Fatalf("coverage: %d packed, %d unpackable; want both > 0", found, none)
+	}
+}
+
 // drainGroups is drainWorld's anti-affinity palette: half the VMs
 // carry one of three groups, so many grouped evacuees fit nowhere.
 var drainGroups = []string{"", "", "", "db", "web", "cache"}
 
 // drainWorld is a started cluster with random residents and in-flight
 // migrations under a manager that never runs on its own: the test
-// drives planDrain directly. Each VM's group is drawn from groups.
+// drives planDrain directly, on forecasts it writes into the manager's
+// own vector through setForecast, so the planning rows see every edit.
+// The manager checks its rows against the whole-fleet pass. Each VM's
+// group is drawn from groups.
 func drainWorld(t *testing.T, seed uint64, kind PackKind, groups []string) (*cluster.Cluster, *Manager, *sim.RNG) {
 	t.Helper()
 	rng := sim.NewRNG(seed)
@@ -321,10 +396,13 @@ func drainWorld(t *testing.T, seed uint64, kind PackKind, groups []string) (*clu
 			}
 		}
 	}
+	restore := CheckPlanningRowsForAll()
 	m, err := NewManager(cl, Config{Policy: DPMS3, Packing: kind})
+	restore()
 	if err != nil {
 		t.Fatal(err)
 	}
+	m.growVMSlots()
 	cl.Start()
 	// In-flight migrations, some carrying groups, charged to their
 	// destinations (serving or evacuating alike).
@@ -351,7 +429,7 @@ func TestPlanDrainMatchesOracle(t *testing.T) {
 		}
 		cl, m, rng := drainWorld(t, seed, kind, drainGroups)
 		hosts := cl.Hosts()
-		forecasts := make([]float64, cl.MaxVMID())
+		forecasts := m.fcv
 		var evac []*host.Host
 		for call := 0; call < 60; call++ {
 			switch op := rng.Intn(6); {
@@ -372,10 +450,11 @@ func TestPlanDrainMatchesOracle(t *testing.T) {
 			case op == 3: // new forecasts, sometimes high enough to fail
 				scale := []float64{0.25, 0.5, 1, 4}[rng.Intn(4)]
 				for i := range forecasts {
-					forecasts[i] = float64(rng.Intn(8)) * 0.25 * scale
+					m.setForecast(vm.ID(i+1), float64(rng.Intn(8))*0.25*scale)
 				}
 			case op == 4: // nudge one forecast
-				forecasts[rng.Intn(len(forecasts))] += rng.Range(-0.5, 0.5)
+				i := rng.Intn(len(forecasts))
+				m.setForecast(vm.ID(i+1), forecasts[i]+rng.Range(-0.5, 0.5))
 			}
 			c := census{evacuating: evac}
 			for _, h := range hosts {
@@ -384,7 +463,7 @@ func TestPlanDrainMatchesOracle(t *testing.T) {
 				}
 			}
 			for i := range forecasts {
-				forecasts[i] = max(forecasts[i], 0)
+				m.setForecast(vm.ID(i+1), max(forecasts[i], 0))
 			}
 			want, wantOK := oraclePlanDrain(m, forecasts, c)
 			prev := lastOrder(&m.drain)
@@ -442,16 +521,16 @@ type replayCoverage struct {
 // finishing, a forecast nudged, an evacuee grown within its order, a
 // host joining or leaving the drain or the serving set, a grouped move
 // landing on a bin — and holds every plan to the oracle and every
-// replay decision to what the previous plan allows.
+// replay decision to what the previous plan allows. Forecast edits go
+// through the manager's setter, as the forecast upkeep's do.
 type replayHarness struct {
-	t         *testing.T
-	cl        *cluster.Cluster
-	m         *Manager
-	rng       *sim.RNG
-	kind      PackKind
-	forecasts []float64
-	role      []hostRole // by host.ID-1
-	cov       replayCoverage
+	t    *testing.T
+	cl   *cluster.Cluster
+	m    *Manager
+	rng  *sim.RNG
+	kind PackKind
+	role []hostRole // by host.ID-1
+	cov  replayCoverage
 }
 
 func newReplayHarness(t *testing.T, seed uint64, kind PackKind) *replayHarness {
@@ -459,7 +538,6 @@ func newReplayHarness(t *testing.T, seed uint64, kind PackKind) *replayHarness {
 	// One VM in five carries a group, so most drains are feasible.
 	cl, m, rng := drainWorld(t, seed, kind, []string{"", "", "", "", "", "", "", "", "db", "web"})
 	h := &replayHarness{t: t, cl: cl, m: m, rng: rng, kind: kind}
-	h.forecasts = make([]float64, cl.MaxVMID())
 	h.rescale(2)
 	h.role = make([]hostRole, len(cl.Hosts()))
 	for i := range h.role {
@@ -494,8 +572,8 @@ func (h *replayHarness) plan(step int) {
 	d := &h.m.drain
 	prev, prevOK := slices.Clone(d.last), d.lastOK
 	sorts, replays := d.sorts, d.replays
-	want, wantOK := oraclePlanDrain(h.m, h.forecasts, c)
-	got, gotOK := densePlan(h.m, h.forecasts, c)
+	want, wantOK := oraclePlanDrain(h.m, h.m.fcv, c)
+	got, gotOK := densePlan(h.m, h.m.fcv, c)
 	if gotOK != wantOK || !sameAssignment(got, want) {
 		h.t.Fatalf("step %d: dense plan %v,%v; oracle %v,%v", step, got, gotOK, want, wantOK)
 	}
@@ -543,8 +621,8 @@ func (h *replayHarness) step(op int) {
 	case 1:
 		h.finishMove()
 	case 2:
-		h.forecasts[h.rng.Intn(len(h.forecasts))] += h.rng.Range(-0.3, 0.3)
-		h.clamp()
+		i := h.rng.Intn(len(h.m.fcv))
+		h.m.setForecast(vm.ID(i+1), max(h.m.fcv[i]+h.rng.Range(-0.3, 0.3), 0))
 	case 3:
 		h.grow()
 	case 4:
@@ -556,17 +634,11 @@ func (h *replayHarness) step(op int) {
 	}
 }
 
-func (h *replayHarness) clamp() {
-	for i := range h.forecasts {
-		h.forecasts[i] = max(h.forecasts[i], 0)
-	}
-}
-
 // rescale draws every forecast afresh; scale 4 usually makes the drain
 // infeasible.
 func (h *replayHarness) rescale(scale float64) {
-	for i := range h.forecasts {
-		h.forecasts[i] = float64(h.rng.Intn(8)) * 0.25 * scale
+	for i := range h.m.fcv {
+		h.m.setForecast(vm.ID(i+1), float64(h.rng.Intn(8))*0.25*scale)
 	}
 }
 
@@ -613,8 +685,8 @@ func (h *replayHarness) grow() {
 	if j > 0 {
 		gap = last[j-1].cpu - last[j].cpu
 	}
-	if gap > 0 && h.forecasts[last[j].key-1] == last[j].cpu {
-		h.forecasts[last[j].key-1] += gap * h.rng.Range(0.5, 0.99)
+	if id := vm.ID(last[j].key); gap > 0 && h.m.fcv[id-1] == last[j].cpu {
+		h.m.setForecast(id, h.m.fcv[id-1]+gap*h.rng.Range(0.5, 0.99))
 	}
 }
 
@@ -748,6 +820,59 @@ func TestPlanDrainMatchesOracleLive(t *testing.T) {
 	t.Logf("compared %d live drain plans", compared)
 }
 
+// TestBinRowsTrackInboundDemand pins the bin row's inbound key: a VM
+// migrating into a serving host changes demand while nothing dirties
+// the host, so its bin row stays clean, and the next replan must still
+// charge the new inbound demand, not the row's.
+func TestBinRowsTrackInboundDemand(t *testing.T) {
+	eng := sim.NewEngine(1)
+	cl, err := cluster.New(eng, cluster.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 3; i++ {
+		if _, err := cl.AddHost(host.Config{Cores: 16, MemoryGB: 512}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// The mover's demand steps from 1 to 2 cores after a minute; at
+	// 128 GB its move takes longer than that.
+	step := &workload.Trace{Interval: time.Minute, Samples: []float64{1, 2}}
+	mover, err := cl.AddVM(vm.Config{VCPUs: 4, MemoryGB: 128, Trace: step}, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := cl.AddVM(vm.Config{VCPUs: 2, MemoryGB: 4, Trace: workload.Constant(0.5)}, 3); err != nil {
+		t.Fatal(err)
+	}
+	restore := CheckPlanningRowsForAll()
+	m, err := NewManager(cl, Config{Policy: DPMS3})
+	restore()
+	if err != nil {
+		t.Fatal(err)
+	}
+	m.growVMSlots()
+	cl.Start()
+	if err := cl.StartMigration(mover.ID(), 2); err != nil {
+		t.Fatal(err)
+	}
+	hosts := cl.Hosts()
+	c := census{serving: hosts[:2], evacuating: hosts[2:]}
+	for _, at := range []time.Duration{0, 90 * time.Second} {
+		eng.RunUntil(sim.Time(at))
+		if !cl.Migrating(mover.ID()) {
+			t.Fatalf("the move finished by %v", at)
+		}
+		if !m.planDrain(m.fcv, c) {
+			t.Fatal("drain plan infeasible")
+		}
+		want := 16*0.7 - cl.VMDemand(mover, eng.Now())
+		if got := m.drain.pk.bins[1].cpuCap; got != want {
+			t.Fatalf("at %v host 2's bin has %v cores, want %v", at, got, want)
+		}
+	}
+}
+
 // drainShape sizes a drainReplanFixture: hosts 16-core/256 GB hosts
 // with vmsPerHost 2-vCPU VMs of memGB each, diurnal demand from base
 // cores up to half a core more, and the first evacuate hosts draining.
@@ -833,75 +958,86 @@ func TestDrainReplanSteadyStateAllocFree(t *testing.T) {
 	}
 }
 
-// TestDrainRefusalsWithoutFreeSlot pins the refused-start shortcut in
-// drainEvacuating: when every evacuating host's migration slots are
-// taken, each eligible planned evacuee counts exactly one refusal and
-// no move starts.
+// TestDrainRefusalsWithoutFreeSlot pins the refusal shortcuts in
+// drainEvacuating: a source whose migration slots are all taken counts
+// one refusal per planned evacuee, as a whole segment when no VM is on
+// migration backoff and one VM at a time when some VM is, and counts
+// nothing once the per-step cap is reached; no move starts from it.
+// Hosts 2 and 3 carry six VMs each and have all four slots taken by
+// moves to hosts 4-8; host 1 carries two VMs and has free slots. Each
+// case's counts are what the per-VM loop counts: it skips a held VM,
+// refuses every other planned evacuee of a full source, and stops at
+// the first eligible evacuee once the cap is reached.
 func TestDrainRefusalsWithoutFreeSlot(t *testing.T) {
-	eng := sim.NewEngine(1)
-	cl, err := cluster.New(eng, cluster.Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 8; i++ {
-		if _, err := cl.AddHost(host.Config{Cores: 16, MemoryGB: 256}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	// Hosts 1 and 2 carry six VMs each, the other hosts two.
-	for i := 0; i < 24; i++ {
-		on := host.ID(i%8 + 1)
-		if i >= 16 {
-			on = host.ID(i%2 + 1)
-		}
-		if _, err := cl.AddVM(vm.Config{VCPUs: 2, MemoryGB: 8, Trace: workload.Constant(0.5)}, on); err != nil {
-			t.Fatal(err)
-		}
-	}
-	m, err := NewManager(cl, Config{Policy: DPMS3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	cl.Start()
-	// Fill both sources' four slots, spreading the moves over hosts 3-8
-	// so the destinations keep free slots.
-	dst := 3
-	for _, src := range []host.ID{1, 2} {
-		h, _ := cl.Host(src)
-		for _, vid := range h.VMs()[:4] {
-			if err := cl.StartMigration(vid, host.ID(dst)); err != nil {
+	for _, tc := range []struct {
+		name              string
+		evacuate          []host.ID
+		maxPerStep        int
+		hold              bool // put one eligible evacuee of host 2 on backoff
+		wantFailed, wantN int  // refusals counted, moves started
+	}{
+		{"full-sources", []host.ID{2, 3}, 0, false, 4, 0},
+		{"held-vm", []host.ID{2, 3}, 0, true, 3, 0},
+		{"cap-reached", []host.ID{1, 2, 3}, 1, false, 0, 1},
+		{"cap-not-reached", []host.ID{1, 2, 3}, 3, false, 4, 2},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			eng := sim.NewEngine(1)
+			cl, err := cluster.New(eng, cluster.Config{})
+			if err != nil {
 				t.Fatal(err)
 			}
-			dst = dst%6 + 3
-		}
-	}
-	m.evacuating.add(1)
-	m.evacuating.add(2)
-	m.invalidate()
-	forecasts := m.observeAll()
-	eligible := 0
-	if !m.planDrain(forecasts, m.takeCensus()) {
-		t.Fatal("drain plan infeasible")
-	}
-	for _, src := range []host.ID{1, 2} {
-		h, _ := cl.Host(src)
-		for _, vid := range h.VMs() {
-			if _, planned := m.drain.dest(vid); planned && !cl.Migrating(vid) {
-				eligible++
+			for i := 0; i < 8; i++ {
+				if _, err := cl.AddHost(host.Config{Cores: 16, MemoryGB: 256}); err != nil {
+					t.Fatal(err)
+				}
 			}
-		}
-	}
-	if eligible != 4 {
-		t.Fatalf("%d eligible planned evacuees, want 4", eligible)
-	}
-	inflight := cl.Migrations().Inflight()
-	m.drainEvacuating(forecasts)
-	if m.stats.MigrationsFailed != eligible || m.stats.MigrationsConsolidation != 0 {
-		t.Fatalf("drain counted %d refusals and %d starts; want %d and 0",
-			m.stats.MigrationsFailed, m.stats.MigrationsConsolidation, eligible)
-	}
-	if got := cl.Migrations().Inflight(); got != inflight {
-		t.Fatalf("%d migrations in flight after the drain, want %d", got, inflight)
+			for i := 0; i < 24; i++ {
+				on := host.ID(i%8 + 1)
+				if i >= 16 {
+					on = host.ID(i%2 + 2)
+				}
+				if _, err := cl.AddVM(vm.Config{VCPUs: 2, MemoryGB: 8, Trace: workload.Constant(0.5)}, on); err != nil {
+					t.Fatal(err)
+				}
+			}
+			m, err := NewManager(cl, Config{Policy: DPMS3, MaxMigrationsPerStep: tc.maxPerStep})
+			if err != nil {
+				t.Fatal(err)
+			}
+			cl.Start()
+			dst := 4
+			for _, src := range []host.ID{2, 3} {
+				h, _ := cl.Host(src)
+				for _, vid := range h.VMs()[:4] {
+					if err := cl.StartMigration(vid, host.ID(dst)); err != nil {
+						t.Fatal(err)
+					}
+					dst = dst%5 + 4
+				}
+			}
+			for _, id := range tc.evacuate {
+				m.evacuating.add(id)
+			}
+			m.invalidate()
+			if tc.hold {
+				h, _ := cl.Host(2)
+				m.migRetryAt[h.VMs()[4]] = eng.Now() + sim.Time(time.Hour)
+			}
+			forecasts := m.observeAll()
+			if !m.planDrain(forecasts, m.takeCensus()) {
+				t.Fatal("drain plan infeasible")
+			}
+			inflight := cl.Migrations().Inflight()
+			m.drainEvacuating(forecasts)
+			if m.stats.MigrationsFailed != tc.wantFailed || m.stats.MigrationsConsolidation != tc.wantN {
+				t.Fatalf("drain counted %d refusals and %d starts; want %d and %d",
+					m.stats.MigrationsFailed, m.stats.MigrationsConsolidation, tc.wantFailed, tc.wantN)
+			}
+			if got := cl.Migrations().Inflight(); got != inflight+tc.wantN {
+				t.Fatalf("%d migrations in flight after the drain, want %d", got, inflight+tc.wantN)
+			}
+		})
 	}
 }
 
@@ -912,20 +1048,52 @@ func TestDrainRefusalsWithoutFreeSlot(t *testing.T) {
 //   - wide: 32 hosts drain into 224 serving bins with room to spare,
 //     so first-fit scans are short;
 //   - hyper: shaped like hyper -quick's own drains, 181 hosts drain
-//     into 75 serving bins near the packing target, so scans are long.
+//     into 75 serving bins near the packing target, so scans are long;
+//   - hyper-churn: the hyper drain with, before each op, what a
+//     completion dirties: the dirty feed fires for one serving and one
+//     evacuating host (a move's two endpoints), and one evacuee's
+//     forecast moves by one ulp through the setter, so those rows are
+//     recomputed and the replay re-places that evacuee. The evacuee is
+//     the last of its equal-forecast run in the packing order and moves
+//     down and back, so the order holds, as it does in most real
+//     replans. In the other two cases nothing changes between replans,
+//     so every row is clean and the replay has no dirty bin.
 func BenchmarkDrainReplan(b *testing.B) {
 	for _, bc := range []struct {
 		name  string
 		shape drainShape
+		churn bool
 	}{
-		{"wide", drainShape{hosts: 256, vmsPerHost: 16, evacuate: 32, memGB: 8, base: 0.1}},
-		{"hyper", drainShape{hosts: 256, vmsPerHost: 16, evacuate: 85, memGB: 4, base: 0.3}},
+		{"wide", drainShape{hosts: 256, vmsPerHost: 16, evacuate: 32, memGB: 8, base: 0.1}, false},
+		{"hyper", drainShape{hosts: 256, vmsPerHost: 16, evacuate: 85, memGB: 4, base: 0.3}, false},
+		{"hyper-churn", drainShape{hosts: 256, vmsPerHost: 16, evacuate: 85, memGB: 4, base: 0.3}, true},
 	} {
 		b.Run(bc.name, func(b *testing.B) {
 			m := drainReplanFixture(b, bc.shape)
+			c := m.takeCensus()
+			serving := slices.Clone(c.serving)
+			evacuating := slices.Clone(c.evacuating)
+			var evacuees []vm.ID
+			last := m.drain.last
+			for j := range last {
+				if j == len(last)-1 || last[j+1].cpu < last[j].cpu {
+					evacuees = append(evacuees, vm.ID(last[j].key))
+				}
+			}
+			base := slices.Clone(m.fcv)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
+				if bc.churn {
+					m.cl.HostChanged(serving[i%len(serving)].ID())
+					m.cl.HostChanged(evacuating[i%len(evacuating)].ID())
+					id := evacuees[i%len(evacuees)]
+					fc := base[id-1]
+					if m.fcv[id-1] == fc {
+						fc = math.Nextafter(fc, math.Inf(-1))
+					}
+					m.setForecast(id, fc)
+				}
 				m.continueMoves()
 			}
 		})

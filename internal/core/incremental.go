@@ -4,9 +4,10 @@
 //
 // The manager's decisions are pure functions of (cluster state, the
 // manager's own intent sets, liveness). Everything here caches those
-// pure intermediates — the census, the total forecast, per-host
-// forecast loads, inbound memory, and the packing plan — keyed by two
-// generation counters:
+// pure intermediates — the census, the total forecast, inbound memory,
+// and the packing plan — keyed by two generation counters (per-host
+// forecast loads and the drain plan's inputs are per-host rows
+// instead, see rows.go):
 //
 //   - epoch   bumps on every event that can change a planning input:
 //     the cluster's dirty-host feed (placements, migrations, crashes,
@@ -239,7 +240,7 @@ func (m *Manager) ensureForecasts(now sim.Time) {
 			if fc > v.VCPUs() {
 				fc = v.VCPUs()
 			}
-			m.fcv[i] = fc
+			m.setForecast(id, fc)
 			m.lastObs[i] = now
 			m.due.add(int(i), dueKey(f, next))
 		}
@@ -267,10 +268,7 @@ func (m *Manager) visitDue(i int, now sim.Time) sim.Time {
 	if fc > v.VCPUs() {
 		fc = v.VCPUs()
 	}
-	if fc != m.fcv[i] {
-		m.fcv[i] = fc
-		m.fcEpoch++
-	}
+	m.setForecast(vm.ID(i+1), fc)
 	return dueKey(f, next)
 }
 
@@ -300,10 +298,7 @@ func (m *Manager) eagerObserve(now sim.Time) {
 		if fc > v.VCPUs() {
 			fc = v.VCPUs()
 		}
-		if fc != m.fcv[i] {
-			m.fcv[i] = fc
-			m.fcEpoch++
-		}
+		m.setForecast(v.ID(), fc)
 		seen[i] = true
 	}
 	if ve := m.cl.VMEpoch(); ve != m.vmSeen {

@@ -97,7 +97,9 @@ func parityTraces(seed uint64) []*workload.Trace {
 }
 
 // buildParityWorld constructs one world: identical fleet, workloads,
-// faults, and script on both sides; only the planner differs.
+// faults, and script on both sides; only the planner differs. The
+// incremental manager also holds its planning rows to the whole-fleet
+// pass at every use (CheckPlanningRowsForAll).
 func buildParityWorld(t *testing.T, incremental bool, traces []*workload.Trace,
 	script []parityEvent, v parityVariant) *parityWorld {
 	t.Helper()
@@ -148,7 +150,9 @@ func buildParityWorld(t *testing.T, incremental bool, traces []*workload.Trace,
 			PowerManage: true, SleepState: power.S3, DVFS: true,
 		}
 	}
+	restore := CheckPlanningRowsForAll()
 	m, err := newManager(cl, cfg, incremental)
+	restore()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -381,5 +385,53 @@ func TestManagerStepSteadyStateAllocFree(t *testing.T) {
 	eng.RunUntil(time.Hour)
 	if allocs := testing.AllocsPerRun(100, func() { m.step() }); allocs != 0 {
 		t.Fatalf("steady-state control step allocates: %v allocs/op, want 0", allocs)
+	}
+}
+
+// TestPackServingAllocFree pins the recomputed control step: after an
+// epoch bump the step rebuilds the packing plan, and MinBins packs
+// prefixes of the serving hosts on the manager's reused packer, with
+// nothing allocated. The fleet packs into far fewer hosts than it has,
+// and SpareHosts keeps every host on, so the plan is searched for in
+// full and never acted on.
+func TestPackServingAllocFree(t *testing.T) {
+	eng := sim.NewEngine(1)
+	cl, err := cluster.New(eng, cluster.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const nHosts = 64
+	for i := 0; i < nHosts; i++ {
+		if _, err := cl.AddHost(host.Config{Cores: 16, MemoryGB: 256}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// 8 VMs per host at 0.4–0.55 cores: about 3.8 cores per host, so
+	// the fleet's 243 cores pack into 22 of the 64 hosts' 11.2-core
+	// packing capacity.
+	demands := []float64{0.40, 0.45, 0.50, 0.55}
+	for i := 0; i < nHosts*8; i++ {
+		cfg := vm.Config{VCPUs: 2, MemoryGB: 8, Trace: workload.Constant(demands[i%4])}
+		if _, err := cl.AddVM(cfg, host.ID(i%nHosts+1)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	m, err := NewManager(cl, Config{Policy: DPMS3, SpareHosts: nHosts})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cl.Start()
+	m.Start()
+	eng.RunUntil(time.Hour)
+	step := func() {
+		m.invalidate()
+		m.step()
+	}
+	step()
+	if !m.planOK || m.planK == 0 || m.planK >= nHosts {
+		t.Fatalf("plan k=%d ok=%v: the step does not pack a proper prefix", m.planK, m.planOK)
+	}
+	if allocs := testing.AllocsPerRun(100, step); allocs != 0 {
+		t.Fatalf("recomputed control step allocates: %v allocs/op, want 0", allocs)
 	}
 }

@@ -107,10 +107,10 @@ type Manager struct {
 	// most one forecast snapshot, one census, and one load vector are
 	// live at any moment.
 	fcs     []Forecaster // per-VM forecasters
-	fcv     []float64    // observeAll result: clamped forecasts
+	fcv     []float64    // observeAll result: clamped forecasts (written through setForecast)
 	fcSeenB []bool       // eagerObserve liveness mark
 	lastObs []sim.Time   // lazy mode: when each VM was last observed
-	loads   []float64    // hostForecastLoads result, by host.ID-1
+	loads   []float64    // hostForecastLoads result: the load rows, by host.ID-1
 	inbound []float64    // inboundMemory result, by host.ID-1
 	cen     census       // takeCensus backing arrays
 	lbVMs   []vm.ID      // balanceLoad sort scratch
@@ -123,6 +123,20 @@ type Manager struct {
 	binOf    []int32
 	binInCPU []float64
 	binInMem []float64
+
+	// Per-host planning rows (see rows.go), by host.ID-1, empty until a
+	// consumer first runs. loadClean flags the load rows in loads that
+	// are current and loadStale lists the others; inHead and inNext
+	// chain the in-flight moves by destination while load rows refresh.
+	loadClean []bool
+	loadStale []int32
+	binRows   []binRow
+	segRows   []segRow
+	inHead    []int32
+	inNext    []int32
+	// rowCheck holds every row-backed value to the whole-fleet pass
+	// (see CheckPlanningRowsForAll).
+	rowCheck bool
 
 	// Incremental planning state (see incremental.go). inc gates every
 	// cache; lazyFC additionally gates the due-index forecast
@@ -146,9 +160,6 @@ type Manager struct {
 	totFC     uint64
 	totOK     bool
 	totVal    float64
-	loadsE    uint64
-	loadsF    uint64
-	loadsOK   bool
 	inbE      uint64
 	inbOK     bool
 	planE     uint64
@@ -158,8 +169,8 @@ type Manager struct {
 	planK     int
 	planOK    bool
 	sortLoads []float64 // packServing per-host load scratch
-	planPk    packer    // packServing bin scratch, handed
-	planBins  []Bin     // to MinBins as planBins
+	planPk    packer    // packServing bins and packing
+	planHome  []int32   // packServing items' home bin positions
 
 	// Power-feed cap (scenario power-cap events): capWatts is the feed
 	// limit, capBudget the derived active-host budget. Zero means
@@ -205,6 +216,7 @@ func newManager(cl *cluster.Cluster, cfg Config, incremental bool) (*Manager, er
 		m.diurnal = newDiurnalModel(0.4)
 	}
 	m.inc = incremental
+	m.rowCheck = incremental && rowCheckAll.Load()
 	// Lazy forecast maintenance needs the forecast to be a pure
 	// function of deadline-computable moments: peak-window and
 	// last-value qualify; EWMA evolves on every observation and the
@@ -214,10 +226,13 @@ func newManager(cl *cluster.Cluster, cfg Config, incremental bool) (*Manager, er
 		(cfg.Forecast.Kind == ForecastPeakWindow || cfg.Forecast.Kind == ForecastLastValue)
 	if m.inc {
 		// The cluster's event feed is the invalidation signal for every
-		// epoch-keyed cache: it fires on each event-path change to a
-		// host's scheduling inputs, under the full-scan test oracle
-		// too.
-		cl.OnHostDirty(func(host.ID) { m.epoch++ })
+		// epoch-keyed cache and names the host whose planning rows went
+		// stale: it fires on each event-path change to a host's
+		// scheduling inputs, under the full-scan test oracle too.
+		cl.OnHostDirty(func(id host.ID) {
+			m.epoch++
+			m.markHost(id)
+		})
 	}
 	cl.OnHostSettled(m.hostSettled)
 	cl.OnMigrationFailed(m.migrationFailed)
@@ -924,7 +939,9 @@ func (m *Manager) considerScaleDown(forecasts []float64, c census) {
 // pure in the serving census, the forecasts, the placements, and the
 // in-flight migration set, all tracked by (epoch, fcEpoch); on an
 // exact key match the cached plan is returned without re-sorting or
-// re-packing anything.
+// re-packing anything. Otherwise the search runs MinBins on the reused
+// packer: the bins are the sorted hosts, and each item's home is its
+// host's position among them.
 func (m *Manager) packServing(forecasts []float64, c census) ([]*host.Host, int, bool) {
 	if m.inc && m.planValid && m.planE == m.epoch && m.planF == m.fcEpoch {
 		return m.planHosts, m.planK, m.planOK
@@ -946,20 +963,29 @@ func (m *Manager) packServing(forecasts []float64, c census) ([]*host.Host, int,
 		}
 	}
 	hosts := append(m.planHosts[:0], c.serving...)
-	sort.Slice(hosts, func(i, j int) bool {
-		li, lj := loads[hosts[i].ID()-1], loads[hosts[j].ID()-1]
-		if li != lj {
-			return li > lj
+	slices.SortFunc(hosts, func(a, b *host.Host) int {
+		if c := cmp.Compare(loads[b.ID()-1], loads[a.ID()-1]); c != 0 {
+			return c
 		}
-		return hosts[i].ID() < hosts[j].ID()
+		return cmp.Compare(a.ID(), b.ID())
 	})
 	m.buildBins(&m.planPk, hosts)
-	bins := m.planBins[:0]
-	for _, st := range m.planPk.bins {
-		bins = append(bins, Bin{Key: st.key, CPUCap: st.cpuCap, MemCap: st.memCap, Groups: st.groups})
+	for i, h := range hosts {
+		m.binOf[h.ID()-1] = int32(i) + 1
 	}
-	m.planBins = bins
-	k, _, ok := MinBins(items, bins, m.cfg.Packing)
+	home := m.planHome[:0]
+	for i := range items {
+		pos := int32(-1)
+		if cur := items[i].Current; cur > 0 {
+			pos = m.binOf[cur-1] - 1
+		}
+		home = append(home, pos)
+	}
+	m.planHome = home
+	for _, h := range hosts {
+		m.binOf[h.ID()-1] = 0
+	}
+	k, ok := m.planPk.minBins(items, home, m.cfg.Packing)
 	m.planHosts = hosts
 	m.planK = k
 	m.planOK = ok
@@ -1067,7 +1093,19 @@ func (m *Manager) drainEvacuating(forecasts []float64) {
 	}
 	migrated := 0
 	migs := m.cl.Migrations()
+	// Without a control plane or a VM on migration backoff, every
+	// planned evacuee of a source is eligible: its segment lists them.
+	whole := m.cp == nil && len(m.migRetryAt) == 0
 	for _, src := range c.evacuating {
+		if whole && !migs.HasSlot(int(src.ID())) {
+			// The source has no free slot, so the loop below would count
+			// one refusal per evacuee, or stop at the first one once the
+			// per-step cap is reached, and start nothing.
+			if m.cfg.MaxMigrationsPerStep <= 0 || migrated < m.cfg.MaxMigrationsPerStep {
+				m.stats.MigrationsFailed += len(m.segRows[src.ID()-1].items)
+			}
+			continue
+		}
 		for _, vid := range src.VMs() {
 			if m.cl.Migrating(vid) || m.migrationHeld(vid) || m.migCmdPending(vid) {
 				continue
@@ -1133,49 +1171,28 @@ func (m *Manager) drainEvacuating(forecasts []float64) {
 // residual capacity of the serving hosts, leaving the plan in m.drain
 // (see drainScratch.dest). Serving hosts' own VMs are pre-charged
 // against their bins (they stay put), each host's in ascending VM-ID
-// order; only evacuees are packing items, and none has a home bin. A
-// first-fit plan whose evacuee order is reused replays the previous
-// pack (drainScratch.replay); any other runs the full pack. It
-// reports whether every evacuee found a destination.
+// order; only evacuees are packing items, and none has a home bin.
+// Both come from the hosts' planning rows (see rows.go), which
+// recompute only the hosts that changed. A first-fit plan whose
+// evacuee order is reused replays the previous pack
+// (drainScratch.replay); any other runs the full pack. It reports
+// whether every evacuee found a destination.
 func (m *Manager) planDrain(forecasts []float64, c census) bool {
 	d := &m.drain
+	m.growRows()
 	hosts := m.trustedServing(c)
 	m.buildBins(&d.pk, hosts)
-	for i, h := range hosts {
-		st := &d.pk.bins[i]
-		for _, v := range h.Residents() {
-			if m.cl.Migrating(v.ID()) {
-				continue
-			}
-			st.cpuCap = max(st.cpuCap-forecasts[v.ID()-1], 0)
-			st.memCap = max(st.memCap-v.MemoryGB(), 0)
-			if g := v.Group(); g != "" {
-				st.groups = append(st.groups, g)
-			}
-		}
+	m.chargeResidents(forecasts, hosts)
+	d.items = m.appendEvacuees(d.items[:0], forecasts, c.evacuating)
+	if m.rowCheck {
+		m.checkDrain(forecasts, hosts, c.evacuating)
 	}
-	items := d.items[:0]
-	for _, h := range c.evacuating {
-		for _, v := range h.Residents() {
-			if m.cl.Migrating(v.ID()) {
-				continue
-			}
-			items = append(items, Item{
-				Key:     int(v.ID()),
-				CPU:     forecasts[v.ID()-1],
-				MemGB:   v.MemoryGB(),
-				Current: -1, // must move
-				Group:   v.Group(),
-			})
-		}
-	}
-	d.items = items
 	d.noteStart()
 	if d.sortItems(m.cl.MaxVMID()) && d.lastOK && m.cfg.Packing == PackFFD {
 		d.replays++
 		return d.replay()
 	}
-	ok := d.pk.pack(items, nil, m.cfg.Packing)
+	ok := d.pk.pack(d.items, nil, m.cfg.Packing)
 	d.record(ok)
 	return ok
 }
@@ -1260,38 +1277,6 @@ func (m *Manager) pickDestination(vid vm.ID, forecasts []float64, serving []*hos
 		}
 	}
 	return best
-}
-
-// hostForecastLoads sums forecast demand per host (indexed host.ID-1),
-// charging in-flight migrations to their destinations. Pure in the
-// placements, the in-flight set, and the forecasts — so an unchanged
-// (epoch, fcEpoch) pair returns the cached vector. Phases that mutate
-// the returned vector in place after a successful actuation (pending
-// placement, load balancing) always move the epoch first via the
-// actuation itself, so the mutated cache is recomputed at its next
-// read, exactly as the eager path rebuilds it each call.
-func (m *Manager) hostForecastLoads(forecasts []float64) []float64 {
-	if m.inc && m.loadsOK && m.loadsE == m.epoch && m.loadsF == m.fcEpoch {
-		return m.loads
-	}
-	m.growHostSlots()
-	loads, migs := m.loads, m.cl.Migrations()
-	for i := range loads {
-		loads[i] = 0
-	}
-	for _, v := range m.cl.VMs() {
-		if mig, ok := migs.Get(v.ID()); ok {
-			loads[mig.Dst-1] += forecasts[v.ID()-1]
-			continue
-		}
-		if hid, ok := m.cl.Placement(v.ID()); ok {
-			loads[hid-1] += forecasts[v.ID()-1]
-		}
-	}
-	m.loadsE = m.epoch
-	m.loadsF = m.fcEpoch
-	m.loadsOK = true
-	return loads
 }
 
 // inboundMemory sums in-flight inbound migration memory per host

@@ -107,11 +107,11 @@ func (b *binState) add(it *Item) {
 	}
 }
 
-// packer is the packing core every caller shares: Pack (and through
-// it MinBins) as a map-returning wrapper, the drain replan directly. It
-// works on item and bin positions, never on keys, so it needs no maps,
-// and it keeps its slices between packings, so a warmed-up packer
-// allocates nothing.
+// packer is the packing core every caller shares: Pack and MinBins as
+// map-returning wrappers, the drain replan and the scale-down search
+// directly. It works on item and bin positions, never on keys, so it
+// needs no maps, and it keeps its slices between packings, so a
+// warmed-up packer allocates nothing.
 type packer struct {
 	bins []binState
 	// order lists item positions in processing order: decreasing CPU,
@@ -120,6 +120,9 @@ type packer struct {
 	// place is the result: place[i] is the bin position of item i.
 	place  []int32
 	movers []int32
+	// groups0 holds each bin's starting group count while minBins
+	// runs, so a failed prefix can be put back as it started.
+	groups0 []int32
 }
 
 // resetBins sizes the packer to n empty bins, keeping each bin's group
@@ -172,9 +175,9 @@ func ordered(items []Item, order []int32) bool {
 
 // pack assigns every item to a bin in the processing order: first, if
 // home is non-nil, each item stays on its home bin (home[i] is a bin
-// position, or -1 for none) when it still fits; then the rest are
-// packed with the chosen heuristic. It reports false as soon as an
-// item fits nowhere, leaving place partly written.
+// position; -1, or a position past the bins, for none) when it still
+// fits; then the rest are packed with the chosen heuristic. It reports
+// false as soon as an item fits nowhere, leaving place partly written.
 func (p *packer) pack(items []Item, home []int32, kind PackKind) bool {
 	p.sizePlace(len(items))
 	movers := p.order
@@ -182,7 +185,7 @@ func (p *packer) pack(items []Item, home []int32, kind PackKind) bool {
 		// Pass 1: sticky placement on the current bin.
 		movers = p.movers[:0]
 		for _, i := range p.order {
-			if h := home[i]; h >= 0 && p.bins[h].fits(&items[i]) {
+			if h := home[i]; h >= 0 && int(h) < len(p.bins) && p.bins[h].fits(&items[i]) {
 				p.bins[h].add(&items[i])
 				p.place[i] = h
 				continue
@@ -246,6 +249,17 @@ func (p *packer) firstFit(it *Item, from int32) int32 {
 // is too small). Item and bin keys must be unique (see Validate).
 func Pack(items []Item, bins []Bin, kind PackKind) (Assignment, bool) {
 	var p packer
+	home := p.load(items, bins)
+	p.sortItems(items)
+	if !p.pack(items, home, kind) {
+		return nil, false
+	}
+	return p.assignment(items), true
+}
+
+// load sizes p to bins in their starting state and returns each item's
+// home bin position (-1 when its Current names no bin).
+func (p *packer) load(items []Item, bins []Bin) []int32 {
 	states := p.resetBins(len(bins))
 	byKey := make(map[int]int32, len(bins))
 	for i, b := range bins {
@@ -262,15 +276,17 @@ func Pack(items []Item, bins []Bin, kind PackKind) (Assignment, bool) {
 		}
 		home[i] = h
 	}
-	p.sortItems(items)
-	if !p.pack(items, home, kind) {
-		return nil, false
-	}
+	return home
+}
+
+// assignment maps each item's key to the key of the bin it was packed
+// into.
+func (p *packer) assignment(items []Item) Assignment {
 	assign := make(Assignment, len(items))
 	for _, i := range p.order {
 		assign[items[i].Key] = p.bins[p.place[i]].key
 	}
-	return assign, true
+	return assign
 }
 
 // Moves returns the item keys whose assignment differs from their
@@ -292,8 +308,26 @@ func Moves(items []Item, assign Assignment) []int {
 // first to minimize migrations). Returns ok=false if even all bins are
 // insufficient.
 func MinBins(items []Item, bins []Bin, kind PackKind) (k int, assign Assignment, ok bool) {
+	var p packer
+	home := p.load(items, bins)
+	if k, ok = p.minBins(items, home, kind); !ok {
+		return k, nil, false
+	}
+	return k, p.assignment(items), true
+}
+
+// minBins is MinBins on the packer's bins, which hold their starting
+// state; home[i] is item i's home bin position, or -1. It returns the
+// smallest prefix length that packs every item and whether one exists;
+// on success p.place holds that packing. Packing into bins[:k] is Pack
+// on those bins: a home past the prefix counts as none, and the items
+// are sorted once, since every sort yields the one order. A prefix
+// that fails is put back to its starting state before the next is
+// tried.
+func (p *packer) minBins(items []Item, home []int32, kind PackKind) (int, bool) {
+	all := p.bins
 	if len(items) == 0 {
-		return 0, Assignment{}, true
+		return 0, true
 	}
 	// Lower bound from aggregate capacity, to skip infeasible prefixes.
 	needCPU, needMem := 0.0, 0.0
@@ -301,18 +335,32 @@ func MinBins(items []Item, bins []Bin, kind PackKind) (k int, assign Assignment,
 		needCPU += it.CPU
 		needMem += it.MemGB
 	}
+	p.sortItems(items)
+	g0 := slices.Grow(p.groups0[:0], len(all))
+	for b := range all {
+		g0 = append(g0, int32(len(all[b].groups)))
+	}
+	p.groups0 = g0
 	cumCPU, cumMem := 0.0, 0.0
-	for k = 1; k <= len(bins); k++ {
-		cumCPU += bins[k-1].CPUCap
-		cumMem += bins[k-1].MemCap
+	for k := 1; k <= len(all); k++ {
+		cumCPU += all[k-1].cpuCap
+		cumMem += all[k-1].memCap
 		if cumCPU+1e-9 < needCPU || cumMem+1e-9 < needMem {
 			continue
 		}
-		if a, ok := Pack(items, bins[:k], kind); ok {
-			return k, a, true
+		p.bins = all[:k]
+		ok := p.pack(items, home, kind)
+		p.bins = all
+		if ok {
+			return k, true
+		}
+		for b := range all[:k] {
+			st := &all[b]
+			st.cpuUsed, st.memUsed = 0, 0
+			st.groups = st.groups[:g0[b]]
 		}
 	}
-	return len(bins), nil, false
+	return len(all), false
 }
 
 // Validate sanity-checks the planner inputs.

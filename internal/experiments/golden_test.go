@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"agilepower/internal/cluster"
+	"agilepower/internal/core"
 )
 
 // diffAt reports the first byte where two outputs diverge, with
@@ -129,9 +130,12 @@ func TestRunAllMatchesGolden(t *testing.T) {
 // counts above one put the range boundaries in different places; the
 // oracle replays keep the oracle itself, which the cluster-level
 // identity tests compare against, tied to the golden bytes under
-// faults. Under -race this doubles as the concurrency workout for the
-// sharded tick and concurrent forks of one prototype.
+// faults. Every manager also holds its planning rows to the
+// whole-fleet pass at each use (core.CheckPlanningRowsForAll). Under
+// -race this doubles as the concurrency workout for the sharded tick
+// and concurrent forks of one prototype.
 func TestFaultedExperimentsMatchGolden(t *testing.T) {
+	defer core.CheckPlanningRowsForAll()()
 	for _, id := range []string{"robust", "ctrl"} {
 		want := goldenQuickSection(t, id)
 		for _, shards := range []int{1, 2, 4} {
