@@ -158,3 +158,48 @@ func TestBuildFleetKinds(t *testing.T) {
 		t.Fatal("unknown fleet kind accepted")
 	}
 }
+
+// TestScenarioLibraryMatchesGolden runs every file in scenarios/ under
+// -policy all, through the same code path as `scenario run`, and
+// compares the report with its golden in testdata/. The goldens are the
+// command's stdout from the repository root:
+//
+//	go run ./cmd/scenario run -policy all scenarios/ops-day.json > cmd/scenario/testdata/ops-day.golden
+//
+// Two of the files (ops-day and control-partition) run a lossy control
+// plane, so a change to message ordering in the engine or the plane
+// shows here as well as in the experiment goldens.
+func TestScenarioLibraryMatchesGolden(t *testing.T) {
+	t.Chdir("../..")
+	files, err := filepath.Glob("scenarios/*.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(files) == 0 {
+		t.Fatal("no scenario files found")
+	}
+	for _, path := range files {
+		name := strings.TrimSuffix(filepath.Base(path), ".json")
+		t.Run(name, func(t *testing.T) {
+			want, err := os.ReadFile(filepath.Join("cmd/scenario/testdata", name+".golden"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			var stdout, stderr bytes.Buffer
+			if code := cmdRun([]string{"-policy", "all", path}, &stdout, &stderr); code != 0 {
+				t.Fatalf("exit %d: %s", code, stderr.String())
+			}
+			got := stdout.Bytes()
+			if bytes.Equal(got, want) {
+				return
+			}
+			gl, wl := strings.Split(string(got), "\n"), strings.Split(string(want), "\n")
+			for i := 0; i < len(gl) && i < len(wl); i++ {
+				if gl[i] != wl[i] {
+					t.Fatalf("line %d differs:\n got  %q\n want %q", i+1, gl[i], wl[i])
+				}
+			}
+			t.Fatalf("report has %d lines, golden %d", len(gl), len(wl))
+		})
+	}
+}
