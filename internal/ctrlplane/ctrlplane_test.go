@@ -1,7 +1,10 @@
 package ctrlplane
 
 import (
+	"crypto/sha256"
 	"errors"
+	"fmt"
+	"strings"
 	"testing"
 	"time"
 
@@ -415,4 +418,88 @@ func TestPlaneMessagesAllocFree(t *testing.T) {
 	if !p.LastSnapshot(64).Valid {
 		t.Fatal("no report landed")
 	}
+}
+
+// TestPlaneDeliveryOrderPinned pins the order in which the plane's
+// messages land where they tie. With zero jitter every beat and report
+// lands on a 10 s multiple, at the same instant as the sweeps that fire
+// there, and 10 s command legs tie with both. The run is made twice:
+// with a 20 s report delay, so the messages of two heartbeat sweeps are
+// in flight at once, and with a 10 s one, so a sweep's beats land at
+// the instant of the next sweep it scheduled. Loss, a partition window
+// and a crash make the liveness monitor act on what arrived, and every
+// liveness transition is answered at once, as the manager's control
+// step does: it logs the host's snapshot and sends the host a wake,
+// which draws from the plane's RNG, so the stream depends on where the
+// transition falls among the other messages of its instant.
+//
+// The test hashes that log, each command result with its time, and the
+// final counters, snapshots, last beats and statuses, and the engine's
+// fired and pending counts, and compares the digest with the one the
+// plane printed when every message was its own engine event. To print
+// it at that commit:
+//
+//	git checkout 53e7c3a -- internal/sim internal/ctrlplane/ctrlplane.go
+//	go test -run TestPlaneDeliveryOrderPinned -v ./internal/ctrlplane/
+func TestPlaneDeliveryOrderPinned(t *testing.T) {
+	const want = "b21ccdcd23a9b4c63df563e340dd517a38708ae75ac11a2b43208c6097a956fb"
+	var log strings.Builder
+	for _, delay := range []time.Duration{20 * time.Second, 10 * time.Second} {
+		fmt.Fprintf(&log, "report delay %v\n", delay)
+		pinnedDeliveryRun(t, &log, delay)
+	}
+	got := fmt.Sprintf("%x", sha256.Sum256([]byte(log.String())))
+	t.Logf("digest %s", got)
+	if got != want {
+		t.Fatalf("delivery digest %s, want %s; log:\n%s", got, want, log.String())
+	}
+}
+
+// pinnedDeliveryRun runs 15 minutes of TestPlaneDeliveryOrderPinned's
+// plane, with the given report delay, and appends its log to log.
+func pinnedDeliveryRun(t *testing.T, log *strings.Builder, delay time.Duration) {
+	eng, cl, p := newPlane(t, 16, Config{
+		CmdDelay: 10 * time.Second, CmdLossProb: 0.05,
+		ReportDelay: delay, ReportLossProb: 0.05,
+	})
+	// Odd hosts carry load, so their snapshots report it; even hosts
+	// are parked and woken by commands.
+	for i := 0; i < 8; i++ {
+		tr := workload.Constant(float64(1 + i%3))
+		if _, err := cl.AddVM(vm.Config{VCPUs: 4, MemoryGB: 8, Trace: tr}, host.ID(2*i+1)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	p.OnLiveness(func(id host.ID, s Status) {
+		fmt.Fprintf(log, "%v host %d %v fresh=%v %+v\n", eng.Now(), id, s, p.Fresh(id), p.LastSnapshot(id))
+		p.SendWake(id)
+	})
+	p.OnCommandResult(func(c Command, err error) {
+		fmt.Fprintf(log, "%v cmd %d %v host %d: %v\n", eng.Now(), c.Seq, c.Kind, c.Host, err)
+	})
+	cl.Start()
+	p.Start()
+	for i := 0; i < 12; i++ {
+		id := host.ID(2*(i%7) + 2) // never host 16, which crashes
+		at := sim.Time(i)*sim.Time(time.Minute) + sim.Time(10*(i%6))*sim.Time(time.Second)
+		eng.ScheduleFunc(at, func() { p.SendSleep(id, power.S3) })
+		eng.ScheduleFunc(at+sim.Time(2*time.Minute), func() { p.SendWake(id) })
+	}
+	eng.ScheduleFunc(sim.Time(4*time.Minute), p.Partition)
+	eng.ScheduleFunc(sim.Time(6*time.Minute+10*time.Second), p.RestoreImpairment)
+	eng.ScheduleFunc(sim.Time(8*time.Minute), func() {
+		if err := cl.CrashHost(16, 2*time.Minute); err != nil {
+			t.Errorf("crash: %v", err)
+		}
+	})
+	eng.RunUntil(sim.Time(15 * time.Minute))
+
+	for _, name := range p.ctrs.Names() {
+		fmt.Fprintf(log, "%s=%d\n", name, p.ctrs.Get(name))
+	}
+	for i := range p.snaps {
+		id := host.ID(i + 1)
+		fmt.Fprintf(log, "host %d %+v beat %v %v\n", id, p.LastSnapshot(id), p.lastBeat[i], p.Status(id))
+	}
+	fmt.Fprintf(log, "fired %d pending %d\n", eng.Fired(), eng.Pending())
 }
