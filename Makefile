@@ -66,10 +66,11 @@ gate-names:
 # demand of a VM migrating in;
 # forked worlds must match cold ones;
 # and the lossy control-plane message layer must replay identically for
-# a fixed seed and deliver tied messages in its pinned order; and the event queue must fire, cancel and count
-# exactly as a sorted-slice reference does (its fuzz target's seed
-# corpus included); and every file in scenarios/ must print its golden
-# report under -policy all. Run explicitly in CI (it is also part of
+# a fixed seed and deliver tied messages in its pinned order; and the
+# event queue, batches included, must fire, cancel and count exactly as
+# a sorted-slice reference does (its fuzz target's seed corpus
+# included); and every file in scenarios/ must print its golden report
+# under -policy all. Run explicitly in CI (it is also part of
 # `make test`) so a violation is unmissable.
 determinism:
 	$(GO) test -run 'TestRunAllMatchesGolden|TestScenarioLibraryMatchesGolden|TestFaultedExperimentsMatchGolden|TestHyperscaleQuickMatchesFullScan|TestPlaneDeterministicAcrossReruns|TestPlaneDeliveryOrderPinned|TestDeltaEvaluateBitIdentical|TestShardedEvaluateBitIdentical|TestSameInstantEvaluateMatchesFullScan|FuzzEvaluateMatchesFullScan|TestIncrementalPlanningParity|TestBinRowsTrackInboundDemand|TestPackMatchesOracle|TestMinBinsMatchesOracle|TestPlanDrainMatchesOracle|TestPlanDrainMatchesOracleLive|TestDrainReplayMatchesOracle|FuzzDrainReplay|TestForkMatchesColdStart|TestForkGridMatchesColdStart|TestConcurrentForksMatchColdStart|TestEngineMatchesReference|FuzzEngineMatchesReference' -v \
@@ -98,17 +99,18 @@ bench-baseline:
 # a run fires as the clock advances one step, the full-scan oracle at
 # one repeated instant, and a pass at an already-evaluated instant
 # after two hosts changed; manager control step, simulated day, and the
-# event engine: chained dispatch one deep, 10,000 queued events, and a
-# steady 512-deep self-rescheduling queue) into BENCH_hotpath.json.
-# The checked-in artifact holds the pre/post numbers of the
-# allocation-free rework, of the typed event queue and of the
-# same-instant pass; re-run after any change to the evaluate, control
-# or dispatch paths:
+# event engine: chained dispatch one deep, 10,000 queued events, a
+# steady 512-deep self-rescheduling queue, and control-plane sweeps of
+# 128 batched messages beside 128 long-lived timers) into
+# BENCH_hotpath.json. The checked-in artifact holds the pre/post
+# numbers of the allocation-free rework, of the typed event queue, of
+# the same-instant pass and of the batched sweeps; re-run after any
+# change to the evaluate, control or dispatch paths:
 #
 #	make bench-hotpath LABEL=hotpath-post
 bench-hotpath: LABEL ?= hotpath
 bench-hotpath:
-	$(GO) test -run '^$$' -bench '^(BenchmarkClusterEvaluate|BenchmarkEvaluateSameInstant|BenchmarkSimulatedDay|BenchmarkManagerControlStep|BenchmarkEngine(Throughput|QueuePressure|Dispatch))$$' \
+	$(GO) test -run '^$$' -bench '^(BenchmarkClusterEvaluate|BenchmarkEvaluateSameInstant|BenchmarkSimulatedDay|BenchmarkManagerControlStep|BenchmarkEngine(Throughput|QueuePressure|Dispatch|Sweep))$$' \
 		-benchmem -count=3 ./internal/cluster/ ./internal/core/ ./internal/sim/ \
 		| $(GO) run ./cmd/benchjson -label $(LABEL) -out BENCH_hotpath.json
 
@@ -227,11 +229,11 @@ bench-setup-smoke:
 
 # Allocation regression gate: the steady-state evaluation tick — serial
 # and sharded — and the same-instant pass, the handle-free event loop,
-# the control plane's heartbeats, reports and sweeps, the manager's
-# cached control step and one that re-runs the MinBins search, the
-# drain replan a migration completion runs,
-# and every refused StartMigration must stay allocation-free, and the
-# full report bytes must match the pre-optimization goldens. Part of
+# a warm engine batch, the control plane's heartbeats, reports and
+# sweeps, the manager's cached control step and one that re-runs the
+# MinBins search, the drain replan a migration completion runs, and
+# every refused StartMigration must stay allocation-free, and the full
+# report bytes must match the pre-optimization goldens. Part of
 # `make ci`.
 bench-alloc:
 	$(GO) test -run 'AllocFree|ScheduleFuncPool|RunAllMatchesGolden|ArchivedResults' -v \

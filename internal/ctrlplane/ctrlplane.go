@@ -625,9 +625,11 @@ func (p *Plane) HostCmdPending(id host.ID) bool {
 func (p *Plane) MigrationPending(id vm.ID) bool { return p.vmPending[id] > 0 }
 
 // telemetrySweep publishes one report per live host (ID order, so the
-// drop/delay draws are deterministic) and reschedules itself.
+// drop/delay draws are deterministic) as one engine batch, then
+// reschedules itself.
 func (p *Plane) telemetrySweep() {
 	now := p.eng.Now()
+	b := p.eng.NewBatch()
 	for _, h := range p.cl.Hosts() {
 		mach := h.Machine()
 		if mach.Crashed() {
@@ -646,8 +648,9 @@ func (p *Plane) telemetrySweep() {
 			VMs:    h.NumVMs(),
 			Valid:  true,
 		}
-		p.eng.AfterFunc(p.legDelay(p.cfg.ReportDelay, p.cfg.ReportJitter), r.fn)
+		b.AfterFunc(p.legDelay(p.cfg.ReportDelay, p.cfg.ReportJitter), r.fn)
 	}
+	b.Commit()
 	p.eng.AfterFunc(p.cfg.ReportInterval, p.telemetryFn)
 }
 
@@ -673,10 +676,11 @@ func (p *Plane) deliverSnapshot(id host.ID, snap Snapshot) {
 	*cur = snap
 }
 
-// heartbeatSweep publishes one beat per live host and reschedules
-// itself. Sleeping hosts still beat (their management controller stays
-// powered); only crashed hosts fall silent.
+// heartbeatSweep publishes one beat per live host as one engine batch
+// and reschedules itself. Sleeping hosts still beat (their management
+// controller stays powered); only crashed hosts fall silent.
 func (p *Plane) heartbeatSweep() {
+	b := p.eng.NewBatch()
 	for _, h := range p.cl.Hosts() {
 		if h.Machine().Crashed() {
 			continue
@@ -685,8 +689,9 @@ func (p *Plane) heartbeatSweep() {
 			p.ctrs.Inc(CtrBeatDrops)
 			continue
 		}
-		p.eng.AfterFunc(p.legDelay(p.cfg.ReportDelay, p.cfg.ReportJitter), p.beats[h.ID()-1])
+		b.AfterFunc(p.legDelay(p.cfg.ReportDelay, p.cfg.ReportJitter), p.beats[h.ID()-1])
 	}
+	b.Commit()
 	p.eng.AfterFunc(p.cfg.HeartbeatInterval, p.heartbeatFn)
 }
 
@@ -701,11 +706,13 @@ func (p *Plane) recvBeat(id host.ID) {
 }
 
 // monitorSweep applies the missed-beat hysteresis in host-ID order and
-// records the telemetry-age high-water mark.
+// records the telemetry-age high-water mark, raising the counter once
+// per sweep with the oldest valid snapshot's age.
 func (p *Plane) monitorSweep() {
 	now := p.eng.Now()
 	suspectAfter := sim.Time(p.cfg.SuspectMissed) * sim.Time(p.cfg.HeartbeatInterval)
 	deadAfter := suspectAfter + sim.Time(p.cfg.DeadMissed)*sim.Time(p.cfg.HeartbeatInterval)
+	maxAge := -1 // the oldest valid snapshot's age in ms; -1 while none is valid
 	for i := range p.status {
 		id := host.ID(i + 1)
 		gap := now - p.lastBeat[i]
@@ -716,8 +723,11 @@ func (p *Plane) monitorSweep() {
 			p.setStatus(id, Dead)
 		}
 		if p.snaps[i].Valid {
-			p.ctrs.Max(CtrReportAgeMaxMS, int(time.Duration(now-p.snaps[i].At).Milliseconds()))
+			maxAge = max(maxAge, int(time.Duration(now-p.snaps[i].At).Milliseconds()))
 		}
+	}
+	if maxAge >= 0 {
+		p.ctrs.Max(CtrReportAgeMaxMS, maxAge)
 	}
 	p.eng.AfterFunc(p.cfg.HeartbeatInterval, p.monitorFn)
 }

@@ -387,9 +387,10 @@ func TestPlaneDeterministicAcrossReruns(t *testing.T) {
 // TestPlaneMessagesAllocFree holds the plane's periodic traffic to zero
 // allocations once warm: the heartbeat, telemetry and monitor sweeps,
 // and the delivery of every beat and report they send. Beats use
-// callbacks bound per host at Start, reports ride pooled messages, and
-// the sweeps reschedule through method values bound once, so nothing
-// is built per message. Each measured run covers 30 s of a lossy,
+// callbacks bound per host at Start, reports ride pooled messages, each
+// sweep's batch comes from the engine's free list, and the sweeps
+// reschedule through method values bound once, so nothing is built per
+// message. Each measured run covers 30 s of a lossy,
 // jittered plane over 64 hosts: three heartbeat and monitor sweeps, one
 // telemetry sweep, and about 230 deliveries.
 func TestPlaneMessagesAllocFree(t *testing.T) {

@@ -58,6 +58,40 @@ func BenchmarkEngineDispatch(b *testing.B) {
 	}
 }
 
+// BenchmarkEngineSweep measures dispatch shaped like the control plane
+// of a 128-host run: every 10 s a sweep sends 128 messages with 50-75 ms
+// delays as one batch, beside 128 long-lived timers that reschedule
+// themselves hours ahead, as the fault injector's per-host crash timers
+// do. One op is one message delivered.
+func BenchmarkEngineSweep(b *testing.B) {
+	e := NewEngine(1)
+	rng := e.RNG()
+	delivered := 0
+	deliver := func() { delivered++ }
+	var sweep, timer func()
+	sweep = func() {
+		bt := e.NewBatch()
+		for i := 0; i < 128; i++ {
+			bt.AfterFunc(50*time.Millisecond+rng.DurationJitter(25*time.Millisecond), deliver)
+		}
+		bt.Commit()
+		e.AfterFunc(10*time.Second, sweep)
+	}
+	timer = func() { e.AfterFunc(time.Hour+rng.DurationJitter(23*time.Hour), timer) }
+	for i := 0; i < 128; i++ {
+		e.AfterFunc(rng.DurationJitter(24*time.Hour), timer)
+	}
+	e.AfterFunc(10*time.Second, sweep)
+	for delivered < 10*128 { // warm: the free list and scratch reach their size
+		e.step()
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for end := delivered + b.N; delivered < end; {
+		e.step()
+	}
+}
+
 // BenchmarkRNGUint64 measures the generator.
 func BenchmarkRNGUint64(b *testing.B) {
 	r := NewRNG(1)

@@ -13,6 +13,14 @@ type Engine struct {
 
 	fired   uint64
 	stopped bool
+
+	// Batches: the free list, the number of queued batch messages that
+	// the queue's length does not count (all but the head of each
+	// committed batch), and the ordering pass's scratch.
+	freeBatches []*Batch
+	batched     int
+	sortBuf     []message
+	counts      []int32
 }
 
 // NewEngine returns an engine with the clock at zero and a deterministic
@@ -27,10 +35,10 @@ func (e *Engine) Now() Time { return e.clock.Now() }
 // RNG returns the engine's deterministic random number generator.
 func (e *Engine) RNG() *RNG { return e.rng }
 
-// Pending returns the number of live events currently queued.
-// Cancelled events are removed from the queue eagerly, so they never
-// count here.
-func (e *Engine) Pending() int { return len(e.queue) }
+// Pending returns the number of live events currently queued, every
+// message of a committed batch included. Cancelled events are removed
+// from the queue eagerly, so they never count here.
+func (e *Engine) Pending() int { return len(e.queue) + e.batched }
 
 // Fired returns the number of events executed so far.
 func (e *Engine) Fired() uint64 { return e.fired }
@@ -81,14 +89,20 @@ func (e *Engine) push(at Time, fn func(), ev *Event) {
 // Stop halts Run/RunUntil after the currently executing event returns.
 func (e *Engine) Stop() { e.stopped = true }
 
-// step pops and executes the next event. It reports false when the
-// queue is empty. Cancel dequeues eagerly, so every queued entry is
-// live.
+// step pops and executes the next event: the earliest entry, or the
+// head message of the batch whose slot is earliest. It reports false
+// when the queue is empty. Cancel dequeues eagerly, so every queued
+// entry is live.
 func (e *Engine) step() bool {
 	if len(e.queue) == 0 {
 		return false
 	}
-	x := e.queue.pop()
+	x := e.queue[0]
+	if x.ev != nil && x.ev.batch != nil {
+		x.at, x.fn = e.popMessage(x.ev.batch)
+	} else {
+		e.queue.pop()
+	}
 	e.clock.advance(x.at)
 	e.fired++
 	x.fn()

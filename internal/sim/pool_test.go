@@ -56,3 +56,32 @@ func TestScheduleFuncInterleavedWithRetained(t *testing.T) {
 		t.Fatal("retained handle lost its cancelled mark")
 	}
 }
+
+// TestEngineBatchAllocFree holds a batch to zero allocations once warm:
+// a sweep adds 128 messages with delays spread over 25 ms, commits them
+// and the engine drains them. The batch comes back from the engine's
+// free list with its buffer grown, and the ordering pass reuses the
+// engine's scratch.
+func TestEngineBatchAllocFree(t *testing.T) {
+	eng := NewEngine(1)
+	rng := eng.RNG()
+	fired := 0
+	deliver := func() { fired++ }
+	sweep := func() {
+		b := eng.NewBatch()
+		for i := 0; i < 128; i++ {
+			b.AfterFunc(50*time.Millisecond+rng.DurationJitter(25*time.Millisecond), deliver)
+		}
+		b.Commit()
+		eng.RunUntil(eng.Now() + Time(time.Second))
+	}
+	sweep() // warm up
+	const runs = 100
+	if avg := testing.AllocsPerRun(runs, sweep); avg != 0 {
+		t.Fatalf("adding, committing and draining 128 batched messages allocates %.2f times, want 0", avg)
+	}
+	// AllocsPerRun adds one warm-up run to the measured ones.
+	if want := (runs + 2) * 128; fired != want || eng.Pending() != 0 {
+		t.Fatalf("fired %d messages with %d pending, want %d with 0", fired, eng.Pending(), want)
+	}
+}

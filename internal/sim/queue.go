@@ -3,10 +3,13 @@ package sim
 // Event is the handle of a callback queued through Schedule or After.
 // The callback runs with the engine's clock set to the event's time.
 type Event struct {
-	at     Time
-	index  int // position in the engine's queue; -1 when not queued
+	at Time
+	// index is the position in the engine's queue, -1 when not queued;
+	// an int32 keeps the handle at 32 bytes.
+	index  int32
 	cancel bool
 	eng    *Engine // owning engine, for eager dequeue on Cancel
+	batch  *Batch  // set only on a committed batch's slot handle
 }
 
 // At returns the virtual time the event is scheduled for.
@@ -23,7 +26,7 @@ func (e *Event) Cancel() {
 	}
 	e.cancel = true
 	if e.eng != nil && e.index >= 0 {
-		e.eng.queue.remove(e.index)
+		e.eng.queue.remove(int(e.index))
 	}
 }
 
@@ -34,7 +37,9 @@ func (e *Event) Cancelled() bool { return e.cancel }
 // inline, so the heap compares and moves entries without touching any
 // other memory. ev is the handle Schedule/After returned, or nil for
 // ScheduleFunc/AfterFunc; only entries with a handle have their queue
-// position written back, which is what lets Cancel find them.
+// position written back, which is what lets Cancel find them. A
+// committed batch's slot has no callback: its key is the batch's head
+// message and ev is the batch's own handle.
 type entry struct {
 	at  Time
 	seq uint64 // tie-breaker: FIFO among same-time events
@@ -61,11 +66,10 @@ func (q *eventQueue) push(x entry) {
 	q.up(len(*q)-1, x)
 }
 
-// pop removes and returns the earliest entry. The queue must not be
-// empty.
-func (q *eventQueue) pop() entry {
+// pop removes the earliest entry. The queue must not be empty.
+func (q *eventQueue) pop() {
 	h := *q
-	top := h[0]
+	ev := h[0].ev
 	n := len(h) - 1
 	last := h[n]
 	h[n] = entry{} // drop the callback so the collector can have it
@@ -73,10 +77,9 @@ func (q *eventQueue) pop() entry {
 	if n > 0 {
 		q.down(0, last)
 	}
-	if top.ev != nil {
-		top.ev.index = -1
+	if ev != nil {
+		ev.index = -1
 	}
-	return top
 }
 
 // remove deletes the entry at position i, which must hold a handle.
@@ -140,6 +143,6 @@ func (q eventQueue) down(i int, x entry) {
 func (q eventQueue) set(i int, x entry) {
 	q[i] = x
 	if x.ev != nil {
-		x.ev.index = i
+		x.ev.index = int32(i)
 	}
 }

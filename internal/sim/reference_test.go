@@ -14,7 +14,9 @@ import (
 // — an interpreter over a byte string, so the fuzzer can mutate it —
 // and every observable (firing order, Now, Pending, NextEventTime,
 // Fired, a handle's At and Cancelled) is logged after every program
-// step and every firing. The logs must be equal.
+// step and every firing. The logs must be equal. A batch of k
+// callbacks is one Batch on the engine and k plain AfterFunc calls on
+// the reference.
 
 // handle is what Schedule/After hand out, on either side.
 type handle interface {
@@ -36,6 +38,13 @@ type model interface {
 	After(Time, func()) handle
 	ScheduleFunc(Time, func())
 	AfterFunc(Time, func())
+	NewBatch() batch
+}
+
+// batch is the Batch API a program drives.
+type batch interface {
+	AfterFunc(Time, func())
+	Commit()
 }
 
 // engineModel adapts *Engine, whose Schedule/After return *Event.
@@ -43,6 +52,7 @@ type engineModel struct{ *Engine }
 
 func (m engineModel) Schedule(at Time, fn func()) handle { return m.Engine.Schedule(at, fn) }
 func (m engineModel) After(d Time, fn func()) handle     { return m.Engine.After(d, fn) }
+func (m engineModel) NewBatch() batch                    { return m.Engine.NewBatch() }
 
 type refEvent struct {
 	at        Time
@@ -108,6 +118,13 @@ func (r *refEngine) Schedule(at Time, fn func()) handle {
 func (r *refEngine) After(d Time, fn func()) handle  { return r.Schedule(r.now+d, fn) }
 func (r *refEngine) ScheduleFunc(at Time, fn func()) { r.Schedule(at, fn) }
 func (r *refEngine) AfterFunc(d Time, fn func())     { r.Schedule(r.now+d, fn) }
+func (r *refEngine) NewBatch() batch                 { return refBatch{r} }
+
+// refBatch schedules every add at once, as a plain AfterFunc call.
+type refBatch struct{ r *refEngine }
+
+func (b refBatch) AfterFunc(d Time, fn func()) { b.r.AfterFunc(d, fn) }
+func (b refBatch) Commit()                     {}
 
 func (r *refEngine) fireHead() {
 	ev := r.q[0]
@@ -200,12 +217,41 @@ func (in *interp) cancel(k int) {
 	last.at, last.cancel = h.At(), h.Cancelled()
 }
 
+// batch commits a batch of k callbacks. Their delays are whole seconds
+// in [0, spread) from a linear congruential stream seeded by x, so ties
+// inside the batch and with plain events are common, and k = 0 commits
+// an empty batch. Callback j of a batch the program commits (depth 0)
+// performs action+j when it fires; one committed from inside a callback
+// (depth 1) only logs.
+func (in *interp) batch(k int, spread, x uint32, action byte, depth int) {
+	b := in.m.NewBatch()
+	for j := 0; j < k && in.ids < maxEvents; j++ {
+		x = x*1664525 + 1013904223
+		id, a := in.ids, action+byte(j)
+		in.ids++
+		b.AfterFunc(Time(x>>8%spread)*time.Second, func() { in.fireBatched(id, a, depth) })
+	}
+	b.Commit()
+}
+
 func (in *interp) fire(id int, action byte, depth int) {
 	in.observe("fire", id)
-	if depth > 0 {
-		return
+	if depth == 0 {
+		in.act(action, action%5)
 	}
-	switch action % 5 {
+}
+
+// fireBatched is fire for a batch's callback, whose action has a sixth
+// kind: commit a batch of up to 7 callbacks 0-2 s ahead.
+func (in *interp) fireBatched(id int, action byte, depth int) {
+	in.observe("fire", id)
+	if depth == 0 {
+		in.act(action, action%6)
+	}
+}
+
+func (in *interp) act(action, kind byte) {
+	switch kind {
 	case 1: // schedule a child 0-2 s ahead: 0 is the current instant
 		in.add(int(action>>3)%4, Time(action>>5%3)*time.Second, 0, 1)
 	case 2:
@@ -215,6 +261,8 @@ func (in *interp) fire(id int, action byte, depth int) {
 	case 4: // schedule a handle at the current instant, then cancel it
 		in.add(int(action>>3)%2, 0, 0, 1)
 		in.cancel(len(in.handles) - 1)
+	case 5:
+		in.batch(int(action>>3)%8, 3, uint32(action), 0, 1)
 	}
 }
 
@@ -230,7 +278,7 @@ func (in *interp) exec(prog []byte) {
 		return prog[pos-1]
 	}
 	for step := 0; pos < len(prog); step++ {
-		switch op := next(); op % 8 {
+		switch op := next(); op % 9 {
 		case 0, 1, 2, 3:
 			d := Time(next()%16) * time.Second
 			in.add(int(op%4), d, next(), 0)
@@ -246,6 +294,9 @@ func (in *interp) exec(prog []byte) {
 				x = x*1664525 + 1013904223
 				in.add(int(x>>30), Time(x>>8%64)*time.Second, byte(x>>16), 0)
 			}
+		case 8: // a batch of up to 63 callbacks spread over up to 16 s
+			k, spread := int(next()%64), uint32(next()%16)+1
+			in.batch(k, spread, uint32(next()), next(), 0)
 		}
 		in.observe("step", step)
 	}
@@ -310,6 +361,21 @@ func referenceCorpus() [][]byte {
 		// whose parent is later than it: the removal must sift up.
 		{0, 0, 0, 0, 10, 0, 0, 1, 0, 0, 10, 0, 0, 10, 0, 0, 11, 0, 0, 11, 0, 0, 11, 0, 0, 11, 0, 0, 5, 0, 4, 0, 5, 6},
 		deepHeapProgram(),
+		// Batches. Zero and equal delays: a batch of six at the current
+		// instant between plain events there, then twelve over 0-1 s
+		// between plain events at 1 s; ties inside the batch and with
+		// plain events.
+		{3, 0, 0, 8, 6, 0, 1, 6, 2, 0, 0, 0, 1, 0, 8, 12, 1, 7, 12, 3, 1, 0, 6, 6, 6},
+		// Two overlapping batches over 0-9 s and 0-15 s whose callbacks
+		// commit batches of their own (seven from the first one's first
+		// callback).
+		{8, 20, 9, 33, 59, 8, 16, 15, 90, 17, 0, 4, 0, 6, 6, 6, 6},
+		// Stop from batch callbacks, and deadlines that fall mid-batch.
+		{8, 30, 15, 5, 3, 5, 8, 5, 3, 5, 10, 6, 6, 6, 6, 6},
+		// Empty commits, from the program and from a batch callback.
+		{8, 0, 3, 1, 0, 0, 2, 0, 8, 0, 0, 0, 0, 8, 1, 0, 0, 5, 6, 6},
+		// Batches beside 200 plain events, with cancels and a deadline.
+		{7, 200, 9, 8, 63, 15, 3, 0, 8, 63, 15, 99, 30, 4, 0, 17, 5, 10, 8, 40, 7, 1, 1, 6, 6, 6},
 	}
 }
 
