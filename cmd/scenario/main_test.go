@@ -170,7 +170,18 @@ func TestBuildFleetKinds(t *testing.T) {
 // plane, so a change to message ordering in the engine or the plane
 // shows here as well as in the experiment goldens.
 func TestScenarioLibraryMatchesGolden(t *testing.T) {
-	t.Chdir("../..")
+	wd, err := os.Getwd()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Chdir("../.."); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() {
+		if err := os.Chdir(wd); err != nil {
+			t.Fatal(err)
+		}
+	})
 	files, err := filepath.Glob("scenarios/*.json")
 	if err != nil {
 		t.Fatal(err)

@@ -191,7 +191,7 @@ func (in *interp) add(kind int, d Time, action byte, depth int) {
 	}
 	id := in.ids
 	in.ids++
-	fn := func() { in.fire(id, action, depth) }
+	fn := func() { in.fire(id, action, depth, 5) }
 	switch kind {
 	case 0:
 		in.handles = append(in.handles, in.m.Schedule(in.m.Now()+d, fn))
@@ -229,24 +229,18 @@ func (in *interp) batch(k int, spread, x uint32, action byte, depth int) {
 		x = x*1664525 + 1013904223
 		id, a := in.ids, action+byte(j)
 		in.ids++
-		b.AfterFunc(Time(x>>8%spread)*time.Second, func() { in.fireBatched(id, a, depth) })
+		b.AfterFunc(Time(x>>8%spread)*time.Second, func() { in.fire(id, a, depth, 6) })
 	}
 	b.Commit()
 }
 
-func (in *interp) fire(id int, action byte, depth int) {
+// fire logs callback id and, at depth 0, performs action as act's kind
+// action%kinds. Plain callbacks pass 5; a batch's callbacks pass 6,
+// whose sixth kind commits a batch of up to 7 callbacks 0-2 s ahead.
+func (in *interp) fire(id int, action byte, depth int, kinds byte) {
 	in.observe("fire", id)
 	if depth == 0 {
-		in.act(action, action%5)
-	}
-}
-
-// fireBatched is fire for a batch's callback, whose action has a sixth
-// kind: commit a batch of up to 7 callbacks 0-2 s ahead.
-func (in *interp) fireBatched(id int, action byte, depth int) {
-	in.observe("fire", id)
-	if depth == 0 {
-		in.act(action, action%6)
+		in.act(action, action%kinds)
 	}
 }
 
