@@ -25,8 +25,13 @@ test-shuffle:
 race:
 	$(GO) test -race -timeout 90m ./...
 
+# go vet, then scripts/stdversion: every package and its tests must use
+# no standard-library symbol newer than go.mod's go version, methods
+# promoted from unexported embedded types included, which vet's own
+# stdversion check misses (a newer toolchain compiles them silently).
 vet:
 	$(GO) vet ./...
+	$(GO) run ./scripts/stdversion
 
 # staticcheck at a pinned version, fetched on demand by the go tool.
 # Not part of `make ci`: the local container has no network for module
@@ -170,7 +175,8 @@ bench-hyperscale-smoke:
 # than full-scan at 0 allocs/op) and over a 32-host fleet, the
 # scale-down search (MinBins) at 200 VMs / 32 hosts, the forecast
 # upkeep as simulated time moves one evaluation step per op, on a
-# 4096-VM mixed fleet and on the hyperscale fixture, and one
+# 4096-VM mixed fleet (read at every invocation, and at every fifth as
+# nopm-drm reads) and on the hyperscale fixture, and one
 # migration-completion replan, on a wide drain with short first-fit
 # scans, on one shaped like hyper -quick's, whose scans are long, and
 # on that one with what a completion dirties changed before each op:
@@ -185,14 +191,16 @@ bench-manager:
 # The manager-cost gate without a measurement run: one iteration of the
 # control-step, MinBins, forecast-upkeep and drain-replan benchmarks
 # (so the fixtures cannot rot), the 0-alloc assertions for the cached
-# and the recomputed control step, and the parity property tests that
-# hold the incremental planner against its full-scan oracle and its
-# planning rows against the whole-fleet pass. CI runs this as its
-# manager-gate job; part of `make ci`.
+# and the recomputed control step and for an invocation that reads no
+# forecast, the parity property tests that hold the incremental planner
+# against its full-scan oracle and its planning rows against the
+# whole-fleet pass, and a static day that keeps no forecast up until an
+# arrival reads them. CI runs this as its manager-gate job; part of
+# `make ci`.
 bench-manager-smoke:
 	$(GO) test -run '^$$' -bench '^(BenchmarkManagerControlStepHyperscale|BenchmarkManagerControlStep|BenchmarkMinBins|BenchmarkForecastUpkeep|BenchmarkDrainReplan)$$' -benchmem -benchtime=1x \
 		./internal/core/
-	$(GO) test -run 'TestManagerStepSteadyStateAllocFree|TestPackServingAllocFree|TestIncrementalPlanningParity' -v \
+	$(GO) test -run 'TestManagerStepSteadyStateAllocFree|TestPackServingAllocFree|TestUnreadInvocationAllocFree|TestIncrementalPlanningParity|TestStaticManagerSkipsForecastUpkeep' -v \
 		./internal/core/
 
 # Record the world-setup benchmarks (per-cell world construction and
@@ -231,7 +239,8 @@ bench-setup-smoke:
 # and sharded — and the same-instant pass, the handle-free event loop,
 # a warm engine batch, the control plane's heartbeats, reports and
 # sweeps, the manager's cached control step and one that re-runs the
-# MinBins search, the drain replan a migration completion runs, and
+# MinBins search, an invocation that reads no forecast, the drain
+# replan a migration completion runs, and
 # every refused StartMigration must stay allocation-free, and the full
 # report bytes must match the pre-optimization goldens. Part of
 # `make ci`.

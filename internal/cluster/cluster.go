@@ -157,6 +157,7 @@ type Cluster struct {
 	onMigrationDone   func(vm.ID, host.ID)
 	onMigrationFailed func(vm.ID, host.ID, host.ID)
 	onHostCrashed     func(host.ID)
+	onDemandRescale   func(*vm.VM)
 	// onHostDirty is the management layer's event feed: it fires on
 	// every event-path change to a host's scheduling inputs (placement,
 	// migration endpoints, crash/repair, power commands, settles, DVFS)
@@ -183,7 +184,7 @@ type Cluster struct {
 	// vm.ID-1), the mechanism behind scenario demand-surge events. It
 	// stays nil until the first ScaleDemandPrefix call, and an entry of
 	// 0 or 1 means unscaled, so script-free runs never branch into the
-	// scaling path and readDemand degenerates to vm.Demand bit-for-bit.
+	// scaling path and scaleDemand degenerates to vm.Demand bit-for-bit.
 	// The scale lives here, not on the VM: VM objects are shared by
 	// pointer across prototype forks, and per-run mutable state must
 	// stay with the run.
@@ -1107,10 +1108,12 @@ func (c *Cluster) OnTick(fn func(TickStats)) { c.onTick = append(c.onTick, fn) }
 // fell in. A positive until is the trace's next change after the read
 // (never for a one-sample trace, which cannot change); a negative until
 // is the negated end of that sample, a lower bound on the next change,
-// for reads whose caller did not need it. The evaluation tick is such a
-// caller: it takes a host's deadline from the spans its residents'
-// reads return, and looking the change up would build the trace's jump
-// table. The zero value holds for no instant.
+// for plain VMDemand reads, whose callers do not need it. The
+// evaluation tick looks the change up on every miss: a VM whose demand
+// sits on a plateau then holds its entry, and keeps its host from
+// falling due, until the plateau ends. The lookup compares the next
+// trace sample first, so it builds a trace's jump table only for
+// traces with plateaus. The zero value holds for no instant.
 type demandMemo struct {
 	d     float64
 	from  sim.Time
@@ -1127,9 +1130,10 @@ func (e *demandMemo) end() sim.Time {
 
 // VMDemand returns v's CPU demand at time at, including any runtime
 // demand scaling applied by scenario demand-surge events, from the
-// run's demand memo: a VM's trace is read once per sample, or once per
-// demand change after VMDemandNext has looked the change up. The value
-// is always bitwise the uncached one.
+// run's demand memo: a VM's trace is read once per demand change once
+// the evaluation tick or VMDemandNext has looked the change up, and
+// once per sample otherwise. The value is always bitwise the uncached
+// one.
 func (c *Cluster) VMDemand(v *vm.VM, at sim.Time) float64 {
 	d, _ := c.memoDemand(v, at, false)
 	return d
@@ -1149,8 +1153,8 @@ func (c *Cluster) VMDemandNext(v *vm.VM, at sim.Time) (float64, sim.Time) {
 // may be the negated end of the trace sample instead of the next
 // change, and either way its absolute value is the first instant the
 // returned demand is no longer known to hold. A miss at an instant
-// before the memoised span (the forecast upkeep's catch-up at its
-// previous invocation) reads the trace and leaves the memo alone.
+// before the memoised span (a forecast catch-up at a past invocation)
+// reads the trace and leaves the memo alone.
 func (c *Cluster) memoDemand(v *vm.VM, at sim.Time, withNext bool) (float64, sim.Time) {
 	var e *demandMemo
 	if i := int(v.ID()) - 1; i < len(c.demand) {
@@ -1162,15 +1166,15 @@ func (c *Cluster) memoDemand(v *vm.VM, at sim.Time, withNext bool) (float64, sim
 			return e.d, e.until
 		}
 	}
-	d := c.readDemand(v, at)
 	tr := v.Trace()
-	start := at / tr.Interval * tr.Interval
+	idx, start := tr.Sample(at)
+	d := c.scaleDemand(v, tr.Samples[idx])
 	until := -(start + tr.Interval)
 	switch {
 	case len(tr.Samples) == 1:
 		until = never
 	case withNext:
-		until = v.NextDemandChange(at)
+		until = tr.NextChangeFrom(idx, start)
 	}
 	if e != nil && at >= e.from {
 		*e = demandMemo{d: d, from: start, until: until}
@@ -1178,27 +1182,20 @@ func (c *Cluster) memoDemand(v *vm.VM, at sim.Time, withNext bool) (float64, sim
 	return d, until
 }
 
-// readDemand is VMDemand without the memo: one trace read. With no
-// scale in effect it returns exactly v.Demand(at) — same branch-free
-// arithmetic, same bits — so script-free runs are untouched. A scale
-// multiplies the raw trace demand and then applies the vCPU and limit
-// caps in vm.Demand's clamping order.
-func (c *Cluster) readDemand(v *vm.VM, at sim.Time) float64 {
+// scaleDemand turns raw, a sample of v's trace, into v's demand: with
+// no scale in effect exactly what v.Demand returns for that sample —
+// same branch-free arithmetic, same bits — so script-free runs are
+// untouched; a scale multiplies the raw trace demand before the vCPU
+// and limit caps.
+func (c *Cluster) scaleDemand(v *vm.VM, raw float64) float64 {
 	if c.demandScale != nil {
 		if i := int(v.ID()) - 1; i < len(c.demandScale) {
 			if s := c.demandScale[i]; s != 0 && s != 1 {
-				d := v.Trace().At(at) * s
-				if vc := v.VCPUs(); d > vc {
-					d = vc
-				}
-				if lim := v.LimitCores(); lim > 0 && d > lim {
-					d = lim
-				}
-				return d
+				return v.CapDemand(raw * s)
 			}
 		}
 	}
-	return v.Demand(at)
+	return v.CapDemand(raw)
 }
 
 // ScaleDemandPrefix sets the demand multiplier of every live VM whose
@@ -1207,12 +1204,16 @@ func (c *Cluster) readDemand(v *vm.VM, at sim.Time) float64 {
 // and the cluster re-evaluates once, so allocation runs, SLA
 // accounting, and the delta machinery all see the step exactly at the
 // event time. Repeated calls overwrite (absolute scale, not
-// compounding); VMs arriving later are unscaled.
+// compounding); VMs arriving later are unscaled. The OnDemandRescale
+// observer sees each matched VM before its scale changes.
 func (c *Cluster) ScaleDemandPrefix(prefix string, factor float64) int {
 	matched := 0
 	for _, v := range c.vmList {
 		if prefix != "" && !strings.HasPrefix(v.Name(), prefix) {
 			continue
+		}
+		if c.onDemandRescale != nil {
+			c.onDemandRescale(v)
 		}
 		if c.demandScale == nil {
 			c.demandScale = make([]float64, len(c.vmsByID))
@@ -1240,6 +1241,12 @@ func (c *Cluster) ScaleDemandPrefix(prefix string, factor float64) int {
 	}
 	return matched
 }
+
+// OnDemandRescale registers fn to run for each VM ScaleDemandPrefix
+// rescales, before the VM's scale and memo entry change, so demand
+// reads made in fn still see the old scale. One observer only;
+// register before Start.
+func (c *Cluster) OnDemandRescale(fn func(*vm.VM)) { c.onDemandRescale = fn }
 
 // StrandedCount returns how many VMs are frozen on crashed hosts right
 // now (as opposed to StrandedVMSeconds, the time integral) — the
@@ -1275,20 +1282,16 @@ func (c *Cluster) closeRun(i int, now sim.Time) {
 //
 // It also returns the host's deadline: the earliest instant one of its
 // residents' demand may differ from the value just read. Each read
-// comes with the end of the span its value holds for (the end of the
-// trace sample, or the trace's next change once looked up), a lower
-// bound on that resident's next change; never when the host has no
-// resident whose demand can change.
+// comes with the resident's next demand change, looked up on a memo
+// miss and kept in the memo entry until then; never when the host has
+// no resident whose demand can change.
 func (c *Cluster) evalHost(h *host.Host, now sim.Time) (hostPartial, sim.Time) {
 	res := h.Residents() // ascending VM ID
 	demands := h.DemandScratch()
 	next := never
 	for i, v := range res {
-		d, until := c.memoDemand(v, now, false)
+		d, until := c.memoDemand(v, now, true)
 		demands[i] = d
-		if until < 0 {
-			until = -until
-		}
 		if until < next {
 			next = until
 		}

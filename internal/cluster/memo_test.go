@@ -63,12 +63,31 @@ func memoFleet(t *testing.T, seed uint64, cfg Config) (*sim.Engine, *Cluster) {
 	return eng, c
 }
 
+// uncachedDemand is VMDemand without the memo, written out from its
+// definition: the trace's value at at, times the VM's runtime scale
+// when one is in effect, capped at the VM's vCPUs and then its limit.
+func uncachedDemand(c *Cluster, v *vm.VM, at sim.Time) float64 {
+	d := v.Trace().At(at)
+	if i := int(v.ID()) - 1; i < len(c.demandScale) {
+		if s := c.demandScale[i]; s != 0 && s != 1 {
+			d *= s
+		}
+	}
+	if d > v.VCPUs() {
+		d = v.VCPUs()
+	}
+	if lim := v.LimitCores(); lim > 0 && d > lim {
+		d = lim
+	}
+	return d
+}
+
 // memoHistory runs a random query history against c and returns the
 // first mismatch: every VMDemand and VMDemandNext must equal the
-// uncached read (readDemand, NextDemandChange) bit for bit. Queries
+// uncached read (uncachedDemand, NextDemandChange) bit for bit. Queries
 // move forward within and across samples, repeat an instant, and go
-// back to earlier ones (the forecast upkeep's catch-up at its previous
-// invocation); the engine advances between them, so the running
+// back to earlier ones (a forecast catch-up at a past invocation); the
+// engine advances between them, so the running
 // cluster's own ticks fill the memo as well; and demand surges scale
 // half the fleet up and back to 1.
 func memoHistory(eng *sim.Engine, c *Cluster, seed uint64, steps int) error {
@@ -101,7 +120,7 @@ func memoHistory(eng *sim.Engine, c *Cluster, seed uint64, steps int) error {
 		}
 		for k := 0; k < 8; k++ {
 			v := vms[rng.Intn(len(vms))]
-			want, wantNext := c.readDemand(v, at), v.NextDemandChange(at)
+			want, wantNext := uncachedDemand(c, v, at), v.NextDemandChange(at)
 			if rng.Intn(2) == 0 {
 				if got := c.VMDemand(v, at); math.Float64bits(got) != math.Float64bits(want) {
 					return fmt.Errorf("step %d: VMDemand(%s, %v) = %v, want %v", step, v.Name(), at, got, want)

@@ -246,19 +246,24 @@ func mixedFleetWorld(b *testing.B) (*sim.Engine, *cluster.Cluster) {
 
 // BenchmarkForecastUpkeep measures the manager's forecast upkeep as
 // simulated time moves: each op advances the clock by one evaluation
-// step and brings every VM's forecast up to date (observeAll), so the
-// VMs whose demand changed or whose peak-window head expired fall due
-// and are caught up. On the mixed fleet every diurnal VM is due each
-// minute; on the hyperscale fleet only the diurnal eighth is. Neither
-// world is started, so the op is the upkeep alone, trace reads
+// step and records an invocation there (noteInvocation). In the plain
+// cases every invocation reads the forecasts, so the VMs whose demand
+// changed or whose peak-window head expired fall due and are caught
+// up; on the mixed fleet every diurnal VM is due each minute, on the
+// hyperscale fleet only the diurnal eighth is. In read-every-5 four
+// invocations read nothing and the fifth catches the due VMs up over
+// all five, the pattern of nopm-drm, whose control step alone reads.
+// Neither world is started, so the op is the upkeep alone, trace reads
 // included, with no evaluation tick beside it.
 func BenchmarkForecastUpkeep(b *testing.B) {
 	for _, w := range []struct {
 		name  string
 		build func(*testing.B) (*sim.Engine, *cluster.Cluster)
+		every int // invocations per read
 	}{
-		{"mixed-4096", mixedFleetWorld},
-		{"hyperscale-131072", hyperscaleWorld},
+		{"mixed-4096", mixedFleetWorld, 1},
+		{"mixed-4096-read-every-5", mixedFleetWorld, 5},
+		{"hyperscale-131072", hyperscaleWorld, 1},
 	} {
 		b.Run(w.name, func(b *testing.B) {
 			eng, cl := w.build(b)
@@ -267,16 +272,23 @@ func BenchmarkForecastUpkeep(b *testing.B) {
 				b.Fatal(err)
 			}
 			step := cl.EvalStep()
+			n := 0
+			invoke := func() {
+				m.noteInvocation()
+				if n++; n%w.every == 0 {
+					m.forecasts()
+				}
+			}
 			// Warm up for an hour so every peak window is full.
 			for eng.Now() < time.Hour {
-				m.observeAll()
+				invoke()
 				eng.RunUntil(eng.Now() + step)
 			}
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				eng.RunUntil(eng.Now() + step)
-				m.observeAll()
+				invoke()
 			}
 		})
 	}

@@ -797,7 +797,7 @@ func TestPlanDrainMatchesOracleLive(t *testing.T) {
 	for seed := uint64(1); seed <= 3; seed++ {
 		for _, withPlane := range []bool{false, true} {
 			script := parityScript(seed, 16, 64, sim.Time(horizon))
-			w := buildParityWorld(t, true, parityTraces(seed*101), script, parityVariant{plane: withPlane})
+			w := buildParityWorld(t, true, parityTraces(seed*101, 0), script, parityVariant{plane: withPlane})
 			for at := sim.Time(time.Minute); at <= sim.Time(horizon); at += sim.Time(time.Minute) {
 				w.eng.RunUntil(at)
 				c := w.m.takeCensus()
@@ -1024,12 +1024,12 @@ func TestDrainRefusalsWithoutFreeSlot(t *testing.T) {
 				h, _ := cl.Host(2)
 				m.migRetryAt[h.VMs()[4]] = eng.Now() + sim.Time(time.Hour)
 			}
-			forecasts := m.observeAll()
-			if !m.planDrain(forecasts, m.takeCensus()) {
+			m.noteInvocation()
+			if !m.planDrain(m.forecasts(), m.takeCensus()) {
 				t.Fatal("drain plan infeasible")
 			}
 			inflight := cl.Migrations().Inflight()
-			m.drainEvacuating(forecasts)
+			m.drainEvacuating()
 			if m.stats.MigrationsFailed != tc.wantFailed || m.stats.MigrationsConsolidation != tc.wantN {
 				t.Fatalf("drain counted %d refusals and %d starts; want %d and %d",
 					m.stats.MigrationsFailed, m.stats.MigrationsConsolidation, tc.wantFailed, tc.wantN)

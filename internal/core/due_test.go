@@ -49,11 +49,12 @@ func checkDueSummary(t *testing.T, d *dueIndex) {
 // TestDueIndexMatchesSortedReference drives the due index and a plain
 // slice of due times through the same random history: the index grows
 // in uneven steps (across 64-entry blocks and into a third level), new
-// entries get random due times or neverDue, sweeps run at rising
-// instants, and a visited entry is rescheduled after now or dropped
-// with neverDue, as a departed VM is. Each sweep must visit exactly the
-// entries whose due time is at or before now, once each, in ascending
-// index order.
+// entries get random due times or neverDue, existing entries are
+// lowered to now or just after it, as a demand rescale lowers a VM's,
+// sweeps run at rising instants, and a visited entry is rescheduled
+// after now or dropped with neverDue, as a departed VM is. Each sweep
+// must visit exactly the entries whose due time is at or before now,
+// once each, in ascending index order.
 func TestDueIndexMatchesSortedReference(t *testing.T) {
 	for seed := uint64(1); seed <= 20; seed++ {
 		rng := sim.NewRNG(seed)
@@ -78,6 +79,12 @@ func TestDueIndexMatchesSortedReference(t *testing.T) {
 					idx.add(i, ref[i])
 				}
 				checkDueSummary(t, &idx)
+			}
+			for n := rng.Intn(4); n > 0 && len(ref) > 0; n-- {
+				i := rng.Intn(len(ref))
+				k := now + sim.Time(rng.Intn(3))
+				ref[i] = min(ref[i], k)
+				idx.add(i, k)
 			}
 			now += sim.Time(rng.Intn(10))
 			var want []int

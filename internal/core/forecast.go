@@ -77,7 +77,9 @@ func (s ForecastSpec) New() (Forecaster, error) {
 		if w < 0 {
 			return nil, fmt.Errorf("core: negative peak window %v", w)
 		}
-		return &peakWindow{window: w}, nil
+		f := &peakWindow{window: w}
+		f.samples = f.first[:0]
+		return f, nil
 	case ForecastLastValue:
 		return &lastValue{}, nil
 	case ForecastEWMA:
@@ -126,6 +128,9 @@ type sample struct {
 type peakWindow struct {
 	window  time.Duration
 	samples []sample // monotonic deque: decreasing values
+	// first backs the deque until it outgrows it: most deques stay one
+	// or two samples deep, and then cost no allocation of their own.
+	first [2]sample
 }
 
 func (f *peakWindow) Observe(at time.Duration, d float64) {

@@ -30,25 +30,33 @@
 // (newManager with incremental off), and the goldens pin the reports.
 //
 // Forecast maintenance is the one place a cheap recompute does not
-// exist — the eager path calls Observe on every VM at every manager
+// exist: the eager path calls Observe on every VM at every manager
 // invocation. For the peak-window and last-value forecasters the
-// observation stream is reconstructible lazily: a VM's forecast can
-// only change when its demand trace changes value or when the deque
-// head falls out of the window. Both moments are computable in
-// advance, so each VM's deadline sits in a due index and the VM is
-// caught up — bitwise exactly, see ensureForecasts — only when its
-// deadline passes. The index is swept in VM-ID order, and the demand
-// reads go through the cluster's demand memo, which the evaluation
-// tick has usually filled at the same instant.
+// upkeep is split in two. Every invocation records its instant in a
+// grid of the distinct invocation times inside the forecast window
+// (noteInvocation); only a phase that reads forecasts sweeps the due
+// index (forecasts), so a policy that reads rarely — the static
+// baseline reads only to place an arrival or drain a maintenance host
+// — pays for the upkeep only then. A VM's forecast can only change
+// when its demand trace changes value or when the deque head falls out
+// of the window; both moments are computable in advance, so each VM's
+// deadline sits in the due index and the VM is caught up from the grid
+// — bitwise exactly, see visitDue — only at a read after its deadline
+// passed. The index is swept in VM-ID order, and the demand reads go
+// through the cluster's demand memo, which the evaluation tick has
+// usually filled at the same instant. A demand rescale would change
+// what a catch-up reads at past grid times, so the cluster reports it
+// first and the rescaled VMs are caught up before it (demandRescaled).
 // EWMA forecasters evolve on every observation and the diurnal model
 // needs the full demand sum every invocation, so those configurations
-// fall back to the eager sweep (correct, just not cheap), still with
-// epoch-keyed caches on top.
+// observe every VM when the invocation is recorded (correct, just not
+// cheap), still with epoch-keyed caches on top.
 package core
 
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"agilepower/internal/sim"
 	"agilepower/internal/vm"
@@ -155,8 +163,8 @@ func (d *dueIndex) grow(n int) {
 	}
 }
 
-// add gives entry i, which must not be due yet (neverDue), the due
-// time key.
+// add lowers entry i's due time to key; an entry already due at or
+// before key keeps its time.
 func (d *dueIndex) add(i int, key sim.Time) {
 	for k := range d.lv {
 		if d.lv[k][i] <= key {
@@ -203,22 +211,43 @@ func (d *dueIndex) sweepEntry(k, j int, now sim.Time, v dueVisitor) sim.Time {
 	return least
 }
 
-// ensureForecasts is the lazy replacement for the eager per-VM Observe
-// sweep. It reproduces the eager forecaster state bitwise:
-//
-// Between two processings of a VM, its demand is constant (a change
-// would have been a deadline) and no deque head expired (ditto), so
-// every eager Observe in that span only refreshed the same-value tail
-// — of which only the last survives in the deque. Replaying exactly
-// two observations therefore lands in the identical state: one at
-// invPrev (the last manager invocation before now, recreating the
-// final tail refresh) and one at now (the observation the eager sweep
-// would make this invocation). Both are idempotent when times
-// coincide, and the catch-up is skipped when the VM was already
-// observed at or after invPrev.
-func (m *Manager) ensureForecasts(now sim.Time) {
-	// Fleet membership moved: initialize newcomers (their first eager
-	// observation would happen this invocation too) and bump fcEpoch —
+// noteInvocation records a manager invocation at the current instant.
+// Every entry point (step, wakeCheck, continueMoves) calls it first,
+// whether or not any of its phases goes on to read a forecast. The
+// lazy path appends a new instant to the grid, the distinct invocation
+// times inside the forecast window, and initialises newcomers, whose
+// first observation happens at their first invocation; the eager path
+// observes every VM here, so its forecasts are current at every
+// invocation, read or not.
+func (m *Manager) noteInvocation() {
+	now := m.cl.Engine().Now()
+	if !m.lazyFC {
+		m.eagerObserve(now)
+		return
+	}
+	if n := len(m.grid); n == 0 || now > m.grid[n-1] {
+		// Drop the times no catch-up can replay any more: after
+		// Observe(now) the deque keeps only samples at or after
+		// now-window. Compacting in place keeps a warm grid from
+		// allocating.
+		cut := 0
+		for cut < n && m.grid[cut] < now-m.window {
+			cut++
+		}
+		if cut > 0 {
+			m.grid = m.grid[:copy(m.grid, m.grid[cut:])]
+		}
+		m.grid = append(m.grid, now)
+		m.rescaledNow = false
+	} else if m.rescaledNow {
+		// A rescale followed an invocation at this instant, and this
+		// invocation observes the rescaled demand at the same instant,
+		// as the eager sweep would; the grid has no second entry for it,
+		// so the rescaled VMs, due now, are caught up at once.
+		m.rescaledNow = false
+		m.due.sweep(now, m)
+	}
+	// Fleet membership moved: initialise newcomers and bump fcEpoch —
 	// totals and plans iterate the VM list, so set changes invalidate
 	// them even when no forecast value moved.
 	if ve := m.cl.VMEpoch(); ve != m.vmSeen {
@@ -227,49 +256,112 @@ func (m *Manager) ensureForecasts(now sim.Time) {
 		m.growVMSlots()
 		m.due.grow(int(m.cl.MaxVMID()))
 		for id := m.maxInit + 1; id <= m.cl.MaxVMID(); id++ {
-			v, ok := m.cl.VM(id)
-			if !ok {
+			if _, ok := m.cl.VM(id); !ok {
 				continue // created and departed between invocations
 			}
-			i := id - 1
-			f := m.newForecaster()
-			m.fcs[i] = f
-			d, next := m.cl.VMDemandNext(v, now)
-			f.Observe(now, d)
-			fc := f.Forecast()
-			if fc > v.VCPUs() {
-				fc = v.VCPUs()
-			}
-			m.setForecast(id, fc)
+			i := int(id) - 1
+			m.fcs[i] = m.newForecaster()
 			m.lastObs[i] = now
-			m.due.add(int(i), dueKey(f, next))
+			m.due.add(i, m.visitDue(i, now))
 		}
 		m.maxInit = m.cl.MaxVMID()
 	}
-	// Catch up every VM whose deadline passed.
-	m.due.sweep(now, m)
 }
 
-// visitDue catches up VM index i, whose deadline passed, and returns
-// its next one (see ensureForecasts).
-func (m *Manager) visitDue(i int, now sim.Time) sim.Time {
+// forecasts brings every VM's forecast up to the latest invocation and
+// returns the clamped forecast vector (indexed vm.ID-1). Only the
+// phases that read forecasts call it, after their own early returns.
+// On the lazy path it sweeps the due index, catching up each VM whose
+// forecast may have moved since it was last caught up (visitDue); a
+// sweep where nothing is due reads one root entry. The eager path
+// observed every VM when the invocation was recorded.
+func (m *Manager) forecasts() []float64 {
+	if m.lazyFC && len(m.grid) > 0 {
+		m.due.sweep(m.grid[len(m.grid)-1], m)
+	}
+	return m.fcv
+}
+
+// visitDue catches VM index i up from its last observation to the
+// latest invocation, now, bitwise as the eager sweep would have,
+// records its clamped forecast and returns its next due time (neverDue
+// for a departed VM, whose stale entry it drops). The sweep calls it
+// for a VM whose deadline passed; newcomers and rescaled VMs are
+// caught up through it too.
+//
+// The eager sweep observes the VM at every grid time; the catch-up
+// replays only the grid times after lastObs[i], one observation per
+// run of equal demand: it reads the demand and its next change at the
+// run's first grid time, observes at the run's last grid time before
+// that change, and goes on from the first grid time at or after it.
+// A run that reaches now is left to the final observation at now. The
+// result is exact: after Observe(now) the deque holds only samples at
+// or after now-window (its cut is the strict at+window < now), which of
+// those survive is decided only by later observations, all inside the
+// window too, and a run of equal observations leaves the deque its
+// last one alone would. The grid holds every invocation time inside
+// the window, so nothing the eager sweep kept is skipped. With a
+// last-value forecaster the window is empty and only now is observed.
+func (m *Manager) visitDue(i int, _ sim.Time) sim.Time {
 	v, ok := m.cl.VM(vm.ID(i + 1))
 	if !ok {
-		return neverDue // departed while queued; drop the stale entry
+		return neverDue
 	}
+	g := m.grid
+	now := g[len(g)-1]
 	f := m.fcs[i]
-	if m.invPrev > m.lastObs[i] {
-		f.Observe(m.invPrev, m.cl.VMDemand(v, m.invPrev))
+	// The first grid time after lastObs[i]: usually now itself, when the
+	// VM was caught up at the previous invocation.
+	lo, last := len(g)-1, m.lastObs[i]
+	for lo > 0 && g[lo-1] > last {
+		lo--
 	}
+	for lo < len(g)-1 {
+		d, next := m.cl.VMDemandNext(v, g[lo])
+		if next > now {
+			break // the run reaches now
+		}
+		// g[lo] < next <= now = g[len(g)-1], so hi lands in (lo, len(g)-1].
+		j, _ := slices.BinarySearch(g[lo+1:], next)
+		hi := lo + 1 + j
+		f.Observe(g[hi-1], d)
+		lo = hi
+	}
+	m.lastObs[i] = now
 	d, next := m.cl.VMDemandNext(v, now)
 	f.Observe(now, d)
-	m.lastObs[i] = now
 	fc := f.Forecast()
 	if fc > v.VCPUs() {
 		fc = v.VCPUs()
 	}
 	m.setForecast(vm.ID(i+1), fc)
 	return dueKey(f, next)
+}
+
+// demandRescaled runs before the cluster rescales VM v's demand (a
+// scenario demand surge). A lazy catch-up reads demand at past grid
+// times, which would see the new scale for moments before it, so v is
+// caught up to the latest invocation now, under its old scale, and
+// made due at once: its next read replays only grid times after the
+// rescale. When an invocation already happened at this instant, a
+// later one at the same instant observes the new demand there, as the
+// eager sweep would (see noteInvocation). A VM not yet initialised
+// first observes at its first invocation, after the rescale.
+func (m *Manager) demandRescaled(v *vm.VM) {
+	id := v.ID()
+	if !m.lazyFC || id > m.maxInit || len(m.grid) == 0 {
+		return
+	}
+	i := int(id) - 1
+	last := m.grid[len(m.grid)-1]
+	if m.lastObs[i] < last {
+		m.visitDue(i, last)
+	}
+	now := m.cl.Engine().Now()
+	m.due.add(i, now)
+	if now == last {
+		m.rescaledNow = true
+	}
 }
 
 // eagerObserve is the full per-VM sweep: every live VM is observed at

@@ -22,8 +22,10 @@ import (
 // respect — through scripted adds, removes, crashes, maintenance,
 // injected transition faults (driving quarantines), and optionally a
 // lossy control plane (driving suspect/dead liveness), predictive
-// wake, a DVFS policy, a mixed 32/16-core fleet, or heavy wake
-// failures, comparing the planning state at every checkpoint.
+// wake, a DVFS policy, a mixed 32/16-core fleet, heavy wake failures,
+// the static or nopm-drm policy (whose invocations mostly read no
+// forecast) or demand surges, comparing the planning state at every
+// checkpoint.
 
 // parityEvent is one scripted churn action, applied identically to
 // both worlds.
@@ -77,17 +79,50 @@ type parityVariant struct {
 	resumeFail float64 // S3 resume-failure probability of every host
 	s5         bool    // DPM-S5: park in soft-off, with its slow wakes
 	panicAt    float64 // PanicShortfall: the emergency wake-all brake
+	static     bool    // the static policy: reads only to place or drain
+	nopm       bool    // nopm-drm: only its control step reads
+	noise      float64 // NoiseFrac of the diurnal traces (see parityTraces)
+	surge      bool    // every VM's demand rescaled four times (surgeSchedule)
+}
+
+// surgeSchedule rescales every VM's demand up, back, down and back.
+// The first and the last rescale fall less than one forecast window
+// before an hourly checkpoint, whose read must then catch a VM up
+// across the rescale; the second lands after the invocations at its
+// instant and is followed by a control step at the same instant, which
+// observes the rescaled demand there.
+func surgeSchedule(eng *sim.Engine, cl *cluster.Cluster, m *Manager) {
+	for _, s := range []struct {
+		at     time.Duration
+		factor float64
+	}{{110 * time.Minute, 1.6}, {200 * time.Minute, 1}, {290 * time.Minute, 0.5}, {355 * time.Minute, 1}} {
+		s := s
+		if s.at%(5*time.Minute) != 0 {
+			eng.ScheduleFunc(sim.Time(s.at), func() { cl.ScaleDemandPrefix("", s.factor) })
+			continue
+		}
+		// Scheduled after the ticks at s.at, so it fires after them.
+		eng.ScheduleFunc(sim.Time(s.at-30*time.Second), func() {
+			eng.AfterFunc(30*time.Second, func() {
+				cl.ScaleDemandPrefix("", s.factor)
+				m.step()
+			})
+		})
+	}
 }
 
 // parityTraces builds the shared trace pool both worlds draw from:
-// diurnal and constant demand, alternating.
-func parityTraces(seed uint64) []*workload.Trace {
+// diurnal and constant demand, alternating. Noise on the diurnal
+// traces puts a window's peak between two invocations, where only a
+// catch-up that replays every invocation in the window finds it; a
+// smooth curve peaks at a window's edge.
+func parityTraces(seed uint64, noise float64) []*workload.Trace {
 	trng := sim.NewRNG(seed)
 	traces := make([]*workload.Trace, 8)
 	for i := range traces {
 		if i%2 == 0 {
 			traces[i] = workload.Diurnal(trng.Fork(), workload.DiurnalSpec{
-				BaseCores: 0.4, PeakCores: 2.5,
+				BaseCores: 0.4, PeakCores: 2.5, NoiseFrac: noise,
 			})
 		} else {
 			traces[i] = workload.Constant(trng.Range(0.5, 2))
@@ -144,6 +179,12 @@ func buildParityWorld(t *testing.T, incremental bool, traces []*workload.Trace,
 	if v.s5 {
 		cfg.Policy = DPMS5
 	}
+	if v.static {
+		cfg.Policy = Static
+	}
+	if v.nopm {
+		cfg.Policy = NoPM
+	}
 	if v.dvfs {
 		cfg.Policy = Policy{
 			Name: "dvfs-combo", LoadBalance: true, Consolidate: true,
@@ -184,6 +225,9 @@ func buildParityWorld(t *testing.T, incremental bool, traces []*workload.Trace,
 			}
 		})
 	}
+	if v.surge {
+		surgeSchedule(eng, cl, m)
+	}
 	cl.Start()
 	m.Start()
 	if cp != nil {
@@ -213,13 +257,22 @@ func comparePlanning(t *testing.T, a, b *parityWorld) {
 	if a.m.stats != b.m.stats {
 		t.Fatalf("stats diverged:\n  incremental %+v\n  full-scan   %+v", a.m.stats, b.m.stats)
 	}
-	fa, fb := a.m.observeAll(), b.m.observeAll()
-	if len(fa) != len(fb) {
-		t.Fatalf("forecast vector length diverged: %d vs %d", len(fa), len(fb))
+	a.m.noteInvocation()
+	b.m.noteInvocation()
+	fa, fb := a.m.forecasts(), b.m.forecasts()
+	va, vb := a.cl.VMs(), b.cl.VMs()
+	if len(va) != len(vb) {
+		t.Fatalf("live VM count diverged: %d vs %d", len(va), len(vb))
 	}
-	for i := range fa {
-		if fa[i] != fb[i] {
-			t.Fatalf("forecast for vm %d diverged: %v vs %v", i+1, fa[i], fb[i])
+	// Only live VMs' slots are compared: a departed VM's slot is never
+	// read, and when the upkeep waits for a read it holds the value of
+	// the VM's last read rather than its last invocation.
+	for k, v := range va {
+		if vb[k].ID() != v.ID() {
+			t.Fatalf("live VM %d diverged: vm %d vs %d", k, v.ID(), vb[k].ID())
+		}
+		if i := v.ID() - 1; fa[i] != fb[i] {
+			t.Fatalf("forecast for vm %d diverged: %v vs %v", v.ID(), fa[i], fb[i])
 		}
 	}
 	if ta, tb := a.m.totalForecast(fa), b.m.totalForecast(fb); ta != tb {
@@ -291,7 +344,7 @@ func TestIncrementalPlanningParity(t *testing.T) {
 	for seed := uint64(1); seed <= 4; seed++ {
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
 			script := parityScript(seed, 16, 64, sim.Time(horizon))
-			checkParity(t, parityTraces(seed*101), script, parityVariant{}, horizon)
+			checkParity(t, parityTraces(seed*101, 0), script, parityVariant{}, horizon)
 		})
 	}
 }
@@ -305,7 +358,7 @@ func TestIncrementalPlanningParityCtrlPlane(t *testing.T) {
 	for seed := uint64(1); seed <= 2; seed++ {
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
 			script := parityScript(seed+10, 16, 64, sim.Time(horizon))
-			checkParity(t, parityTraces(seed*131), script, parityVariant{plane: true}, horizon)
+			checkParity(t, parityTraces(seed*131, 0), script, parityVariant{plane: true}, horizon)
 		})
 	}
 }
@@ -319,9 +372,14 @@ func TestIncrementalPlanningParityCtrlPlane(t *testing.T) {
 // capacity differ per host), and wake failures (slow S3 resume
 // fallbacks plus injected failed wakes that retry and quarantine),
 // DPM-S5 (soft-off parking, whose minutes-long wakes keep hosts in
-// transition across many control steps), and the panic brake under a
+// transition across many control steps), the panic brake under a
 // lossy control plane (wake-all, cancelled evacuations and a held
-// scale-down invalidate every cached plan at once).
+// scale-down invalidate every cached plan at once), the static policy,
+// alone and under a lossy plane, and nopm-drm, whose invocations mostly
+// read no forecast, so a read catches VMs up over many invocations, and
+// demand surges, alone, under a lossy plane and under the static
+// policy, which rescale demand the catch-up would otherwise read at
+// past invocations.
 func TestIncrementalPlanningParityFeatures(t *testing.T) {
 	const horizon = 24 * time.Hour
 	cases := []struct {
@@ -334,12 +392,18 @@ func TestIncrementalPlanningParityFeatures(t *testing.T) {
 		{"wake-failures", parityVariant{wakeFails: 12, resumeFail: 0.2}},
 		{"dpm-s5", parityVariant{s5: true}},
 		{"panic-brake", parityVariant{s5: true, panicAt: 0.05, plane: true}},
+		{"static", parityVariant{static: true}},
+		{"nopm-drm", parityVariant{nopm: true, noise: 0.2}},
+		{"static-plane", parityVariant{static: true, plane: true}},
+		{"surge", parityVariant{surge: true}},
+		{"surge-plane", parityVariant{surge: true, plane: true}},
+		{"surge-static", parityVariant{surge: true, static: true}},
 	}
 	for _, tc := range cases {
 		for seed := uint64(1); seed <= 2; seed++ {
 			t.Run(fmt.Sprintf("%s/seed=%d", tc.name, seed), func(t *testing.T) {
 				script := parityScript(seed+20, 16, 64, sim.Time(horizon))
-				w := checkParity(t, parityTraces(seed*151), script, tc.v, horizon)
+				w := checkParity(t, parityTraces(seed*151, tc.v.noise), script, tc.v, horizon)
 				if tc.v.panicAt > 0 && w.m.Stats().Panics == 0 {
 					t.Fatal("the panic brake never fired, so the case compares nothing it names")
 				}
@@ -433,5 +497,89 @@ func TestPackServingAllocFree(t *testing.T) {
 	}
 	if allocs := testing.AllocsPerRun(100, step); allocs != 0 {
 		t.Fatalf("recomputed control step allocates: %v allocs/op, want 0", allocs)
+	}
+}
+
+// TestStaticManagerSkipsForecastUpkeep pins the lazy upkeep's point: a
+// static manager reads forecasts only to place an arrival or drain a
+// maintenance host, so over a day with neither it observes no VM after
+// its first invocation. The arrival that follows must then be placed
+// with the forecasts the full-scan oracle, which observed every VM at
+// every invocation, holds at the same instant.
+func TestStaticManagerSkipsForecastUpkeep(t *testing.T) {
+	traces := parityTraces(7, 0)
+	a := buildParityWorld(t, true, traces, nil, parityVariant{static: true})
+	b := buildParityWorld(t, false, traces, nil, parityVariant{static: true})
+	a.eng.RunUntil(sim.Time(24 * time.Hour))
+	b.eng.RunUntil(sim.Time(24 * time.Hour))
+	if n := a.m.stats.ControlSteps; n < 288 {
+		t.Fatalf("%d control steps in a day, want one every 5 minutes", n)
+	}
+	for _, v := range a.cl.VMs() {
+		if at := a.m.lastObs[v.ID()-1]; at != 0 {
+			t.Fatalf("vm %d observed at %v; a static day without arrivals reads no forecast", v.ID(), at)
+		}
+	}
+	for _, w := range []*parityWorld{a, b} {
+		w.cl.AddPendingVM(vm.Config{VCPUs: 2, MemoryGB: 4, Trace: traces[0]})
+		w.eng.RunUntil(sim.Time(24*time.Hour) + w.cl.EvalStep())
+	}
+	if a.m.stats != b.m.stats || a.m.stats.Provisioned != 1 {
+		t.Fatalf("arrival handled differently:\n  incremental %+v\n  full-scan   %+v", a.m.stats, b.m.stats)
+	}
+	id := a.cl.MaxVMID()
+	ha, _ := a.cl.Placement(id)
+	hb, _ := b.cl.Placement(id)
+	if ha != hb {
+		t.Fatalf("arrival placed on host %d, full-scan oracle on host %d", ha, hb)
+	}
+	// The slots as the placement read them, with no further read.
+	for _, v := range a.cl.VMs() {
+		if i := v.ID() - 1; a.m.fcv[i] != b.m.fcv[i] {
+			t.Fatalf("forecast for vm %d read as %v, full-scan oracle %v", v.ID(), a.m.fcv[i], b.m.fcv[i])
+		}
+	}
+}
+
+// TestUnreadInvocationAllocFree pins the cost of an invocation whose
+// phases read no forecast, a static manager's fast tick: it records
+// its instant in the grid, dropping the instants that left the
+// forecast window in place, and allocates nothing once the grid is
+// warm.
+func TestUnreadInvocationAllocFree(t *testing.T) {
+	eng := sim.NewEngine(1)
+	cl, err := cluster.New(eng, cluster.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 16; i++ {
+		if _, err := cl.AddHost(host.Config{Cores: 16, MemoryGB: 64}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	traces := parityTraces(3, 0)
+	for i := 0; i < 64; i++ {
+		cfg := vm.Config{VCPUs: 4, MemoryGB: 4, Trace: traces[i%len(traces)]}
+		if _, err := cl.AddVM(cfg, host.ID(i%16+1)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	m, err := NewManager(cl, Config{Policy: Static})
+	if err != nil {
+		t.Fatal(err)
+	}
+	step := cl.EvalStep()
+	tick := func() {
+		eng.RunUntil(eng.Now() + step)
+		m.wakeCheck()
+	}
+	for eng.Now() < time.Hour {
+		tick()
+	}
+	if allocs := testing.AllocsPerRun(100, tick); allocs != 0 {
+		t.Fatalf("an invocation that reads nothing allocates: %v allocs/op, want 0", allocs)
+	}
+	if want := int(m.window/step) + 1; len(m.grid) != want {
+		t.Fatalf("grid holds %d instants, want the %d inside the window", len(m.grid), want)
 	}
 }

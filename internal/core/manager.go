@@ -107,7 +107,7 @@ type Manager struct {
 	// most one forecast snapshot, one census, and one load vector are
 	// live at any moment.
 	fcs     []Forecaster // per-VM forecasters
-	fcv     []float64    // observeAll result: clamped forecasts (written through setForecast)
+	fcv     []float64    // forecasts result: clamped forecasts (written through setForecast)
 	fcSeenB []bool       // eagerObserve liveness mark
 	lastObs []sim.Time   // lazy mode: when each VM was last observed
 	loads   []float64    // hostForecastLoads result: the load rows, by host.ID-1
@@ -147,11 +147,15 @@ type Manager struct {
 	fcEpoch uint64 // forecast-value / VM-set generation
 	vmSeen  uint64 // cluster VMEpoch handled through
 	maxInit vm.ID  // highest VM ID with initialized lazy state
-	// invNow/invPrev track the two most recent distinct manager
-	// invocation times — the observation grid the lazy catch-up replays.
-	invNow  sim.Time
-	invPrev sim.Time
-	due     dueIndex // forecast due times
+	// grid holds the distinct manager invocation times inside the
+	// forecast window, ascending, the latest last: the observation times
+	// the lazy catch-up replays. window is the peak window the
+	// forecasters use (0 for last-value). rescaledNow marks a demand
+	// rescale after an invocation at the grid's latest instant.
+	grid        []sim.Time
+	window      sim.Time
+	rescaledNow bool
+	due         dueIndex // forecast due times
 
 	// Cache keys: each cached value remembers the counters it was
 	// computed under and is reused only on exact match.
@@ -222,8 +226,16 @@ func newManager(cl *cluster.Cluster, cfg Config, incremental bool) (*Manager, er
 	// last-value qualify; EWMA evolves on every observation and the
 	// diurnal model consumes the whole demand sum each invocation, so
 	// those run the eager sweep (with the epoch caches still active).
-	m.lazyFC = m.inc && !cfg.PredictiveWake && !cfg.DemandShocks &&
+	m.lazyFC = m.inc && !cfg.PredictiveWake &&
 		(cfg.Forecast.Kind == ForecastPeakWindow || cfg.Forecast.Kind == ForecastLastValue)
+	if m.lazyFC {
+		if pw, ok := m.newForecaster().(*peakWindow); ok {
+			m.window = pw.window
+		}
+		// A rescale changes what a catch-up would read at past grid
+		// times, so each rescaled VM is caught up before it.
+		cl.OnDemandRescale(m.demandRescaled)
+	}
 	if m.inc {
 		// The cluster's event feed is the invalidation signal for every
 		// epoch-keyed cache and names the host whose planning rows went
@@ -251,10 +263,10 @@ func newManager(cl *cluster.Cluster, cfg Config, incremental bool) (*Manager, er
 // continueMoves re-runs the migration-issuing phases with fresh
 // forecasts (no power decisions), used when migration slots free up.
 func (m *Manager) continueMoves() {
-	forecasts := m.observeAll()
-	m.drainEvacuating(forecasts)
+	m.noteInvocation()
+	m.drainEvacuating()
 	if m.cfg.Policy.LoadBalance {
-		m.balanceLoad(forecasts)
+		m.balanceLoad()
 	}
 }
 
@@ -405,14 +417,14 @@ func (m *Manager) totalForecast(forecasts []float64) float64 {
 // wakeCheck is the fast path: place arrivals and scale up if pressure
 // demands it, nothing else.
 func (m *Manager) wakeCheck() {
-	forecasts := m.observeAll()
-	m.placePending(forecasts)
+	m.noteInvocation()
+	m.placePending()
 	if m.cfg.Policy.PowerManage {
 		m.checkPanic()
-		m.scaleUp(forecasts, m.takeCensus())
+		m.scaleUp(m.forecasts(), m.takeCensus())
 	}
 	if m.cfg.Policy.DVFS {
-		m.adjustFrequencies(forecasts)
+		m.adjustFrequencies()
 	}
 }
 
@@ -470,7 +482,7 @@ func (m *Manager) checkPanic() {
 // with the most forecast slack (respecting memory admission). VMs that
 // fit nowhere stay pending; their demand keeps pressure on scaleUp,
 // which wakes capacity for them.
-func (m *Manager) placePending(forecasts []float64) {
+func (m *Manager) placePending() {
 	// Counter check first: PendingVMs scans the whole VM list to build
 	// its result, which the quiescent fast tick must not pay for.
 	if m.cl.PendingCount() == 0 {
@@ -493,6 +505,7 @@ func (m *Manager) placePending(forecasts []float64) {
 	if len(candidates) == 0 {
 		return
 	}
+	forecasts := m.forecasts()
 	loads := m.hostForecastLoads(forecasts)
 	inboundMem := m.inboundMemory()
 	for _, vid := range pending {
@@ -533,27 +546,6 @@ func (m *Manager) placePending(forecasts []float64) {
 		// A placed VM re-anchors an evacuating host into service.
 		m.evacuating.remove(best.ID())
 	}
-}
-
-// observeAll brings every VM's forecaster up to the current moment and
-// returns the clamped forecast vector (indexed vm.ID-1). It is the
-// single gateway every manager entry point (step, wakeCheck,
-// continueMoves) passes through, which is what lets the lazy path
-// record the invocation grid: between two recorded invocation times no
-// observation ever happened, so the catch-up in ensureForecasts can
-// replay the grid bitwise.
-func (m *Manager) observeAll() []float64 {
-	now := m.cl.Engine().Now()
-	if now > m.invNow {
-		m.invPrev = m.invNow
-		m.invNow = now
-	}
-	if m.lazyFC {
-		m.ensureForecasts(now)
-	} else {
-		m.eagerObserve(now)
-	}
-	return m.fcv
 }
 
 // predictedDemand returns the learned demand peak within the wake-lead
@@ -602,7 +594,7 @@ func (m *Manager) takeCensus() census {
 	for _, h := range m.cl.Hosts() {
 		if m.ctrlDead(h.ID()) {
 			// Presumed dead: plan around the host entirely. Its VMs'
-			// demand still pressures scale-up (observeAll sees them), so
+			// demand still pressures scale-up (forecasts covers them), so
 			// replacement capacity wakes without double-placing them.
 			continue
 		}
@@ -648,24 +640,24 @@ func coresOf(hs []*host.Host) float64 {
 // step runs one control period.
 func (m *Manager) step() {
 	m.stats.ControlSteps++
-	forecasts := m.observeAll()
+	m.noteInvocation()
 
 	// Provisioning is basic duty for every policy, including the
 	// static baseline: new VMs get placed; only *optimization* actions
 	// are policy-gated.
-	m.placePending(forecasts)
+	m.placePending()
 	if m.cfg.Policy.PowerManage {
-		m.managePower(forecasts)
+		m.managePower()
 	}
 	// Draining always runs: consolidation marks hosts only under those
 	// policies, but operator maintenance holds must drain under any
 	// policy.
-	m.drainEvacuating(forecasts)
+	m.drainEvacuating()
 	if m.cfg.Policy.LoadBalance {
-		m.balanceLoad(forecasts)
+		m.balanceLoad()
 	}
 	if m.cfg.Policy.DVFS {
-		m.adjustFrequencies(forecasts)
+		m.adjustFrequencies()
 	}
 }
 
@@ -673,8 +665,8 @@ func (m *Manager) step() {
 // plus the packing headroom (a software governor at management
 // granularity). Hosts whose profiles have no DVFS range are left
 // alone.
-func (m *Manager) adjustFrequencies(forecasts []float64) {
-	loads := m.hostForecastLoads(forecasts)
+func (m *Manager) adjustFrequencies() {
+	loads := m.hostForecastLoads(m.forecasts())
 	for _, h := range m.cl.Hosts() {
 		if !h.Available() {
 			continue
@@ -698,8 +690,9 @@ func (m *Manager) adjustFrequencies(forecasts []float64) {
 
 // managePower decides the active host set: wake on pressure, evacuate
 // on slack, park drained hosts.
-func (m *Manager) managePower(forecasts []float64) {
+func (m *Manager) managePower() {
 	c := m.takeCensus()
+	forecasts := m.forecasts()
 	if m.enforcePowerCap(forecasts, c) {
 		c = m.takeCensus()
 	}
@@ -1067,12 +1060,12 @@ func (m *Manager) buildBins(p *packer, hosts []*host.Host) {
 // evacuees into the residual capacity of the serving hosts, so drains
 // succeed even when serving hosts sit near the packing target; if the
 // evacuees genuinely do not fit, an evacuating host is reclaimed.
-func (m *Manager) drainEvacuating(forecasts []float64) {
+func (m *Manager) drainEvacuating() {
 	if m.evacuating.len() == 0 {
 		return
 	}
 	c := m.takeCensus()
-	if !m.planDrain(forecasts, c) {
+	if !m.planDrain(m.forecasts(), c) {
 		// Not enough room: reclaim the evacuating host with the most
 		// VMs (cheapest to bring back to service) and retry next step.
 		// Maintenance holds are operator decisions and stay.
@@ -1304,11 +1297,12 @@ func (m *Manager) inboundMemory() []float64 {
 
 // balanceLoad is the base-DRM behaviour: offload hot hosts onto the
 // coolest serving hosts.
-func (m *Manager) balanceLoad(forecasts []float64) {
+func (m *Manager) balanceLoad() {
 	c := m.takeCensus()
 	if len(c.serving) < 2 {
 		return
 	}
+	forecasts := m.forecasts()
 	loads := m.hostForecastLoads(forecasts)
 	for _, src := range c.serving {
 		// Hot when forecast exceeds the LB threshold of raw capacity.

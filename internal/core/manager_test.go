@@ -67,6 +67,10 @@ func TestNewManagerValidatesConfig(t *testing.T) {
 	if _, err := NewManager(cl, bad); err == nil {
 		t.Fatal("accepted wake threshold below target utilization")
 	}
+	bad = Config{Policy: DPMS3, Forecast: ForecastSpec{Kind: ForecastPeakWindow, Window: -time.Minute}}
+	if _, err := NewManager(cl, bad); err == nil {
+		t.Fatal("accepted a negative peak window")
+	}
 }
 
 func TestPolicyPresetsValid(t *testing.T) {
@@ -269,14 +273,16 @@ func TestLoadBalancingUsesLastSlot(t *testing.T) {
 	if migs.HostLoad(1) != 3 || !migs.HasSlot(1) {
 		t.Fatalf("host 1 has %d migrations in flight, HasSlot %v; want 3 and a free slot", migs.HostLoad(1), migs.HasSlot(1))
 	}
-	m.balanceLoad(m.observeAll())
+	m.noteInvocation()
+	m.balanceLoad()
 	if m.stats.MigrationsLB != 1 {
 		t.Fatalf("load balancer started %d moves off the hot host, want 1 through its last slot", m.stats.MigrationsLB)
 	}
 	if migs.HostLoad(1) != 4 || migs.HasSlot(1) {
 		t.Fatalf("host 1 has %d migrations in flight, HasSlot %v; want 4 and no free slot", migs.HostLoad(1), migs.HasSlot(1))
 	}
-	m.balanceLoad(m.observeAll())
+	m.noteInvocation()
+	m.balanceLoad()
 	if m.stats.MigrationsLB != 1 || m.stats.MigrationsFailed != 0 {
 		t.Fatalf("saturated hot host: %d LB moves, %d refusals; want 1 and 0", m.stats.MigrationsLB, m.stats.MigrationsFailed)
 	}

@@ -153,14 +153,6 @@ type Config struct {
 	// VM is exempt from new move attempts (default 2m), so a flaky
 	// path is not hammered every control period.
 	MigrationRetryBackoff time.Duration
-
-	// DemandShocks declares that VM demand may be rescaled at runtime
-	// (scenario demand-surge events). Lazy forecast maintenance replays
-	// demand reads at past times and would see the post-shock scale for
-	// pre-shock moments, so it is disabled when shocks are possible;
-	// the eager sweep (still epoch-cached) reads demand only at the
-	// current instant and stays exact.
-	DemandShocks bool
 }
 
 func (c *Config) applyDefaults() {
@@ -245,6 +237,9 @@ func (c *Config) Validate() error {
 	}
 	if c.RetryBackoffMax < c.RetryBackoffBase {
 		return fmt.Errorf("core: retry backoff max %v below base %v", c.RetryBackoffMax, c.RetryBackoffBase)
+	}
+	if _, err := c.Forecast.New(); err != nil {
+		return err
 	}
 	return nil
 }

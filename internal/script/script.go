@@ -122,12 +122,6 @@ func (e Event) NeedsCtrlPlane() bool {
 	return e.Action == ActionCtrlDegrade || e.Action == ActionCtrlPartition
 }
 
-// ScalesDemand reports whether the event rescales VM demand at
-// runtime — the signal that disables the manager's lazy forecast
-// replay, which assumes demand is a pure function of the trace
-// schedule.
-func (e Event) ScalesDemand() bool { return e.Action == ActionDemandSurge }
-
 // Validate checks the event against a fleet of the given size.
 func (e Event) Validate(hosts int) error {
 	if e.At < 0 {

@@ -94,9 +94,6 @@ func TestEventNeeds(t *testing.T) {
 	if (Event{Action: ActionCrash}).NeedsFaults() || (Event{Action: ActionCrash}).NeedsCtrlPlane() {
 		t.Fatal("crash needs neither subsystem")
 	}
-	if !(Event{Action: ActionDemandSurge}).ScalesDemand() || (Event{Action: ActionPowerCap}).ScalesDemand() {
-		t.Fatal("ScalesDemand should flag only demand-surge")
-	}
 }
 
 func TestEventString(t *testing.T) {

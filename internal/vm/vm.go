@@ -156,7 +156,12 @@ func (v *VM) Trace() *workload.Trace { return v.trace }
 // Demand returns the CPU the VM wants at virtual time at, capped at
 // its vCPU count and its limit.
 func (v *VM) Demand(at time.Duration) float64 {
-	d := v.trace.At(at)
+	return v.CapDemand(v.trace.At(at))
+}
+
+// CapDemand caps a raw demand of d cores at the VM's vCPU count and its
+// limit, as Demand caps the trace's value.
+func (v *VM) CapDemand(d float64) float64 {
 	if d > v.vcpus {
 		d = v.vcpus
 	}

@@ -32,8 +32,10 @@ type Trace struct {
 	// nextEdge[i] is the absolute sample position in (i, i+len] of the
 	// first sample whose value differs from Samples[i], walking
 	// cyclically; nil means the trace is constant. Built lazily under
-	// nextOnce because traces are shared read-only across concurrently
-	// running simulations.
+	// nextOnce, because traces are shared read-only across concurrently
+	// running simulations and shard workers, and only once NextChange
+	// meets a sample equal to the next one: a trace whose every sample
+	// differs from the next never needs it.
 	nextOnce sync.Once
 	nextEdge []int32
 }
@@ -75,23 +77,43 @@ func (t *Trace) At(at time.Duration) float64 {
 
 // NextChange returns the earliest time strictly after at when the
 // trace's value differs from its value at at, or Never for a constant
-// trace. The manager's forecast upkeep looks it up (through the
-// cluster's demand memo) to skip VMs whose demand cannot have moved:
-// equal consecutive samples are not changes, so a batch trace that
-// idles for hours reports the next run start, not the next sample
-// boundary.
+// trace. The evaluation tick and the manager's forecast upkeep look it
+// up (through the cluster's demand memo) to skip hosts and VMs whose
+// demand cannot have moved: equal consecutive samples are not changes,
+// so a batch trace that idles for hours reports the next run start,
+// not the next sample boundary. When the next sample differs, that is
+// the answer, and the jump table is neither built nor read.
 func (t *Trace) NextChange(at time.Duration) time.Duration {
+	return t.NextChangeFrom(t.Sample(at))
+}
+
+// Sample returns the index into Samples of the sample at falls in and
+// the instant that sample starts; a negative time reads as 0, as in At.
+// A caller that needs the value, the sample's span and the next change
+// divides at once.
+func (t *Trace) Sample(at time.Duration) (int, time.Duration) {
+	if at < 0 {
+		at = 0
+	}
+	k := at / t.Interval
+	return int(k % time.Duration(len(t.Samples))), k * t.Interval
+}
+
+// NextChangeFrom is NextChange for an instant in sample idx, which
+// starts at start (see Sample).
+func (t *Trace) NextChangeFrom(idx int, start time.Duration) time.Duration {
+	next := idx + 1
+	if next == len(t.Samples) {
+		next = 0
+	}
+	if t.Samples[next] != t.Samples[idx] {
+		return start + t.Interval
+	}
 	t.nextOnce.Do(t.buildNextEdge)
 	if t.nextEdge == nil {
 		return Never
 	}
-	if at < 0 {
-		at = 0
-	}
-	cycleLen := t.Duration()
-	cycle := at / cycleLen
-	idx := int((at % cycleLen) / t.Interval)
-	return cycle*cycleLen + time.Duration(t.nextEdge[idx])*t.Interval
+	return start + time.Duration(int(t.nextEdge[idx])-idx)*t.Interval
 }
 
 // buildNextEdge fills the cyclic jump table consulted by NextChange.

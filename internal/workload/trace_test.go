@@ -1,7 +1,10 @@
 package workload
 
 import (
+	"fmt"
 	"math"
+	"math/rand"
+	"sync"
 	"testing"
 	"testing/quick"
 	"time"
@@ -134,6 +137,132 @@ func TestNextChangeAgainstSamplingOracle(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestNextChangeMatchesScan holds NextChange to a brute-force scan of
+// the samples on random traces of every shape the jump table and the
+// adjacent-sample check must agree on: noisy traces whose consecutive
+// samples all differ, plateaus, constant traces, one sample, and a run
+// that wraps around the end of the cycle. Every sample position of two
+// cycles is probed, at its start and inside it, and so are negative
+// times, which read as 0. A trace whose consecutive samples all differ
+// never needs its jump table, so it must not have built one.
+func TestNextChangeMatchesScan(t *testing.T) {
+	rng := rand.New(rand.NewSource(42))
+	scan := func(tr *Trace, at time.Duration) time.Duration {
+		if at < 0 {
+			at = 0
+		}
+		n := len(tr.Samples)
+		p := int(at / tr.Interval)
+		for k := p + 1; k <= p+n; k++ {
+			if tr.Samples[k%n] != tr.Samples[p%n] {
+				return time.Duration(k) * tr.Interval
+			}
+		}
+		return Never
+	}
+	noisy := func(n int) []float64 {
+		s := make([]float64, n)
+		for i := range s {
+			s[i] = float64(i%2) + rng.Float64()/2 // neighbours differ, wrap included
+		}
+		if n%2 == 1 && n > 1 {
+			s[n-1] = 3 // odd length: the last and first would both be even
+		}
+		return s
+	}
+	plateaus := func(n int) []float64 {
+		s := make([]float64, n)
+		for i := range s {
+			if i == 0 || rng.Intn(3) == 0 {
+				s[i] = float64(rng.Intn(3))
+			} else {
+				s[i] = s[i-1]
+			}
+		}
+		return s
+	}
+	wrapRun := func(n int) []float64 {
+		s := noisy(n)
+		run := 1 + rng.Intn(n/2)
+		for i := 0; i < run; i++ {
+			s[i] = 9
+			s[n-1-i] = 9
+		}
+		return s
+	}
+	constant := func(n int) []float64 {
+		s := make([]float64, n)
+		for i := range s {
+			s[i] = 1.25
+		}
+		return s
+	}
+	for trial := 0; trial < 200; trial++ {
+		n := 2 + rng.Intn(40)
+		var samples []float64
+		kind := trial % 5
+		switch kind {
+		case 0:
+			samples = noisy(n)
+		case 1:
+			samples = plateaus(n)
+		case 2:
+			samples = wrapRun(n)
+		case 3:
+			samples = constant(n)
+		default:
+			samples = []float64{rng.Float64()}
+		}
+		iv := time.Duration(1+rng.Intn(90)) * time.Second
+		tr := mustTrace(t, iv, samples)
+		probes := []time.Duration{-1, -iv, -tr.Duration() - 1}
+		for p := 0; p < 2*len(samples); p++ {
+			start := time.Duration(p) * iv
+			probes = append(probes, start, start+time.Duration(rng.Int63n(int64(iv))))
+		}
+		for _, at := range probes {
+			if got, want := tr.NextChange(at), scan(tr, at); got != want {
+				t.Fatalf("trial %d (kind %d, %v): NextChange(%v) = %v, scan %v", trial, kind, samples, at, got, want)
+			}
+		}
+		if kind == 0 && tr.nextEdge != nil {
+			t.Fatalf("trial %d: a trace whose consecutive samples all differ built its jump table", trial)
+		}
+	}
+}
+
+// TestNextChangeConcurrent has shard workers' pattern: goroutines that
+// look changes up on one shared plateau trace at once, the first of
+// them building its jump table. Run under -race.
+func TestNextChangeConcurrent(t *testing.T) {
+	tr := mustTrace(t, time.Minute, []float64{1, 1, 1, 2, 2, 3, 1, 1})
+	want := make([]time.Duration, 2*len(tr.Samples))
+	ref := mustTrace(t, time.Minute, tr.Samples) // its own table
+	for p := range want {
+		want[p] = ref.NextChange(time.Duration(p) * time.Minute)
+	}
+	var wg sync.WaitGroup
+	errs := make(chan string, 4)
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for p := range want {
+				p := (p + g*3) % len(want)
+				if got := tr.NextChange(time.Duration(p) * time.Minute); got != want[p] {
+					errs <- fmt.Sprintf("goroutine %d: NextChange(%dm) = %v, want %v", g, p, got, want[p])
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	close(errs)
+	for e := range errs {
+		t.Error(e)
 	}
 }
 

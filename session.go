@@ -96,14 +96,8 @@ func buildWorld(eng *sim.Engine, s Scenario, profile *Profile) (*cluster.Cluster
 // Start path and Prototype.Fork, which is what makes forked runs
 // byte-identical to cold ones.
 func startSession(s Scenario, eng *sim.Engine, cl *cluster.Cluster, profile *Profile, totalHosts int, meanCores float64) (*Session, error) {
-	// Scenario scripts that rescale demand at runtime invalidate the
-	// manager's lazy forecast replay (it reads demand at past times);
-	// declare the possibility before the manager is built.
 	scriptTunesFaults := false
 	for _, e := range s.Script {
-		if e.ScalesDemand() {
-			s.Manager.DemandShocks = true
-		}
 		if e.Action == script.ActionFaultRate {
 			scriptTunesFaults = true
 		}
