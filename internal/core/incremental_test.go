@@ -86,7 +86,7 @@ type parityVariant struct {
 }
 
 // surgeSchedule rescales every VM's demand up, back, down and back.
-// The first and the last rescale fall less than one forecast window
+// Every rescale but the second falls less than one forecast window
 // before an hourly checkpoint, whose read must then catch a VM up
 // across the rescale; the second lands after the invocations at its
 // instant and is followed by a control step at the same instant, which
