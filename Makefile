@@ -53,11 +53,13 @@ gate-names:
 	GO=$(GO) sh scripts/check_run_names.sh Makefile
 
 # The determinism gate: the full experiment suite must render the
-# golden bytes on 1 worker and many, with and without a sharded
-# evaluation tick; the faulted experiments must match their golden
-# sections across shards × workers; the event-driven tick, serial and
-# sharded, must match the full-scan test oracle bit for bit, and so must
-# the same-instant passes (only the hosts dirtied since the last pass),
+# golden bytes on 1 worker and many, and with several sweeps side by
+# side in one process; the faulted experiments must match their golden
+# sections across side-by-side replays × workers; the event-driven
+# tick must match the full-scan test oracle bit for bit, alone and with
+# simulations (forks of one world among them) running side by side,
+# and so must the same-instant passes (only the hosts dirtied since the
+# last pass),
 # event log included, hyper -quick's five runs, and the differential
 # fuzz target's seed corpus of event programs; the incremental planner
 # must match its full-scan oracle; the packing core, the drain planner
@@ -75,10 +77,13 @@ gate-names:
 # event queue, batches included, must fire, cancel and count exactly as
 # a sorted-slice reference does (its fuzz target's seed corpus
 # included); and every file in scenarios/ must print its golden report
-# under -policy all. Run explicitly in CI (it is also part of
-# `make test`) so a violation is unmissable.
+# under -policy all, and keep its accounting identities (delivered at
+# most demand, VMs conserved, stranded and pending counts exact) at
+# every tick under every policy, as must the forked feature matrix.
+# Run explicitly in CI (it is also part of `make test`) so a violation
+# is unmissable.
 determinism:
-	$(GO) test -run 'TestRunAllMatchesGolden|TestScenarioLibraryMatchesGolden|TestFaultedExperimentsMatchGolden|TestHyperscaleQuickMatchesFullScan|TestPlaneDeterministicAcrossReruns|TestPlaneDeliveryOrderPinned|TestDeltaEvaluateBitIdentical|TestShardedEvaluateBitIdentical|TestSameInstantEvaluateMatchesFullScan|FuzzEvaluateMatchesFullScan|TestIncrementalPlanningParity|TestBinRowsTrackInboundDemand|TestPackMatchesOracle|TestMinBinsMatchesOracle|TestPlanDrainMatchesOracle|TestPlanDrainMatchesOracleLive|TestDrainReplayMatchesOracle|FuzzDrainReplay|TestForkMatchesColdStart|TestForkGridMatchesColdStart|TestConcurrentForksMatchColdStart|TestEngineMatchesReference|FuzzEngineMatchesReference' -v \
+	$(GO) test -run 'TestRunAllMatchesGolden|TestScenarioLibraryMatchesGolden|TestFaultedExperimentsMatchGolden|TestHyperscaleQuickMatchesFullScan|TestPlaneDeterministicAcrossReruns|TestPlaneDeliveryOrderPinned|TestDeltaEvaluateBitIdentical|TestShardedEvaluateBitIdentical|TestSameInstantEvaluateMatchesFullScan|FuzzEvaluateMatchesFullScan|TestIncrementalPlanningParity|TestBinRowsTrackInboundDemand|TestPackMatchesOracle|TestMinBinsMatchesOracle|TestPlanDrainMatchesOracle|TestPlanDrainMatchesOracleLive|TestDrainReplayMatchesOracle|FuzzDrainReplay|TestForkMatchesColdStart|TestForkGridMatchesColdStart|TestConcurrentForksMatchColdStart|TestEngineMatchesReference|FuzzEngineMatchesReference|TestScenarioLibraryKeepsAccounting|TestForkedRunsKeepAccounting' -v \
 		./internal/experiments/ ./internal/ctrlplane/ ./internal/cluster/ ./internal/core/ ./internal/sim/ ./cmd/scenario/ .
 
 bench:
@@ -121,13 +126,12 @@ bench-hotpath:
 
 # Record the datacenter-scale benchmarks (one tick as the clock
 # advances, one full-scan-oracle pass at a repeated instant, and one
-# full simulated day at 2048 hosts / 16384 VMs, serial and sharded)
-# into BENCH_scale.json. The checked-in artifact holds the pre/post
-# numbers of the sharded-evaluation rework and of the deadline sweep;
-# the sharding speedup is only visible with GOMAXPROCS >= the shard
-# count:
+# full simulated day at 2048 hosts / 16384 VMs) into BENCH_scale.json.
+# The checked-in artifact holds the pre/post numbers of the
+# sharded-evaluation rework, of the deadline sweep and of the serial
+# tick that replaced the sharded one; name the machine in the label:
 #
-#	make bench-scale LABEL=scale-post-sharded
+#	make bench-scale LABEL=scale-serial-gomaxprocs2-cpu2
 bench-scale: LABEL ?= scale
 bench-scale:
 	$(GO) test -run '^$$' -bench 'BenchmarkScaleEvaluate|BenchmarkScaleDay' \
@@ -135,9 +139,8 @@ bench-scale:
 		| $(GO) run ./cmd/benchjson -label $(LABEL) -out BENCH_scale.json
 
 # One iteration of the scale benchmarks: proves the 2048-host fleet
-# still builds and both evaluation modes run, serial and sharded,
-# without the cost of a measurement run. CI runs this alongside
-# bench-alloc.
+# still builds and both evaluation modes run, without the cost of a
+# measurement run. CI runs this alongside bench-alloc.
 bench-scale-smoke:
 	$(GO) test -run '^$$' -bench 'BenchmarkScaleEvaluate' -benchmem -benchtime=1x \
 		./internal/cluster/
@@ -173,7 +176,10 @@ bench-hyperscale-smoke:
 # quiescent-majority fixture (the full-scan test oracle versus the
 # incremental planner; the acceptance bar is incremental >= 10x faster
 # than full-scan at 0 allocs/op) and over a 32-host fleet, the
-# scale-down search (MinBins) at 200 VMs / 32 hosts, the forecast
+# scale-down search (MinBins) at 200 VMs / 32 hosts on the reused
+# packer the control step runs, once packing at the first prefix the
+# capacity bound allows and once with anti-affinity groups that fail
+# seven prefixes first, the forecast
 # upkeep as simulated time moves one evaluation step per op, on a
 # 4096-VM mixed fleet (read at every invocation, and at every fifth as
 # nopm-drm reads) and on the hyperscale fixture, and one
@@ -235,8 +241,8 @@ bench-setup-smoke:
 	$(GO) test -run 'TestForkMatchesColdStart|TestForkGridMatchesColdStart|TestConcurrentForksMatchColdStart|TestForkedEvaluateSteadyStateAllocFree|TestPlaceInitialMatchesLegacyRetry' -v \
 		. ./internal/cluster/
 
-# Allocation regression gate: the steady-state evaluation tick — serial
-# and sharded — and the same-instant pass, the handle-free event loop,
+# Allocation regression gate: the steady-state evaluation tick, cold
+# and forked, and the same-instant pass, the handle-free event loop,
 # a warm engine batch, the control plane's heartbeats, reports and
 # sweeps, the manager's cached control step and one that re-runs the
 # MinBins search, an invocation that reads no forecast, the drain

@@ -251,13 +251,6 @@ type Scenario struct {
 	Churn *ChurnSpec
 	// EvalStep is the demand evaluation period (default 1 minute).
 	EvalStep time.Duration
-	// Shards partitions each evaluation tick's per-host work into this
-	// many fixed, ID-contiguous host ranges run concurrently inside the
-	// simulation (clamped to the fleet size; 0 or 1 keeps the serial
-	// loop), served by min(Shards, GOMAXPROCS) worker goroutines.
-	// Purely a wall-clock knob for datacenter-scale fleets: results
-	// are byte-identical for every value.
-	Shards int
 	// TelemetryCap, when positive, bounds each recorded time series
 	// (power, demand, delivered, active hosts) to at most this many
 	// stored samples via deterministic bucket folding — memory stays
@@ -323,9 +316,6 @@ func (s Scenario) Validate() error {
 		if v.Trace == nil {
 			return fmt.Errorf("agilepower: vm %d (%s) has no trace", i, v.Name)
 		}
-	}
-	if s.Shards < 0 {
-		return fmt.Errorf("agilepower: negative shards %d", s.Shards)
 	}
 	if s.TelemetryCap < 0 {
 		return fmt.Errorf("agilepower: negative telemetry cap %d", s.TelemetryCap)

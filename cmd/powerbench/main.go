@@ -39,7 +39,6 @@ func main() {
 	s5Exit := flag.Duration("s5-exit", 190*time.Second, "S5 exit latency")
 	ctrlDelay := flag.Duration("ctrlplane-delay", 0, "mean one-way management-network delay for the ctrl experiment (0 with zero loss = no control plane)")
 	ctrlLoss := flag.Float64("ctrlplane-loss", 0, "per-leg management-network loss probability in [0,1]")
-	shards := flag.Int("shards", 0, "shard each simulation's evaluation tick across this many host ranges (0/1 = serial); output is identical for every value")
 	telemetryCap := flag.Int("telemetry-cap", 0, "bound each recorded time series to this many stored samples (0 = experiment default)")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile to this file")
 	memProfile := flag.String("memprofile", "", "write a heap profile to this file on exit")
@@ -74,7 +73,7 @@ func main() {
 	opts := experiments.Options{
 		Seed: *seed, Profile: profile, Workers: *workers,
 		CtrlDelay: *ctrlDelay, CtrlLoss: *ctrlLoss,
-		Shards: *shards, TelemetryCap: *telemetryCap,
+		TelemetryCap: *telemetryCap,
 	}
 	ids := []string{"t1", "f2", "f3"}
 	if *exp != "all" {
@@ -85,9 +84,8 @@ func main() {
 		// ctrl is the cluster-under-imperfect-control-plane grid — the
 		// counterpart characterization for the management network; the
 		// -ctrlplane-* flags add an extra row to its delay×loss grid.
-		// scale is the datacenter-size run the -shards flag exists for;
-		// hyper is the 100k-host run the -telemetry-cap flag exists
-		// for.
+		// scale is the datacenter-size run; hyper is the 100k-host run
+		// the -telemetry-cap flag exists for.
 		case "t1", "f2", "f3", "ctrl", "scale", "hyper":
 		default:
 			fmt.Fprintf(os.Stderr, "powerbench: unknown experiment %q (want t1, f2, f3, ctrl, scale, hyper)\n", id)

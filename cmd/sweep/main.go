@@ -25,7 +25,6 @@ func main() {
 	parallel := flag.Int("parallel", 0, "max concurrent simulations (0 = GOMAXPROCS, 1 = sequential); output is identical for every value")
 	ctrlDelay := flag.Duration("ctrlplane-delay", 0, "mean one-way management-network delay for cluster experiments (0 with zero loss = no control plane)")
 	ctrlLoss := flag.Float64("ctrlplane-loss", 0, "per-leg management-network loss probability in [0,1]")
-	shards := flag.Int("shards", 0, "shard each simulation's evaluation tick across this many host ranges (0/1 = serial); output is identical for every value")
 	telemetryCap := flag.Int("telemetry-cap", 0, "bound each recorded time series to this many stored samples (0 = experiment default)")
 	list := flag.Bool("list", false, "list experiment ids and exit")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile to this file")
@@ -54,8 +53,8 @@ func main() {
 	opts := experiments.Options{
 		Quick: *quick, Seed: *seed, SVGDir: *svgDir, Workers: *parallel,
 		CtrlDelay: *ctrlDelay, CtrlLoss: *ctrlLoss,
-		Shards: *shards, TelemetryCap: *telemetryCap,
-		Health: health,
+		TelemetryCap: *telemetryCap,
+		Health:       health,
 	}
 	if *exp == "all" {
 		// Long runs stay observable: per-experiment wall times go to

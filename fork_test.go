@@ -60,8 +60,8 @@ func assertSameResult(t *testing.T, a, b *Result) {
 
 // forkCases is the feature matrix the fork-identity tests run over:
 // churn, fault injection, a lossy control plane, predictive wake, DVFS,
-// heterogeneous fleets, a sharded evaluation tick — every subsystem
-// whose RNG stream or event order a sloppy snapshot could perturb.
+// heterogeneous fleets, bounded telemetry — every subsystem whose RNG
+// stream or event order a sloppy snapshot could perturb.
 func forkCases() []struct {
 	name string
 	sc   Scenario
@@ -110,11 +110,11 @@ func forkCases() []struct {
 				Manager:     ManagerConfig{Policy: DPMS3},
 			}
 		}()},
-		{"sharded delta churn", Scenario{
+		{"delta churn", Scenario{
 			Hosts: 8, VMs: MixedFleet(32, 7), Horizon: 8 * time.Hour, Seed: 7,
-			Shards: 2, TelemetryCap: 64,
-			Manager: ManagerConfig{Policy: DPMS5},
-			Churn:   &ChurnSpec{ArrivalsPerHour: 2, MeanLifetime: 3 * time.Hour},
+			TelemetryCap: 64,
+			Manager:      ManagerConfig{Policy: DPMS5},
+			Churn:        &ChurnSpec{ArrivalsPerHour: 2, MeanLifetime: 3 * time.Hour},
 		}},
 	}
 }
@@ -265,7 +265,6 @@ func TestForkRejectsWorldMismatch(t *testing.T) {
 		// An equal copy of the fleet is still a different fleet: cells
 		// must share the prototype's VMs slice, not merely equal specs.
 		{"VMs", func(sc Scenario) Scenario { sc.VMs = append([]VMSpec(nil), sc.VMs...); return sc }},
-		{"Shards", func(sc Scenario) Scenario { sc.Shards = 2; return sc }},
 		{"TelemetryCap", func(sc Scenario) Scenario { sc.TelemetryCap = 32; return sc }},
 		{"Migration", func(sc Scenario) Scenario {
 			m := DefaultMigrationModel()

@@ -71,8 +71,8 @@ func sameResultBits(t *testing.T, a, b *Result) {
 // TestHyperscaleQuickMatchesFullScan replays the five runs of
 // `sweep -exp hyper -quick` — the four policies on HyperscaleFleet(4096)
 // and dpm-s3 on DeepTroughFleet, 256 hosts for an hour — once as the
-// experiment runs them (16 shards) and once on the full-scan oracle
-// (2 shards), and compares each Result bit for bit. This is the
+// experiment runs them and once on the full-scan oracle, and compares
+// each Result bit for bit. This is the
 // headline identity at experiment scale: the event-driven tick, the
 // analytic integration of quiescent hosts and the bounded telemetry
 // produce exactly what rescanning every host on every pass does. The
@@ -85,7 +85,7 @@ func TestHyperscaleQuickMatchesFullScan(t *testing.T) {
 	base := Scenario{
 		Name: "hyperscale", Hosts: 256, HostCores: 16, HostMemoryGB: 256,
 		VMs: HyperscaleFleet(4096, 1), Horizon: time.Hour, Seed: 1,
-		Shards: 16, TelemetryCap: 4096,
+		TelemetryCap: 4096,
 	}
 	var runs []Scenario
 	for _, p := range Policies() {
@@ -104,9 +104,7 @@ func TestHyperscaleQuickMatchesFullScan(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			oracle := sc
-			oracle.Shards = 2
-			want := runFullScanOracle(t, oracle)
+			want := runFullScanOracle(t, sc)
 			sameResultBits(t, want, got)
 			if slots := want.EvalTicks * int64(want.Hosts); want.HostEvals != slots {
 				t.Fatalf("oracle evaluated %d host-slots, want every host at each of %d passes (%d)",

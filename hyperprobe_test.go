@@ -30,10 +30,10 @@ func TestHyperFullHeapProbe(t *testing.T) {
 	}
 	sc := Scenario{
 		Name: "hyper-probe", Hosts: 100000, HostCores: 16, HostMemoryGB: 256,
-		Horizon: 24 * time.Hour,
-		Manager: ManagerConfig{Policy: DPMS3},
-		VMs:     HyperscaleFleet(1000000, 1),
-		Shards:  16, TelemetryCap: 4096,
+		Horizon:      24 * time.Hour,
+		Manager:      ManagerConfig{Policy: DPMS3},
+		VMs:          HyperscaleFleet(1000000, 1),
+		TelemetryCap: 4096,
 	}
 	start := time.Now()
 	se, err := sc.Start()

@@ -43,8 +43,9 @@ var overflowBodies = map[string]string{
 // invalidBodies are scenario files the service must refuse with 400
 // for reasons other than a wrapped count: malformed JSON, counts or a
 // horizon outside the default budget, names the builders do not know,
-// negative knobs, the retired "delta" key, churn whose expected
-// arrivals pass the VM budget, and data after the scenario object.
+// negative knobs, the retired "shards" and "delta" keys, churn whose
+// expected arrivals pass the VM budget, and data after the scenario
+// object.
 var invalidBodies = []struct{ name, body string }{
 	{"bad json", `{`},
 	{"zero hosts", `{"hosts":0,"fleets":[{"kind":"flat","count":4}]}`},
@@ -53,6 +54,7 @@ var invalidBodies = []struct{ name, body string }{
 	{"bad fleet", `{"hosts":4,"fleets":[{"kind":"quantum","count":4}]}`},
 	{"bad policy", `{"hosts":4,"fleets":[{"kind":"flat","count":4}],"policy":"yolo"}`},
 	{"horizon too long", `{"hosts":4,"fleets":[{"kind":"flat","count":4}],"horizonHours":100000}`},
+	// Every simulation evaluates on one goroutine; the shard key is gone.
 	{"negative shards", `{"hosts":4,"fleets":[{"kind":"flat","count":4}],"shards":-1}`},
 	{"negative telemetry cap", `{"hosts":4,"fleets":[{"kind":"flat","count":4}],"telemetryCap":-1}`},
 	// Every tick is event-driven now; the evaluation-mode key is gone.

@@ -139,7 +139,8 @@ func TestCreateRunValidation(t *testing.T) {
 			if err := json.NewDecoder(resp.Body).Decode(&e); err != nil {
 				t.Fatal(err)
 			}
-			if tc.name == "delta" && !strings.Contains(e.Error, `"delta"`) {
+			retired := map[string]string{"delta": "delta", "negative shards": "shards"}
+			if key := retired[tc.name]; key != "" && !strings.Contains(e.Error, `"`+key+`"`) {
 				t.Fatalf("error %q does not name the key", e.Error)
 			}
 		})

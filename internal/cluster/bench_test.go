@@ -1,7 +1,6 @@
 package cluster
 
 import (
-	"fmt"
 	"testing"
 	"time"
 
@@ -44,11 +43,11 @@ func BenchmarkSimulatedDay(b *testing.B) {
 
 // buildScaleCluster assembles the datacenter-scale fixture shared by
 // the scale benchmarks: 2,048 heterogeneous hosts and 16,384 diurnal
-// VMs, with the evaluation tick sharded as requested.
-func buildScaleCluster(b *testing.B, shards int) (*sim.Engine, *Cluster) {
+// VMs.
+func buildScaleCluster(b *testing.B) (*sim.Engine, *Cluster) {
 	b.Helper()
 	eng := sim.NewEngine(1)
-	c, err := New(eng, Config{Horizon: 24 * time.Hour, Shards: shards})
+	c, err := New(eng, Config{Horizon: 24 * time.Hour})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -72,8 +71,7 @@ func buildScaleCluster(b *testing.B, shards int) (*sim.Engine, *Cluster) {
 }
 
 // BenchmarkScaleEvaluate measures evaluation passes over the
-// 2,048-host / 16,384-VM fixture at several shard counts; shards=1 is
-// the serial baseline:
+// 2,048-host / 16,384-VM fixture:
 //
 //   - tick: each op advances the clock one EvalStep, firing the tick a
 //     run fires, which refreshes the hosts made dirty and those whose
@@ -84,12 +82,10 @@ func buildScaleCluster(b *testing.B, shards int) (*sim.Engine, *Cluster) {
 //     one before, and there are none.
 func BenchmarkScaleEvaluate(b *testing.B) {
 	for _, mode := range []string{"tick", "fullscan-oracle"} {
-		for _, shards := range []int{1, 4, 8} {
-			b.Run(fmt.Sprintf("%s/shards=%d", mode, shards), func(b *testing.B) {
-				eng, c := buildScaleCluster(b, shards)
-				benchEvaluate(b, eng, c, mode)
-			})
-		}
+		b.Run(mode, func(b *testing.B) {
+			eng, c := buildScaleCluster(b)
+			benchEvaluate(b, eng, c, mode)
+		})
 	}
 }
 
@@ -98,7 +94,6 @@ func BenchmarkScaleEvaluate(b *testing.B) {
 func benchEvaluate(b *testing.B, eng *sim.Engine, c *Cluster, mode string) {
 	c.fullScan = mode == "fullscan-oracle"
 	c.Start()
-	defer c.Close()
 	step := sim.Time(c.EvalStep())
 	if !c.fullScan {
 		// One tick first, so every lazy growth path has run.
@@ -120,20 +115,15 @@ func benchEvaluate(b *testing.B, eng *sim.Engine, c *Cluster, mode string) {
 // VM — the workload the scale experiment's throughput numbers
 // describe.
 func BenchmarkScaleDay(b *testing.B) {
-	for _, shards := range []int{1, 4} {
-		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				eng, c := buildScaleCluster(b, shards)
-				c.Start()
-				eng.RunUntil(24 * time.Hour)
-				c.Flush()
-				c.Close()
-				if c.TotalEnergy() <= 0 {
-					b.Fatal("no energy accounted")
-				}
-			}
-		})
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		eng, c := buildScaleCluster(b)
+		c.Start()
+		eng.RunUntil(24 * time.Hour)
+		c.Flush()
+		if c.TotalEnergy() <= 0 {
+			b.Fatal("no energy accounted")
+		}
 	}
 }
 
@@ -194,7 +184,6 @@ func BenchmarkEvaluateSameInstant(b *testing.B) {
 		}
 	}
 	c.Start()
-	defer c.Close()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

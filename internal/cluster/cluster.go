@@ -13,27 +13,26 @@
 // maps: the evaluation tick — the simulator's innermost loop — runs
 // without hashing and, in steady state, without allocating.
 //
-// At fleet scale the tick itself can be sharded (Config.Shards):
-// hosts are partitioned into fixed ID-contiguous ranges and the
-// expensive per-host work runs concurrently on a bounded set of
-// persistent workers, each writing into per-host slots; the cheap
-// final reduction walks those slots serially in host-ID order, so the
-// floating-point accumulation sequence — and therefore every report
-// byte — is identical for any shard and worker count, including the
-// serial path.
+// The tick runs on the goroutine that drives the engine: a cluster
+// starts no goroutine, so one simulation is one goroutine, and many
+// simulations run side by side by sharing nothing mutable. Each host
+// writes its share of a tick into its own partial slot; the reduction
+// walks the slots in host-ID order, so the floating-point accumulation
+// sequence — and therefore every report byte — never depends on which
+// hosts a pass refreshed.
 //
 // The tick is event-driven (delta evaluation). Every cluster event
 // (placement, migration, crash, power transition, DVFS move) marks the
-// hosts it touches dirty in per-shard queues, and each host carries a
+// hosts it touches dirty in one queue, and each host carries a
 // deadline: the first instant one of its residents' memoised demand
 // may change. A pass refreshes the dirty hosts, and at a new instant
-// also every host whose deadline has come (one linear sweep per
-// shard); a pass at the instant of the previous one needs only the
-// dirty hosts, since while the clock stands still nothing else a
-// host's partial depends on can move. Quiescent hosts integrate energy
-// and SLA time analytically: power accrues in closed-form watts × Δt
-// segments between real changes, and each VM's (demand, delivered)
-// run is charged in one SLA record when it ends. Because an unchanged
+// also every host whose deadline has come (one linear sweep); a pass
+// at the instant of the previous one needs only the dirty hosts,
+// since while the clock stands still nothing else a host's partial
+// depends on can move. Quiescent hosts integrate energy and SLA time
+// analytically: power accrues in closed-form watts × Δt segments
+// between real changes, and each VM's (demand, delivered) run is
+// charged in one SLA record when it ends. Because an unchanged
 // input performs no floating-point operation on any path, every pass
 // is byte-identical to a full scan, which stays only as a test oracle.
 package cluster
@@ -42,7 +41,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"runtime"
 	"strings"
 	"sync/atomic"
 	"time"
@@ -95,13 +93,6 @@ type Config struct {
 	// not grow slices from nil on every run. Running past the horizon
 	// stays correct, just reallocates.
 	Horizon time.Duration
-	// Shards partitions the evaluation tick's per-host work into this
-	// many fixed, ID-contiguous host ranges run concurrently (clamped
-	// to the host count at Start) by min(Shards, GOMAXPROCS) persistent
-	// worker goroutines. 0 or 1 keeps the serial loop. Results are
-	// byte-identical for every value — see the package comment for the
-	// determinism argument.
-	Shards int
 	// TelemetryCap, when positive, bounds each cluster telemetry series
 	// to about this many stored samples (see telemetry.Series.SetCap):
 	// long runs fold samples into fixed-width bucket means instead of
@@ -162,9 +153,9 @@ type Cluster struct {
 	// every event-path change to a host's scheduling inputs (placement,
 	// migration endpoints, crash/repair, power commands, settles, DVFS)
 	// regardless of the evaluation mode. Unlike markDirty — which is a
-	// no-op before Start and after Close — this callback is
-	// unconditional, so an incremental manager can invalidate its
-	// cached planning inputs whenever they move. See noteDirty.
+	// no-op before Start — this callback is unconditional, so an
+	// incremental manager can invalidate its cached planning inputs
+	// whenever they move. See noteDirty.
 	onHostDirty func(host.ID)
 	// vmEpoch counts VM-set changes (arrivals, placements-at-creation,
 	// departures — including pending VMs, which touch no host and so
@@ -193,9 +184,7 @@ type Cluster struct {
 	// vm.ID-1): each VM's last demand read and the instants it holds
 	// for, so the evaluation tick and the manager's forecast upkeep
 	// share one trace read per demand change. It lives here for the
-	// same reason demandScale does, and a fork starts it empty. Shard
-	// workers write only their own hosts' residents' entries, which
-	// never overlap: a migrating VM stays resident on its source alone.
+	// same reason demandScale does, and a fork starts it empty.
 	demand []demandMemo
 
 	// onTick observers see every evaluation tick's cluster-wide
@@ -224,32 +213,18 @@ type Cluster struct {
 
 	log *events.Log
 
-	// Evaluation sharding and dirty state (dormant until Start). Shard
-	// k owns the host-index range shardBounds[k]; its worker writes
-	// each host's partials into the hostPartial slots for that range,
-	// and evaluate reduces the slots serially in host-ID order. The
-	// slots are per host, not per shard, so the reduction's
-	// floating-point order cannot depend on where the shard boundaries
-	// fall. From Start on, every tick reduces from the slots — the
-	// first pass refreshes all of them; every later one only the dirty
-	// and due hosts', and a clean host's cached slot is bitwise what
-	// recomputing it would produce.
-	shards      int
-	shardBounds []shardRange
-	shardSize   int
+	// Evaluation state (dormant until Start). hostPartial holds each
+	// host's share of the last pass it took part in, and evaluate
+	// reduces the slots in host-ID order. From Start on, every tick
+	// reduces from the slots — the first pass refreshes all of them;
+	// every later one only the dirty and due hosts', and a clean host's
+	// cached slot is bitwise what recomputing it would produce.
 	hostPartial []hostPartial
-	// evalNow and evalFull are the tick's parameters, published to the
-	// workers by the evalWork sends (channel happens-before).
-	evalNow  sim.Time
-	evalFull bool
-	evalWork chan int
-	evalDone chan struct{}
 	// primed flips true after the first post-Start evaluation: until
 	// the partial slots and deadlines hold a full fleet snapshot, every
 	// tick is a full one. evalAt is the instant of the last post-Start
 	// pass.
 	primed bool
-	closed bool
 	evalAt sim.Time
 	// fullScan makes every post-Start pass a full one, same-instant
 	// passes included: the full-scan oracle the byte-identity tests
@@ -257,38 +232,32 @@ type Cluster struct {
 	// Start (see UseFullScanOracle and UseFullScanOracleForAll).
 	fullScan bool
 
-	// Dirty bookkeeping (allocated at Start). dirtyQ[s] is shard s's
-	// queue of event-dirtied host indices (deduplicated by dirtyFlag);
-	// a full pass empties it. hostNext[i] is host i's deadline: the
+	// Dirty bookkeeping (allocated at Start). dirtyQ is the queue of
+	// event-dirtied host indices (deduplicated by dirtyFlag); a full
+	// pass empties it. hostNext[i] is host i's deadline: the
 	// earliest end of the memo spans its residents' demand was last read
 	// from, a lower bound on the next instant one of them changes
 	// demand (see evalHost). All arrays are preallocated to fleet size
 	// so steady-state ticks never allocate.
-	dirtyQ    [][]int32
+	dirtyQ    []int32
 	dirtyFlag []bool
 	hostNext  []sim.Time
 
 	// Evaluation-volume counters (diagnostics, never reported):
-	// tickCount counts evaluation passes; shardEvals[s] counts per-host
-	// evaluations shard s performed (per shard so workers never share a
-	// cache line on the hot path); directEvals counts per-host
-	// evaluations on the serial direct path. EvalCounts sums them.
-	tickCount   int64
-	shardEvals  []int64
-	directEvals int64
+	// tickCount counts evaluation passes and hostEvals the per-host
+	// evaluations they performed.
+	tickCount int64
+	hostEvals int64
 }
 
 // never is the deadline of a host with no future demand change (no
 // residents, or only one-sample traces): the sweep never finds it due.
 const never = sim.Time(math.MaxInt64)
 
-// shardRange is one shard's half-open host-index range.
-type shardRange struct{ lo, hi int }
-
 // hostPartial holds one host's contribution to the tick's aggregates,
-// written by exactly one shard worker and read by the serial reduce.
-// A clean host's slot is simply reused: its inputs are unchanged, so
-// the cached values are bitwise what evalHost would recompute.
+// written by refreshHost and read by the reduce. A clean host's slot
+// is simply reused: its inputs are unchanged, so the cached values are
+// bitwise what evalHost would recompute.
 type hostPartial struct {
 	power     power.Watts
 	demand    float64
@@ -341,7 +310,6 @@ func New(eng *sim.Engine, cfg Config) (*Cluster, error) {
 		step:            step,
 		cfg:             cfg,
 		migrations:      mgr,
-		shards:          cfg.Shards,
 		powerSeries:     telemetry.NewSeriesCap("cluster_power_w", seriesCap),
 		demandSeries:    telemetry.NewSeriesCap("cluster_demand_cores", seriesCap),
 		deliveredSeries: telemetry.NewSeriesCap("cluster_delivered_cores", seriesCap),
@@ -403,9 +371,11 @@ func (c *Cluster) InjectFaults(pf power.FaultInjector, mf migrate.FaultInjector)
 // telemetry, a forked cluster then driven through Start is
 // byte-identical to building the same cluster cold — the invariant the
 // snapshot/fork layer's golden tests pin. Fork only reads the source,
-// so many forks may run concurrently from one prototype.
+// except that the first fork marks the source's event log
+// copy-on-write; once that is done (Events().Share() does it up
+// front), many forks may run concurrently from one prototype.
 func (c *Cluster) Fork(eng *sim.Engine) (*Cluster, error) {
-	if c.started || c.closed {
+	if c.started {
 		return nil, fmt.Errorf("cluster: fork requires a cluster that has not been started")
 	}
 	if c.tickCount != 0 {
@@ -681,61 +651,20 @@ func (c *Cluster) Departed() int { return c.departed }
 // placed so far (callers must not mutate).
 func (c *Cluster) ProvisionLatencies() []time.Duration { return c.provisionLat }
 
-// startEval builds the evaluation machinery the fleet's size fixes at
-// Start: the shard partition (one ID-contiguous range per shard), the
-// per-host partial slots every tick reduces from, the dirty queues,
-// the deadlines, and the persistent worker pool when there is more
-// than one shard. Evaluations before Start (pending-VM arrivals
-// during setup) take the direct serial path.
+// startEval builds the evaluation state the fleet's size fixes at
+// Start: the per-host partial slots every tick reduces from, the dirty
+// queue and the deadlines. Evaluations before Start (pending-VM
+// arrivals during setup) take the direct path.
 func (c *Cluster) startEval() {
 	n := len(c.hostList)
 	if n == 0 {
 		return
 	}
-	s := c.shards
-	if s > n {
-		s = n
-	}
-	if s < 1 {
-		s = 1
-	}
-	per := (n + s - 1) / s
-	c.shardSize = per
-	c.shardBounds = make([]shardRange, 0, s)
-	for lo := 0; lo < n; lo += per {
-		hi := lo + per
-		if hi > n {
-			hi = n
-		}
-		c.shardBounds = append(c.shardBounds, shardRange{lo: lo, hi: hi})
-	}
 	c.hostPartial = make([]hostPartial, n)
-	c.shardEvals = make([]int64, len(c.shardBounds))
 	c.dirtyFlag = make([]bool, n)
-	c.dirtyQ = make([][]int32, len(c.shardBounds))
-	for k, b := range c.shardBounds {
-		c.dirtyQ[k] = make([]int32, 0, b.hi-b.lo)
-	}
+	c.dirtyQ = make([]int32, 0, n)
 	c.hostNext = make([]sim.Time, n)
-	if len(c.shardBounds) <= 1 {
-		return
-	}
-	w := runtime.GOMAXPROCS(0)
-	if w > len(c.shardBounds) {
-		w = len(c.shardBounds)
-	}
-	// Buffered to the shard count: the dispatch loop in evaluate never
-	// blocks on a slow worker, and the channel operations stay
-	// allocation-free in steady state.
-	c.evalWork = make(chan int, len(c.shardBounds))
-	c.evalDone = make(chan struct{}, len(c.shardBounds))
-	for i := 0; i < w; i++ {
-		go c.evalWorker()
-	}
 }
-
-// shardOf maps a host index to its owning shard.
-func (c *Cluster) shardOf(i int) int { return i / c.shardSize }
 
 // noteDirty is the single entry point for event-path host changes: it
 // feeds the management layer's unconditional dirty callback, then the
@@ -752,9 +681,8 @@ func (c *Cluster) noteDirty(id host.ID) {
 
 // OnHostDirty registers fn to run whenever an event-path change
 // touches a host's scheduling inputs. One observer only; register
-// before Start. The callback fires on the serial event paths (never
-// concurrently with a running tick), and under the full-scan oracle
-// too.
+// before Start. The callback fires on the event paths (never during a
+// running tick), and under the full-scan oracle too.
 func (c *Cluster) OnHostDirty(fn func(host.ID)) { c.onHostDirty = fn }
 
 // VMEpoch returns a counter that advances on every VM-set change
@@ -770,11 +698,10 @@ func (c *Cluster) MaxVMID() vm.ID { return c.nextVMID - 1 }
 func (c *Cluster) PendingCount() int { return c.pendingCount }
 
 // markDirty queues host id for re-evaluation at the next pass. Called
-// from the serial event paths only (never concurrently with a running
-// tick); a no-op before Start and after Close, where every pass is a
-// direct full scan.
+// from the event paths only (never during a running tick); a no-op
+// before Start, where every pass is a direct full scan.
 func (c *Cluster) markDirty(id host.ID) {
-	if c.dirtyFlag == nil || c.closed {
+	if c.dirtyFlag == nil {
 		return
 	}
 	i := int(id) - 1
@@ -782,80 +709,53 @@ func (c *Cluster) markDirty(id host.ID) {
 		return
 	}
 	c.dirtyFlag[i] = true
-	s := c.shardOf(i)
-	c.dirtyQ[s] = append(c.dirtyQ[s], int32(i))
+	c.dirtyQ = append(c.dirtyQ, int32(i))
 }
 
-// evalWorker processes shard indices until Close. Each host's partials
-// land in slots no other worker touches; the evalDone send publishes
-// them to the reducing goroutine.
-func (c *Cluster) evalWorker() {
-	for s := range c.evalWork {
-		c.runShard(s, c.evalNow, c.evalFull)
-		c.evalDone <- struct{}{}
-	}
-}
-
-// runShard performs one shard's slice of a pass at a new instant:
-// either a full refresh of every host in the shard (which empties its
-// dirty queue), or the hosts made dirty by events (the shard's queue)
-// and then those whose deadline has come (one sweep over the shard's
-// hostNext range). Everything touched here is owned by this shard:
-// its hosts' scratch, partial slots and deadlines, its residents'
-// allocation records, SLA trackers and memo entries, and its queue.
-func (c *Cluster) runShard(s int, now sim.Time, full bool) {
-	b := c.shardBounds[s]
+// refresh performs the per-host work of a post-Start pass, in one of
+// three forms:
+//   - full (the first pass, or the full-scan oracle): every host, which
+//     empties the dirty queue;
+//   - same instant: the hosts in the dirty queue only;
+//   - new instant: the hosts in the dirty queue, then those whose
+//     deadline has come (one sweep over hostNext).
+//
+// A host refreshed from the queue moved its deadline past now, so the
+// sweep never refreshes a host twice.
+func (c *Cluster) refresh(now sim.Time, full, sameInstant bool) {
 	if full {
-		for _, i := range c.dirtyQ[s] {
+		for _, i := range c.dirtyQ {
 			c.dirtyFlag[i] = false
 		}
-		c.dirtyQ[s] = c.dirtyQ[s][:0]
-		for i := b.lo; i < b.hi; i++ {
+		c.dirtyQ = c.dirtyQ[:0]
+		for i := range c.hostList {
 			c.refreshHost(i, now)
 		}
-		c.shardEvals[s] += int64(b.hi - b.lo)
+		c.hostEvals += int64(len(c.hostList))
 		return
 	}
-	c.drainDirty(s, now)
-	evals := int64(0)
-	for i, next := range c.hostNext[b.lo:b.hi] {
-		if next <= now {
-			c.refreshHost(b.lo+i, now)
-			evals++
-		}
-	}
-	c.shardEvals[s] += evals
-}
-
-// drainDirty refreshes the hosts in shard s's dirty queue and empties
-// the queue.
-func (c *Cluster) drainDirty(s int, now sim.Time) {
-	q := c.dirtyQ[s]
-	for _, i := range q {
+	for _, i := range c.dirtyQ {
 		c.dirtyFlag[i] = false
 		c.refreshHost(int(i), now)
 	}
-	c.shardEvals[s] += int64(len(q))
-	c.dirtyQ[s] = q[:0]
+	c.hostEvals += int64(len(c.dirtyQ))
+	c.dirtyQ = c.dirtyQ[:0]
+	if sameInstant {
+		return
+	}
+	due := int64(0)
+	for i, next := range c.hostNext {
+		if next <= now {
+			c.refreshHost(i, now)
+			due++
+		}
+	}
+	c.hostEvals += due
 }
 
 // refreshHost recomputes one host's partial slot and its deadline.
 func (c *Cluster) refreshHost(i int, now sim.Time) {
 	c.hostPartial[i], c.hostNext[i] = c.evalHost(c.hostList[i], now)
-}
-
-// Close retires the evaluation machinery: shard workers stop, and
-// every later evaluation — including a post-Close Flush — falls back
-// to the direct serial full scan, which produces the same bytes.
-// Idempotent.
-func (c *Cluster) Close() {
-	if c.closed {
-		return
-	}
-	c.closed = true
-	if c.evalWork != nil {
-		close(c.evalWork)
-	}
 }
 
 // UseFullScanOracle makes every post-Start pass refresh every host,
@@ -901,9 +801,7 @@ func (c *Cluster) Start() {
 // one evaluation at now, then every open SLA run and the open stranded
 // segment are charged. Call it after the final RunUntil so SLA and
 // telemetry cover the whole horizon, including the analytically
-// integrated tails of quiescent VMs. Flush works after Close too — the
-// post-Close evaluation is a full direct scan, never a delta pass, so
-// a final report can never miss tail accounting.
+// integrated tails of quiescent VMs.
 func (c *Cluster) Flush() {
 	c.evaluate()
 	now := c.eng.Now()
@@ -945,42 +843,19 @@ func (c *Cluster) closeStranded(now sim.Time) {
 func (c *Cluster) evaluate() {
 	c.tickCount++
 	now := c.eng.Now()
-	if c.hostPartial == nil || c.closed {
-		// Direct path: before Start the shard machinery does not exist
-		// yet, and after Close it must not be used — both fall back to a
-		// serial full scan, which produces the same bytes.
+	if c.hostPartial == nil {
+		// Before Start the partial slots do not exist yet: scan every
+		// host directly, which produces the same bytes.
 		c.evaluateDirect(now)
 		return
 	}
-	full := !c.primed || c.fullScan
-	switch {
-	case c.primed && now == c.evalAt && !c.fullScan:
-		// Same-instant pass: demand is a function of VM and time, and
-		// every other input of a host's partial moves only through
-		// noteDirty, so the dirty queues name every stale slot. No
-		// deadline is due either: the previous pass at this instant
-		// refreshed every host whose deadline had come, which moved it
-		// past now. The queues typically hold a host or two, so the
-		// pass runs here instead of on the workers.
-		for s := range c.shardBounds {
-			c.drainDirty(s, now)
-		}
-	case c.evalWork != nil:
-		// Fan the per-host work out to the persistent workers, then
-		// reduce the per-host slots serially in host-ID order below.
-		c.evalNow = now
-		c.evalFull = full
-		for s := range c.shardBounds {
-			c.evalWork <- s
-		}
-		for range c.shardBounds {
-			<-c.evalDone
-		}
-	default:
-		for s := range c.shardBounds {
-			c.runShard(s, now, full)
-		}
-	}
+	// At the previous pass's instant, demand (a function of VM and time)
+	// has not moved, and every other input of a host's partial moves
+	// only through noteDirty, so the dirty queue names every stale
+	// slot. No deadline is due either: the previous pass at this
+	// instant refreshed every host whose deadline had come, which moved
+	// it past now.
+	c.refresh(now, !c.primed || c.fullScan, c.primed && now == c.evalAt)
 	c.primed = true
 	c.evalAt = now
 	totalPower := power.Watts(0)
@@ -1000,8 +875,7 @@ func (c *Cluster) evaluate() {
 	c.finishTick(now, totalPower, totalDemand, totalDelivered, active, stranded)
 }
 
-// evaluateDirect is the partial-free serial scan used before Start and
-// after Close.
+// evaluateDirect is the partial-free scan used before Start.
 func (c *Cluster) evaluateDirect(now sim.Time) {
 	totalPower := power.Watts(0)
 	totalDemand, totalDelivered := 0.0, 0.0
@@ -1017,26 +891,20 @@ func (c *Cluster) evaluateDirect(now sim.Time) {
 			stranded += p.vms
 		}
 	}
-	c.directEvals += int64(len(c.hostList))
+	c.hostEvals += int64(len(c.hostList))
 	c.finishTick(now, totalPower, totalDemand, totalDelivered, active, stranded)
 }
 
 // EvalCounts returns how many evaluation passes have run and how many
 // per-host evaluations they performed in total: every host at the
-// first pass and on the direct path (before Start, after Close), and
-// otherwise the hosts dirtied since the previous pass plus, at a new
-// instant, those whose demand deadline had come — the fleet's change
-// volume. 1 − hostEvals/(ticks×hosts) is the skip ratio. Diagnostics
-// only — deterministic, but the full-scan oracle counts differently,
-// so the numbers must never reach a report. Not safe to call while a
-// sharded tick is in flight (call between engine steps or after
-// Close).
+// first pass and before Start, and otherwise the hosts dirtied since
+// the previous pass plus, at a new instant, those whose demand
+// deadline had come — the fleet's change volume. 1 −
+// hostEvals/(ticks×hosts) is the skip ratio. Diagnostics only —
+// deterministic, but the full-scan oracle counts differently, so the
+// numbers must never reach a report.
 func (c *Cluster) EvalCounts() (ticks, hostEvals int64) {
-	hostEvals = c.directEvals
-	for _, n := range c.shardEvals {
-		hostEvals += n
-	}
-	return c.tickCount, hostEvals
+	return c.tickCount, c.hostEvals
 }
 
 // finishTick applies a tick's reduced aggregates: stranded-population
@@ -1278,7 +1146,7 @@ func (c *Cluster) closeRun(i int, now sim.Time) {
 // power machine) or indexed by its resident VMs (c.current slots and
 // SLA trackers — each VM is resident on exactly one host), plus
 // read-only shared state (migration overhead map, engine clock), so
-// distinct hosts can be evaluated concurrently.
+// hosts can be refreshed in any order.
 //
 // It also returns the host's deadline: the earliest instant one of its
 // residents' demand may differ from the value just read. Each read

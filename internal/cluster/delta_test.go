@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
 	"time"
 
@@ -33,15 +34,19 @@ func sameClusterResults(t *testing.T, ref, got *Cluster) {
 // TestDeltaEvaluateBitIdentical is the determinism core of delta
 // evaluation, the event-driven tick: the eventful half-day scenario
 // (migration, crash, arrival, departure) must produce bit-identical
-// telemetry, SLA, energy and stranded accounting for every shard and
-// worker count, compared to the serial full-scan oracle.
+// telemetry, SLA, energy and stranded accounting to the full-scan
+// oracle. shards=S runs S independently built copies of the scenario
+// side by side (see sideBySide) at GOMAXPROCS W (workers=W), and each
+// must match.
 func TestDeltaEvaluateBitIdentical(t *testing.T) {
-	ref := runEvalScenario(t, 0, Config{}, true)
+	ref := runEvalScenario(t, true)
 	for _, shards := range []int{0, 1, 2, 4} {
 		for _, workers := range []int{1, 3} {
 			t.Run(fmt.Sprintf("delta/shards=%d/workers=%d", shards, workers), func(t *testing.T) {
-				got := runEvalScenario(t, workers, Config{Shards: shards}, false)
-				sameClusterResults(t, ref, got)
+				defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(workers))
+				for _, got := range sideBySide(t, shards, func(t testing.TB) *Cluster { return runEvalScenario(t, false) }) {
+					sameClusterResults(t, ref, got)
+				}
 			})
 		}
 	}
@@ -108,7 +113,6 @@ func TestDeltaSkipsQuiescentHosts(t *testing.T) {
 		c.Start()
 		eng.RunUntil(6 * time.Hour)
 		c.Flush()
-		c.Close()
 		return c
 	}
 	ref := run(true)
@@ -138,35 +142,24 @@ func TestDeltaSkipsQuiescentHosts(t *testing.T) {
 	}
 }
 
-// TestFlushAfterCloseDeltaKeepsTailAccounting is the regression test
-// for the Flush/Close ordering bug class: a Flush issued after Close
-// must force a full (direct) evaluation pass so the final report
-// includes the analytically integrated tail — energy and SLA accrued
-// since each quiescent host's last re-evaluation. Both orderings must
-// produce the full-scan oracle's exact bytes.
+// TestFlushAfterCloseDeltaKeepsTailAccounting pins the books a Flush
+// closes between ticks: the analytically integrated tail — energy and
+// SLA accrued since each quiescent host's last re-evaluation — must
+// land in the final accounting, so a Flush halfway between two ticks
+// produces the full-scan oracle's exact bytes.
 func TestFlushAfterCloseDeltaKeepsTailAccounting(t *testing.T) {
-	type mode struct{ closeFirst, fullScan bool }
-	run := func(m mode) *Cluster {
+	run := func(fullScan bool) *Cluster {
 		eng := sim.NewEngine(1)
-		c := buildQuiescentCluster(t, eng, Config{Horizon: 6 * time.Hour, Shards: 2}, 16, 96)
-		c.fullScan = m.fullScan
+		c := buildQuiescentCluster(t, eng, Config{Horizon: 6 * time.Hour}, 16, 96)
+		c.fullScan = fullScan
 		c.Start()
 		// Stop between ticks so open accounting runs and analytic energy
 		// segments are live when the books close.
 		eng.RunUntil(4*time.Hour + 30*time.Second)
-		if m.closeFirst {
-			c.Close()
-			c.Flush()
-		} else {
-			c.Flush()
-			c.Close()
-		}
+		c.Flush()
 		return c
 	}
-	ref := run(mode{fullScan: true})
-	for _, m := range []mode{{}, {closeFirst: true}} {
-		sameClusterResults(t, ref, run(m))
-	}
+	sameClusterResults(t, run(true), run(false))
 }
 
 // TestDeltaSteadyStateAllocFree extends the allocation gate to the
@@ -176,8 +169,7 @@ func TestFlushAfterCloseDeltaKeepsTailAccounting(t *testing.T) {
 // the due hosts as well as ticks that skip everything.
 func TestDeltaSteadyStateAllocFree(t *testing.T) {
 	eng := sim.NewEngine(1)
-	c := buildQuiescentCluster(t, eng,
-		Config{Horizon: 30 * 24 * time.Hour, Shards: 4}, 16, 96)
+	c := buildQuiescentCluster(t, eng, Config{Horizon: 30 * 24 * time.Hour}, 16, 96)
 	c.startEval()
 	now := eng.Now()
 	c.evaluate()
@@ -193,32 +185,35 @@ func TestDeltaSteadyStateAllocFree(t *testing.T) {
 	if avg != 0 {
 		t.Fatalf("steady-state evaluate allocates %.2f times per tick, want 0", avg)
 	}
-	c.Close()
 }
 
 // TestEvalCountsCoverAllPaths pins the diagnostics counters exactly:
-// every host at the Start pass, the due hosts at a pass at a new
-// instant, only the hosts dirtied since at a pass on the previous
-// pass's instant, and every host on the direct (post-Close) path.
+// every host on the direct path before Start, every host at the Start
+// pass, the due hosts at a pass at a new instant, and only the hosts
+// dirtied since at a pass on the previous pass's instant.
 func TestEvalCountsCoverAllPaths(t *testing.T) {
 	eng := sim.NewEngine(1)
 	c := buildQuiescentCluster(t, eng, Config{Horizon: time.Hour}, 4, 8)
+	// An arrival before Start evaluates on the direct path: all four
+	// hosts.
+	if _, err := c.AddPendingVM(vm.Config{VCPUs: 1, MemoryGB: 1, Trace: workload.Constant(0.5)}); err != nil {
+		t.Fatal(err)
+	}
 	c.Start()
 	eng.RunUntil(30 * time.Minute)
 	c.HostChanged(2)
 	c.Flush() // on the 30-minute tick's instant: host 2 only
-	c.Close()
-	c.Flush() // direct path: all four hosts
 	ticks, evals := c.EvalCounts()
-	// The Start pass and 30 ticks are passes at a new instant.
-	if ticks != 31+2 {
-		t.Fatalf("counted %d passes, want %d", ticks, 31+2)
+	// The direct pass, then the Start pass and 30 ticks at new instants,
+	// then the Flush.
+	if ticks != 1+31+1 {
+		t.Fatalf("counted %d passes, want %d", ticks, 1+31+1)
 	}
 	// VM v sits on host v%4+1: hosts 1 and 3 carry one-sample constant
 	// traces and are never due; hosts 2 and 4 carry 15-minute diurnals,
-	// due at 15 and 30 minutes. So: 4 at Start, 2 diurnal hosts × 2
-	// quarter-hours, host 2 at the Flush, and 4 on the direct path.
-	if want := int64(4 + 2*2 + 1 + 4); evals != want {
+	// due at 15 and 30 minutes. So: 4 on the direct path, 4 at Start,
+	// 2 diurnal hosts × 2 quarter-hours, and host 2 at the Flush.
+	if want := int64(4 + 4 + 2*2 + 1); evals != want {
 		t.Fatalf("counted %d host evals over %d passes on 4 hosts, want %d", evals, ticks, want)
 	}
 }

@@ -15,10 +15,8 @@ import (
 // fuzzHosts is the fleet size of runFuzzProgram.
 const fuzzHosts = 6
 
-// Program opcodes. A program is a header byte — the shard count (1, 2
-// or 4 by its value mod 3) and, by its top bit, whether the final
-// Flush comes after Close — and then steps of two bytes each, an
-// opcode (mod fuzzOps) and its argument.
+// Program opcodes. A program is a sequence of steps of two bytes each,
+// an opcode (mod fuzzOps) and its argument.
 const (
 	opAdvance = iota // run the clock 0–15 × 20 s (0: a burst on one instant)
 	opMigrate        // StartMigration(vm(arg), host(arg>>4))
@@ -31,7 +29,6 @@ const (
 	opPlace          // PlaceVM(a pending VM, host(arg>>4))
 	opDepart         // RemoveVM(vm(arg))
 	opFlush          // Flush mid-run
-	opClose          // Close: every later pass is the direct full scan
 	fuzzOps
 )
 
@@ -63,13 +60,13 @@ func fuzzTrace(k int, rng *sim.RNG) *workload.Trace {
 var fuzzFleet = [][3]int{{0, 0, 1}, {2, 0, 0}, {3, 1, 0}, {0, 3, 0}, {1, 2, 3}}
 
 // runFuzzProgram builds the fuzzFleet and drives it through prog's
-// steps on the given shard count, or on the serial full-scan oracle
-// (shards 0, fullScan). It returns the cluster and one line per step
-// with the step's outcome, which must match between the two paths too.
-func runFuzzProgram(t *testing.T, prog []byte, shards int, fullScan bool) (*Cluster, []string) {
+// steps on the event-driven tick, or on the full-scan oracle
+// (fullScan). It returns the cluster and one line per step with the
+// step's outcome, which must match between the two paths too.
+func runFuzzProgram(t *testing.T, prog []byte, fullScan bool) (*Cluster, []string) {
 	t.Helper()
 	eng := sim.NewEngine(1)
-	c, err := New(eng, Config{Shards: shards, Horizon: time.Hour})
+	c, err := New(eng, Config{Horizon: time.Hour})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,7 +102,7 @@ func runFuzzProgram(t *testing.T, prog []byte, shards int, fullScan bool) (*Clus
 		}
 		return vm.ID(int(b)%int(c.MaxVMID()) + 1)
 	}
-	for k := 1; k+1 < len(prog); k += 2 {
+	for k := 0; k+1 < len(prog); k += 2 {
 		arg := prog[k+1]
 		switch prog[k] % fuzzOps {
 		case opAdvance:
@@ -140,69 +137,52 @@ func runFuzzProgram(t *testing.T, prog []byte, shards int, fullScan bool) (*Clus
 			note(k, c.RemoveVM(vmOf(arg)))
 		case opFlush:
 			c.Flush()
-		case opClose:
-			c.Close()
 		}
 	}
-	// Close the books on either side of Close, as the header says.
-	if len(prog) > 0 && prog[0]&128 != 0 {
-		c.Close()
-		c.Flush()
-	} else {
-		c.Flush()
-		c.Close()
-	}
+	c.Flush()
 	return c, outcomes
 }
-
-// fuzzProgram assembles a program from a header byte and (opcode,
-// argument) pairs.
-func fuzzProgram(header byte, steps ...byte) []byte { return append([]byte{header}, steps...) }
 
 // FuzzEvaluateMatchesFullScan is the differential fuzz target for the
 // event-driven tick: a byte program of migrations (started, finished
 // by the clock, aborted by a crash), crashes and repairs, parks and
 // wakes, DVFS moves, demand surges and resets, arrivals, placements and
-// departures, bursts on one instant, and Flush before and after Close,
-// runs on 1, 2 or 4 shards and on the serial full-scan oracle. Series,
+// departures, bursts on one instant, and Flush mid-run, runs on the
+// tick and on the full-scan oracle. Series,
 // aggregate SLA, energy, stranded VM·s, the event log and every step's
 // outcome must match bit for bit. The seed corpus runs in
 // `make determinism`; `go test -fuzz FuzzEvaluateMatchesFullScan
 // ./internal/cluster/` searches further.
 func FuzzEvaluateMatchesFullScan(f *testing.F) {
-	f.Add(fuzzProgram(0, // quiet hours on one shard: only the deadlines move anything
-		0, 15, 0, 15, 0, 15, 0, 15, 0, 15, 0, 15, 0, 15, 0, 15, 0, 15, 0, 15))
-	f.Add(fuzzProgram(1, // two shards: a migration burst on one instant, finished by the clock
+	f.Add([]byte{ // quiet hours: only the deadlines move anything
+		0, 15, 0, 15, 0, 15, 0, 15, 0, 15, 0, 15, 0, 15, 0, 15, 0, 15, 0, 15})
+	f.Add([]byte{ // a migration burst on one instant, finished by the clock
 		0, 3, opMigrate, 0x50, opMigrate, 0x51, opMigrate, 0x22, opDVFS, 0x12,
-		0, 15, 0, 15, opMigrate, 0x23, 0, 9, 0, 15))
-	f.Add(fuzzProgram(2, // four shards: a move aborted by its destination's crash, then repair
-		0, 2, opMigrate, 0x51, opCrash, 0x05, 0, 15, 0, 15, 0, 15, opMigrate, 0x02, 0, 15))
-	f.Add(fuzzProgram(0, // the empty host parked in S3 and S5 and woken, DVFS on busy ones
+		0, 15, 0, 15, opMigrate, 0x23, 0, 9, 0, 15})
+	f.Add([]byte{ // a move aborted by its destination's crash, then repair
+		0, 2, opMigrate, 0x51, opCrash, 0x05, 0, 15, 0, 15, 0, 15, opMigrate, 0x02, 0, 15})
+	f.Add([]byte{ // the empty host parked in S3 and S5 and woken, DVFS on busy ones
 		opPark, 0x05, 0, 10, opWake, 0x05, 0, 15, opPark, 0x15, 0, 15, opWake, 0x05,
-		opDVFS, 0x00, opDVFS, 0x12, opDVFS, 0x21, 0, 15, opDVFS, 0x20, 0, 15))
-	f.Add(fuzzProgram(1, // surges and resets between demand edges
+		opDVFS, 0x00, opDVFS, 0x12, opDVFS, 0x21, 0, 15, opDVFS, 0x20, 0, 15})
+	f.Add([]byte{ // surges and resets between demand edges
 		0, 7, opSurge, 0x0c, 0, 4, opSurge, 0x05, opSurge, 0x02, 0, 15,
-		opSurge, 0x00, opSurge, 0x01, 0, 15, opSurge, 0x0e, 0, 15))
-	f.Add(fuzzProgram(2, // arrivals placed, departures, a crash with residents
+		opSurge, 0x00, opSurge, 0x01, 0, 15, opSurge, 0x0e, 0, 15})
+	f.Add([]byte{ // arrivals placed, departures, a crash with residents
 		opArrive, 1, opArrive, 3, 0, 5, opPlace, 0x50, opPlace, 0x21, opDepart, 4,
-		opDepart, 9, 0, 15, opCrash, 0x02, 0, 15, opArrive, 0, opPlace, 0x30, 0, 15, 0, 15))
-	f.Add(fuzzProgram(0x80, // Flush mid-run, then Close and more events on the direct path
-		0, 15, opFlush, 0, opMigrate, 0x41, 0, 15, opFlush, 0, opClose, 0,
-		opMigrate, 0x52, 0, 15, opSurge, 0x09, 0, 15))
-	f.Add(fuzzProgram(0x81, // everything at once on two shards, Close before the last Flush
+		opDepart, 9, 0, 15, opCrash, 0x02, 0, 15, opArrive, 0, opPlace, 0x30, 0, 15, 0, 15})
+	f.Add([]byte{ // Flush mid-run and on a tick's instant, with moves and a surge after
+		0, 15, opFlush, 0, opMigrate, 0x41, 0, 15, opFlush, 0, opFlush, 0,
+		opMigrate, 0x52, 0, 15, opSurge, 0x09, 0, 15})
+	f.Add([]byte{ // everything at once, closed by two Flushes on one instant
 		0, 6, opMigrate, 0x53, opMigrate, 0x24, opDVFS, 0x22, opSurge, 0x0a,
 		opCrash, 0x03, opArrive, 2, opPlace, 0x40, 0, 15, opPark, 0x05, 0, 12,
-		opWake, 0x05, opDepart, 7, opSurge, 0x04, 0, 15, 0, 15, 0, 15))
+		opWake, 0x05, opDepart, 7, opSurge, 0x04, 0, 15, 0, 15, 0, 15, opFlush, 0})
 	f.Fuzz(func(t *testing.T, prog []byte) {
 		if len(prog) > 512 {
 			prog = prog[:512]
 		}
-		shards := 1
-		if len(prog) > 0 {
-			shards = []int{1, 2, 4}[int(prog[0])%3]
-		}
-		ref, refOut := runFuzzProgram(t, prog, 0, true)
-		got, gotOut := runFuzzProgram(t, prog, shards, false)
+		ref, refOut := runFuzzProgram(t, prog, true)
+		got, gotOut := runFuzzProgram(t, prog, false)
 		sameClusterResults(t, ref, got)
 		sameEvents(t, ref, got)
 		if len(refOut) != len(gotOut) {

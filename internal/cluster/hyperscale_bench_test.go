@@ -76,7 +76,6 @@ func benchHyperscaleTick(b *testing.B, fullScan bool) {
 	eng, c := buildHyperscaleCluster(b)
 	c.fullScan = fullScan
 	c.startEval()
-	defer c.Close()
 	now := eng.Now()
 	c.evaluate() // prime partials and deadlines
 	// Warm through one full 15-minute trace period so every lazy growth

@@ -17,10 +17,10 @@ import (
 // cycles often) at 30 s, 1 min and 2 min intervals, runs of equal
 // samples, constant traces, and vCPU and limit caps below the traces'
 // peaks. Half the VMs are named "surge-…" for ScaleDemandPrefix.
-func memoFleet(t *testing.T, seed uint64, cfg Config) (*sim.Engine, *Cluster) {
+func memoFleet(t *testing.T, seed uint64) (*sim.Engine, *Cluster) {
 	t.Helper()
 	eng := sim.NewEngine(seed)
-	c, err := New(eng, cfg)
+	c, err := New(eng, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,38 +138,56 @@ func memoHistory(eng *sim.Engine, c *Cluster, seed uint64, steps int) error {
 }
 
 // TestVMDemandMemoMatchesTrace holds the demand memo to the uncached
-// trace read: on running clusters, serial and sharded, on the
-// full-scan oracle (every resident read at every pass) and on the
-// event-driven tick (each host's deadline taken from its residents'
-// entries; shard workers fill them concurrently), and on a fork run
-// concurrently with its running source (VM pointers are shared across
+// trace read on running clusters: on the full-scan oracle (every
+// resident read at every pass) and on the event-driven tick (each
+// host's deadline taken from its residents' entries). The sharded
+// variants run three forks of the fleet side by side, each replaying
+// the seed's query history (see sideBySide), and fork runs one fork
+// concurrently with its running source: VM pointers are shared across
 // forks, so a memo kept anywhere but the cluster would race under
-// -race and answer one world with the other's reads).
+// -race and answer one world with the other's reads.
 func TestVMDemandMemoMatchesTrace(t *testing.T) {
 	for _, tc := range []struct {
 		name     string
-		cfg      Config
+		shards   int
 		fullScan bool
 	}{
-		{"full", Config{}, true},
-		{"delta", Config{}, false},
-		{"sharded", Config{Shards: 3}, true},
-		{"sharded-delta", Config{Shards: 3}, false},
+		{"full", 0, true},
+		{"delta", 0, false},
+		{"sharded", 3, true},
+		{"sharded-delta", 3, false},
 	} {
 		for seed := uint64(1); seed <= 2; seed++ {
 			t.Run(fmt.Sprintf("%s/seed%d", tc.name, seed), func(t *testing.T) {
-				eng, c := memoFleet(t, seed, tc.cfg)
-				c.fullScan = tc.fullScan
-				c.Start()
-				defer c.Close()
-				if err := memoHistory(eng, c, seed, 3000); err != nil {
-					t.Fatal(err)
+				eng, src := memoFleet(t, seed)
+				src.Events().Share()
+				if tc.shards == 0 {
+					src.fullScan = tc.fullScan
+					src.Start()
+					if err := memoHistory(eng, src, seed, 3000); err != nil {
+						t.Fatal(err)
+					}
+					return
+				}
+				for i, err := range sideBySide(t, tc.shards, func(testing.TB) error {
+					feng := sim.NewEngine(seed)
+					fork, err := src.Fork(feng)
+					if err != nil {
+						return err
+					}
+					fork.fullScan = tc.fullScan
+					fork.Start()
+					return memoHistory(feng, fork, seed, 3000)
+				}) {
+					if err != nil {
+						t.Errorf("fork %d: %v", i, err)
+					}
 				}
 			})
 		}
 	}
 	t.Run("fork", func(t *testing.T) {
-		eng, src := memoFleet(t, 9, Config{})
+		eng, src := memoFleet(t, 9)
 		feng := sim.NewEngine(9)
 		fork, err := src.Fork(feng)
 		if err != nil {

@@ -24,8 +24,8 @@ const sameInstantHosts = 8
 // destination's crash and the repair settling on a tick's instant, a
 // park and a wake, an arrival placed and a departure on one tick's
 // instant, the surge's end and a crash with no move in flight on
-// another, and a Flush on the last tick's instant. cfg supplies Shards;
-// fullScan selects the full-scan oracle. wantEvals is the event-driven
+// another, and a Flush on the last tick's instant. fullScan selects
+// the full-scan oracle. wantEvals is the event-driven
 // tick's exact per-host evaluation count: every host at the Start
 // pass; at any later pass the hosts dirtied since the previous one (as
 // the OnHostDirty feed saw them); and at a pass at a new whole minute
@@ -33,11 +33,10 @@ const sameInstantHosts = 8
 // every minute from time 0, so their memo entries end on the next
 // whole minute, and every whole minute has a tick; the one constant
 // trace is never due.
-func runSameInstantScenario(t *testing.T, cfg Config, fullScan bool) (c *Cluster, wantEvals int64) {
+func runSameInstantScenario(t testing.TB, fullScan bool) (c *Cluster, wantEvals int64) {
 	t.Helper()
 	eng := sim.NewEngine(1)
-	cfg.Horizon = 8 * time.Hour
-	c, err := New(eng, cfg)
+	c, err := New(eng, Config{Horizon: 8 * time.Hour})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,7 +123,6 @@ func runSameInstantScenario(t *testing.T, cfg Config, fullScan bool) (c *Cluster
 
 	eng.RunUntil(8 * time.Hour)
 	c.Flush()
-	c.Close()
 	if st := c.Migrations().Stats(); st.Completed != 2 || st.Aborted != 1 {
 		t.Fatalf("migrations: %d completed, %d aborted; want 2 and 1", st.Completed, st.Aborted)
 	}
@@ -140,14 +138,19 @@ func runSameInstantScenario(t *testing.T, cfg Config, fullScan bool) (c *Cluster
 // TestSameInstantEvaluateMatchesFullScan holds the same-instant pass —
 // only the hosts dirtied since the previous pass, when the clock has
 // not moved — to the full-scan oracle: telemetry, aggregate SLA,
-// energy, stranded VM·s and the event log must match bit for bit for
-// shards {1, 2, 4}, on the event-driven (delta) tick and on the sharded
-// oracle. The per-host evaluation count must also be exact: on the
-// tick, the one the dirty feed and the fixture's deadlines imply, so a
-// pass that quietly fell back to a full scan fails too; on the oracle,
-// every host at every pass, so an oracle that skipped hosts fails.
+// energy, stranded VM·s and the event log must match bit for bit, on
+// the event-driven (delta) tick and on the oracle, for 1, 2 and 4
+// copies of the scenario run side by side (shards=S, see sideBySide).
+// The per-host evaluation count must also be exact: on the tick, the
+// one the dirty feed and the fixture's deadlines imply, so a pass that
+// quietly fell back to a full scan fails too; on the oracle, every
+// host at every pass, so an oracle that skipped hosts fails.
 func TestSameInstantEvaluateMatchesFullScan(t *testing.T) {
-	ref, _ := runSameInstantScenario(t, Config{}, true)
+	type run struct {
+		c    *Cluster
+		want int64
+	}
+	ref, _ := runSameInstantScenario(t, true)
 	refTicks, refEvals := ref.EvalCounts()
 	if refEvals != refTicks*sameInstantHosts {
 		t.Fatalf("full-scan oracle evaluated %d host-slots over %d passes, want %d",
@@ -156,30 +159,35 @@ func TestSameInstantEvaluateMatchesFullScan(t *testing.T) {
 	for _, shards := range []int{1, 2, 4} {
 		for _, delta := range []bool{false, true} {
 			t.Run(fmt.Sprintf("shards=%d/delta=%v", shards, delta), func(t *testing.T) {
-				got, want := runSameInstantScenario(t, Config{Shards: shards}, !delta)
-				sameClusterResults(t, ref, got)
-				sameEvents(t, ref, got)
-				ticks, evals := got.EvalCounts()
-				if ticks != refTicks {
-					t.Fatalf("%d passes, want the oracle's %d", ticks, refTicks)
-				}
-				if !delta {
-					if evals != refEvals {
-						t.Fatalf("sharded oracle evaluated %d host-slots, want every host at each of %d passes (%d)",
-							evals, ticks, refEvals)
+				for _, r := range sideBySide(t, shards, func(t testing.TB) run {
+					c, want := runSameInstantScenario(t, !delta)
+					return run{c, want}
+				}) {
+					got, want := r.c, r.want
+					sameClusterResults(t, ref, got)
+					sameEvents(t, ref, got)
+					ticks, evals := got.EvalCounts()
+					if ticks != refTicks {
+						t.Fatalf("%d passes, want the oracle's %d", ticks, refTicks)
 					}
-					return
-				}
-				// 3,337 = 8 at Start + 6 diurnal hosts × the 60 whole
-				// minutes to 1h + 7 × the 420 after VM 1 lands on host 7
-				// at 1h0m7s + 29 hosts dirtied before the 21 passes that
-				// are not the first at a whole minute (the oracle: 502
-				// passes × 8 hosts).
-				if evals != want || want != 3337 {
-					t.Fatalf("evaluated %d host-slots, the fixture implies %d, want 3,337", evals, want)
-				}
-				if want >= refEvals {
-					t.Fatalf("the dirty feed implies %d host-slots, the oracle's %d: no pass skipped a host", want, refEvals)
+					if !delta {
+						if evals != refEvals {
+							t.Fatalf("oracle evaluated %d host-slots, want every host at each of %d passes (%d)",
+								evals, ticks, refEvals)
+						}
+						continue
+					}
+					// 3,337 = 8 at Start + 6 diurnal hosts × the 60 whole
+					// minutes to 1h + 7 × the 420 after VM 1 lands on host
+					// 7 at 1h0m7s + 29 hosts dirtied before the 21 passes
+					// that are not the first at a whole minute (the
+					// oracle: 502 passes × 8 hosts).
+					if evals != want || want != 3337 {
+						t.Fatalf("evaluated %d host-slots, the fixture implies %d, want 3,337", evals, want)
+					}
+					if want >= refEvals {
+						t.Fatalf("the dirty feed implies %d host-slots, the oracle's %d: no pass skipped a host", want, refEvals)
+					}
 				}
 			})
 		}
@@ -190,38 +198,50 @@ func TestSameInstantEvaluateMatchesFullScan(t *testing.T) {
 // same-instant pass: a DVFS move on two hosts and an evaluation at the
 // instant already evaluated must refresh exactly those two hosts on
 // the event-driven (delta) tick, and all sixteen on the full-scan
-// oracle, without allocating, serial and sharded.
+// oracle, without allocating. shards=S steps S clusters in turn inside
+// each measured run (shards=0: one), as a worker thread interleaves
+// the simulations it runs; they share the test's goroutine because
+// AllocsPerRun counts every goroutine's allocations.
 func TestSameInstantEvaluateAllocFree(t *testing.T) {
 	const hosts = 16
 	for _, shards := range []int{0, 4} {
 		for _, delta := range []bool{false, true} {
 			t.Run(fmt.Sprintf("shards=%d/delta=%v", shards, delta), func(t *testing.T) {
-				eng := sim.NewEngine(1)
-				cfg := Config{Shards: shards, Horizon: 30 * 24 * time.Hour}
-				c := buildQuiescentCluster(t, eng, cfg, hosts, 96)
-				c.fullScan = !delta
-				c.startEval()
-				defer c.Close()
-				c.evaluate()
-				eng.RunUntil(sim.Time(time.Minute))
-				c.evaluate()
-
-				ticks0, evals0 := c.EvalCounts()
-				avg := testing.AllocsPerRun(200, func() {
-					c.HostChanged(3)
-					c.HostChanged(12)
+				cs := make([]*Cluster, max(shards, 1))
+				for i := range cs {
+					eng := sim.NewEngine(1)
+					c := buildQuiescentCluster(t, eng, Config{Horizon: 30 * 24 * time.Hour}, hosts, 96)
+					c.fullScan = !delta
+					c.startEval()
 					c.evaluate()
+					eng.RunUntil(sim.Time(time.Minute))
+					c.evaluate()
+					cs[i] = c
+				}
+
+				before := make([][2]int64, len(cs))
+				for i, c := range cs {
+					before[i][0], before[i][1] = c.EvalCounts()
+				}
+				avg := testing.AllocsPerRun(200, func() {
+					for _, c := range cs {
+						c.HostChanged(3)
+						c.HostChanged(12)
+						c.evaluate()
+					}
 				})
 				if avg != 0 {
-					t.Fatalf("same-instant evaluate allocates %.2f times per pass, want 0", avg)
+					t.Fatalf("same-instant evaluate allocates %.2f times per run of %d passes, want 0", avg, len(cs))
 				}
 				perPass := int64(2)
 				if !delta {
 					perPass = hosts
 				}
-				ticks, evals := c.EvalCounts()
-				if passes := ticks - ticks0; evals-evals0 != perPass*passes {
-					t.Fatalf("%d same-instant passes evaluated %d host-slots, want %d each", passes, evals-evals0, perPass)
+				for i, c := range cs {
+					ticks, evals := c.EvalCounts()
+					if passes := ticks - before[i][0]; evals-before[i][1] != perPass*passes {
+						t.Fatalf("%d same-instant passes evaluated %d host-slots, want %d each", passes, evals-before[i][1], perPass)
+					}
 				}
 			})
 		}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"testing"
 	"time"
 
@@ -59,17 +60,73 @@ func BenchmarkPackBFD(b *testing.B) {
 	}
 }
 
-// BenchmarkMinBins measures the minimal-host search (the scale-down
-// decision) at 200 VMs / 32 hosts.
-func BenchmarkMinBins(b *testing.B) {
-	items := benchItems(200, sim.NewRNG(1))
-	bins := benchBins(32)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, _, ok := MinBins(items, bins, PackFFD); !ok {
-			b.Fatal("minbins failed")
+// boundPrefix returns the shortest prefix of bins whose aggregate CPU
+// and memory hold the items: the first prefix the minimal-host search
+// packs.
+func boundPrefix(items []Item, bins []Bin) int {
+	needCPU, needMem := 0.0, 0.0
+	for _, it := range items {
+		needCPU += it.CPU
+		needMem += it.MemGB
+	}
+	cumCPU, cumMem := 0.0, 0.0
+	for k, bin := range bins {
+		cumCPU += bin.CPUCap
+		cumMem += bin.MemCap
+		if cumCPU+1e-9 >= needCPU && cumMem+1e-9 >= needMem {
+			return k + 1
 		}
+	}
+	return len(bins) + 1
+}
+
+// BenchmarkMinBins measures the minimal-host search (the scale-down
+// decision) at 200 VMs / 32 hosts on a reused packer, as packServing
+// runs it: each op puts the bins back in their starting state and
+// searches. In first-prefix, the first prefix the capacity bound
+// allows packs, so the op is one pack. In anti-affinity, six
+// 30-replica groups need at least 30 hosts where the capacity bound
+// allows 25: the search packs and fails the prefixes 25 to 31 and
+// packs at 32, eight packs an op.
+func BenchmarkMinBins(b *testing.B) {
+	groups := benchItems(200, sim.NewRNG(1))
+	for i := range groups[:180] {
+		groups[i].Group = fmt.Sprintf("svc-%d", i%6)
+	}
+	for _, tc := range []struct {
+		name  string
+		items []Item
+	}{
+		{"first-prefix", benchItems(200, sim.NewRNG(1))},
+		{"anti-affinity", groups},
+	} {
+		b.Run(tc.name, func(b *testing.B) {
+			bins := benchBins(32)
+			var p packer
+			home := p.load(tc.items, bins)
+			search := func() int {
+				states := p.resetBins(len(bins))
+				for j, bin := range bins {
+					states[j].key, states[j].cpuCap, states[j].memCap = bin.Key, bin.CPUCap, bin.MemCap
+				}
+				k, ok := p.minBins(tc.items, home, PackFFD)
+				if !ok {
+					b.Fatal("minbins failed")
+				}
+				return k
+			}
+			// Set-up pins each case's shape: the prefixes the search packs
+			// run from the bound's to the one it returns.
+			k, first := search(), boundPrefix(tc.items, bins)
+			if searches := k > first; searches != (tc.name == "anti-affinity") {
+				b.Fatalf("%s packed at prefix %d, the capacity bound's is %d", tc.name, k, first)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				search()
+			}
+		})
 	}
 }
 

@@ -45,13 +45,6 @@ type Options struct {
 	// grid and ignores these.
 	CtrlDelay time.Duration
 	CtrlLoss  float64
-	// Shards partitions each simulation's evaluation tick into this
-	// many concurrent ID-contiguous host ranges (see Scenario.Shards).
-	// A wall-clock knob for datacenter-scale fleets: every report is
-	// byte-identical for every value. The scale experiment defaults to
-	// its own shard count when Shards is 0; everything else stays
-	// serial.
-	Shards int
 	// TelemetryCap bounds each recorded time series to this many stored
 	// samples via deterministic bucket folding (see
 	// Scenario.TelemetryCap). 0 leaves experiments to their defaults
@@ -164,12 +157,8 @@ func (o Options) workers() int {
 	return o.Workers
 }
 
-// tune applies the Options' execution knobs — evaluation-tick
-// sharding, telemetry cap — to a scenario. Sharding is purely
-// wall-clock: the scenario's results are byte-identical for every
-// setting.
+// tune applies the Options' telemetry cap to a scenario.
 func (o Options) tune(sc agilepower.Scenario) agilepower.Scenario {
-	sc.Shards = o.Shards
 	if o.TelemetryCap > 0 {
 		sc.TelemetryCap = o.TelemetryCap
 	}

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"strings"
+	"sync"
 	"testing"
 
 	"agilepower/internal/cluster"
@@ -41,6 +42,36 @@ func diffAt(t *testing.T, label string, got, want []byte) {
 		label, i, len(got), len(want), got[lo:hiG], want[lo:hiW])
 }
 
+// sideBySide runs s copies of run at once, each on its own goroutine,
+// and returns their outputs in order; s = 0 runs one copy on the
+// test's goroutine. It gives the golden replays' shards=S axes their
+// meaning: a simulation runs on one goroutine, so sweeps spread over
+// cores by running side by side, in one process as the service runs
+// its jobs, and each must render exactly its golden bytes.
+func sideBySide(s int, run func() ([]byte, error)) ([][]byte, error) {
+	if s == 0 {
+		out, err := run()
+		return [][]byte{out}, err
+	}
+	outs := make([][]byte, s)
+	errs := make([]error, s)
+	var wg sync.WaitGroup
+	for i := range outs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			outs[i], errs[i] = run()
+		}()
+	}
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			return nil, err
+		}
+	}
+	return outs, nil
+}
+
 // goldenQuickSection extracts one experiment's report body (including
 // its "=== experiment id ===" header) from testdata/golden_quick.txt.
 func goldenQuickSection(t *testing.T, id string) []byte {
@@ -72,9 +103,9 @@ func goldenQuickSection(t *testing.T, id string) []byte {
 //     independent of it;
 //   - progress: per-experiment lines go to their own writer, never into
 //     the report, and the summary names the pinned worker count;
-//   - the shard count: the sharded evaluation tick reduces per-host
-//     slots serially in host-ID order, so where the shard boundaries
-//     fall cannot change a float.
+//   - sweeps side by side (shards=S, see sideBySide): S sweeps run at
+//     once in one process, so a prototype, cache or counter that one
+//     sweep shared with another would move a byte or race under -race.
 //
 // Every grid cell forks one shared world prototype, so each row is
 // also a fork-versus-cold identity proof for the whole suite.
@@ -98,15 +129,22 @@ func TestRunAllMatchesGolden(t *testing.T) {
 	} {
 		name := fmt.Sprintf("workers=%d/shards=%d/progress=%v", row.workers, row.shards, row.progress)
 		t.Run(name, func(t *testing.T) {
-			var got, progress bytes.Buffer
-			opts := Options{Quick: true, Workers: row.workers, Shards: row.shards}
+			var progress bytes.Buffer
+			opts := Options{Quick: true, Workers: row.workers}
 			if row.progress {
 				opts.Progress = &progress
 			}
-			if err := RunAll(&got, opts); err != nil {
+			outs, err := sideBySide(row.shards, func() ([]byte, error) {
+				var got bytes.Buffer
+				err := RunAll(&got, opts)
+				return got.Bytes(), err
+			})
+			if err != nil {
 				t.Fatal(err)
 			}
-			diffAt(t, name, got.Bytes(), want)
+			for _, got := range outs {
+				diffAt(t, name, got, want)
+			}
 			if !row.progress {
 				return
 			}
@@ -122,18 +160,18 @@ func TestRunAllMatchesGolden(t *testing.T) {
 
 // TestFaultedExperimentsMatchGolden replays the robust and ctrl
 // experiments — fault injection, crash/repair churn and the imperfect
-// control plane, the paths that stress the tick's dirty queues and
+// control plane, the paths that stress the tick's dirty queue and
 // deadlines, the manager's cache invalidation and the forked worlds
-// hardest — across shards {1, 2, 4} × workers {1, 4}, each on the
-// event-driven (delta) tick and on the full-scan oracle, comparing
-// every report byte-for-byte against its golden section. Two shard
-// counts above one put the range boundaries in different places; the
-// oracle replays keep the oracle itself, which the cluster-level
-// identity tests compare against, tied to the golden bytes under
-// faults. Every manager also holds its planning rows to the
-// whole-fleet pass at each use (core.CheckPlanningRowsForAll). Under
-// -race this doubles as the concurrency workout for the sharded tick
-// and concurrent forks of one prototype.
+// hardest — with 1, 2 or 4 replays side by side (shards=S, see
+// sideBySide) × workers {1, 4}, each on the event-driven (delta) tick
+// and on the full-scan oracle, comparing every report byte-for-byte
+// against its golden section. The oracle replays keep the oracle
+// itself, which the cluster-level identity tests compare against, tied
+// to the golden bytes under faults. Every manager also holds its
+// planning rows to the whole-fleet pass at each use
+// (core.CheckPlanningRowsForAll). Under -race this doubles as the
+// concurrency workout for concurrent forks of one prototype and for
+// simulations of separate prototypes running at once.
 func TestFaultedExperimentsMatchGolden(t *testing.T) {
 	defer core.CheckPlanningRowsForAll()()
 	for _, id := range []string{"robust", "ctrl"} {
@@ -146,12 +184,17 @@ func TestFaultedExperimentsMatchGolden(t *testing.T) {
 						if !delta {
 							defer cluster.UseFullScanOracleForAll()()
 						}
-						var got bytes.Buffer
-						opts := Options{Quick: true, Shards: shards, Workers: workers}
-						if err := Run(id, &got, opts); err != nil {
+						outs, err := sideBySide(shards, func() ([]byte, error) {
+							var got bytes.Buffer
+							err := Run(id, &got, Options{Quick: true, Workers: workers})
+							return got.Bytes(), err
+						})
+						if err != nil {
 							t.Fatal(err)
 						}
-						diffAt(t, name, got.Bytes(), want)
+						for _, got := range outs {
+							diffAt(t, name, got, want)
+						}
 					})
 				}
 			}

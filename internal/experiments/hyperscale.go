@@ -18,7 +18,6 @@ import (
 const (
 	hyperscaleHosts    = 100000
 	hyperscaleVMs      = 1000000
-	hyperscaleShards   = 16
 	hyperscaleQuickN   = 256
 	hyperscaleQuickVMs = 4096
 	// hyperscaleTelemetryCap bounds each recorded series. A day at a
@@ -39,7 +38,7 @@ const (
 // instant) adds one row under the dpm-s3 policy.
 //
 // Energy/SLA land in the report (deterministic, byte-identical across
-// shard/worker counts and to the full-scan test oracle); throughput
+// worker counts and to the full-scan test oracle); throughput
 // and the delta skip ratio are execution diagnostics and go to
 // opts.Progress.
 func Hyperscale(w io.Writer, opts Options) error {
@@ -61,9 +60,6 @@ func Hyperscale(w io.Writer, opts Options) error {
 		CtrlPlane:    opts.ctrlPlane(),
 		TelemetryCap: hyperscaleTelemetryCap,
 	})
-	if sc.Shards == 0 {
-		sc.Shards = hyperscaleShards
-	}
 	fmt.Fprintf(w, "Hyperscale: %d hosts × 16c, %d pooled-trace VMs, horizon %.0fh, delta evaluation\n",
 		hosts, vmsN, hours(horizon))
 
@@ -144,8 +140,8 @@ func Hyperscale(w io.Writer, opts Options) error {
 		}
 		simHours := hours(horizon) * float64(len(results)+1)
 		fmt.Fprintf(opts.Progress,
-			"experiment hyperscale throughput: %.1f simulated-hours/wall-second (%.2fs wall, shards=%d); delta skipped %.1f%% of host-ticks (%.1f%% in the trough variant)\n",
-			simHours/wall.Seconds(), wall.Seconds(), sc.Shards, 100*skip, 100*tSkip)
+			"experiment hyperscale throughput: %.1f simulated-hours/wall-second (%.2fs wall); delta skipped %.1f%% of host-ticks (%.1f%% in the trough variant)\n",
+			simHours/wall.Seconds(), wall.Seconds(), 100*skip, 100*tSkip)
 	}
 	return nil
 }

@@ -9,21 +9,13 @@ import (
 	"agilepower/internal/report"
 )
 
-// scaleShards is the shard count the scale experiment defaults to when
-// the Options leave sharding unset, so datacenter-scale runs (and the
-// golden/CI suites that replay this experiment in quick mode) always
-// exercise the sharded evaluation path. Results are byte-identical to
-// the serial loop — the shard count is a wall-clock knob only.
-const scaleShards = 8
-
 // Scale — datacenter-scale run [extension]: the paper evaluates its
 // manager "with scale-out simulations"; this experiment reconstructs
 // one at datacenter size — 2,048 heterogeneous hosts running 16,384
 // mixed enterprise VMs — and runs the full policy comparison over it.
-// It is the consumer the sharded evaluation tick exists for: per-host
-// scheduling work fans out across Scenario.Shards ID-contiguous host
-// ranges while every report byte stays identical to the serial loop.
-// Quick mode shrinks to a 64-host / 512-VM fleet.
+// Each policy's simulation runs on one goroutine; the policies run side
+// by side on opts.Workers. Quick mode shrinks to a 64-host / 512-VM
+// fleet.
 //
 // Energy/SLA land in the report (deterministic); simulator throughput
 // (simulated-hours per wall-second, ticks per wall-second) is wall
@@ -53,16 +45,12 @@ func Scale(w io.Writer, opts Options) error {
 		Seed:        opts.seed(),
 		CtrlPlane:   opts.ctrlPlane(),
 	})
-	if sc.Shards == 0 {
-		sc.Shards = scaleShards
-	}
 	hostsTotal := 0
 	for _, hc := range classes {
 		hostsTotal += hc.Count
 	}
-	// The shard count stays out of the report header: it is a wall-clock
-	// knob, and the report must stay byte-identical for every value (the
-	// Progress line carries it instead).
+	// The header's "sharded evaluation" predates the serial tick; it
+	// stays until the quick goldens are next regenerated.
 	fmt.Fprintf(w, "Scale: %d hosts (%d×16c + %d×32c), %d VMs, horizon %.0fh, sharded evaluation\n",
 		hostsTotal, classes[0].Count, classes[1].Count, vmsN, hours(horizon))
 
@@ -98,9 +86,9 @@ func Scale(w io.Writer, opts Options) error {
 	if opts.Progress != nil {
 		simHours := hours(horizon) * float64(len(results))
 		fmt.Fprintf(opts.Progress,
-			"experiment scale    throughput: %.1f simulated-hours/wall-second, %.0f ticks/sec (%.2fs wall, shards=%d, workers=%d)\n",
+			"experiment scale    throughput: %.1f simulated-hours/wall-second, %.0f ticks/sec (%.2fs wall, workers=%d)\n",
 			simHours/wall.Seconds(), float64(totalTicks)/wall.Seconds(),
-			wall.Seconds(), sc.Shards, opts.workers())
+			wall.Seconds(), opts.workers())
 	}
 	return nil
 }

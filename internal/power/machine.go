@@ -21,14 +21,16 @@ var (
 	ErrNotOn = errors.New("power: invalid state for request")
 )
 
-// Stats are cumulative counters a Machine maintains for reporting.
+// Stats are cumulative counters a Machine maintains for reporting. The
+// per-state counters are arrays indexed by State, so a Stats value
+// copies by value.
 type Stats struct {
-	Energy      Joules                  // total energy consumed
-	TimeIn      map[State]time.Duration // settled time per state
-	TransitTime time.Duration           // time spent transitioning
-	Entries     map[State]int           // sleep entries per state
-	Exits       map[State]int           // sleep exits per state
-	TransitionE Joules                  // energy spent in transitions
+	Energy      Joules                   // total energy consumed
+	TimeIn      [NumStates]time.Duration // settled time per state
+	TransitTime time.Duration            // time spent transitioning
+	Entries     [NumStates]int           // sleep entries per state
+	Exits       [NumStates]int           // sleep exits per state
+	TransitionE Joules                   // energy spent in transitions
 	// ResumeFailures counts S3 resumes that failed and fell back to a
 	// full boot.
 	ResumeFailures int
@@ -101,32 +103,12 @@ func NewMachine(eng *sim.Engine, profile *Profile) (*Machine, error) {
 		phase:       Settled,
 		freq:        1,
 		lastAccrual: eng.Now(),
-		stats: Stats{
-			TimeIn:  make(map[State]time.Duration),
-			Entries: make(map[State]int),
-			Exits:   make(map[State]int),
-		},
 	}, nil
-}
-
-// cloneStateMap deep-copies a stats map, collapsing empty (or nil)
-// maps to nil: cloned machines start with nil maps and lazily allocate
-// on first write, so a fleet-scale clone performs no per-machine map
-// allocations.
-func cloneStateMap[V any](src map[State]V) map[State]V {
-	if len(src) == 0 {
-		return nil
-	}
-	out := make(map[State]V, len(src))
-	for k, v := range src {
-		out[k] = v
-	}
-	return out
 }
 
 // CloneInto copies this machine's settled state into dst, attached to
 // eng. The profile pointer is shared (profiles are immutable once a
-// machine holds them); the stats maps are deep-copied. The fault
+// machine holds them); the stats copy by value. The fault
 // injector and OnSettled callback/listener are not carried over — they
 // bind to the owning cluster and must be re-registered by the caller. Cloning
 // a machine with a transition in flight fails: the pending settle
@@ -147,9 +129,6 @@ func (m *Machine) CloneInto(dst *Machine, eng *sim.Engine) error {
 		lastAccrual: m.lastAccrual,
 		stats:       m.stats,
 	}
-	dst.stats.TimeIn = cloneStateMap(m.stats.TimeIn)
-	dst.stats.Entries = cloneStateMap(m.stats.Entries)
-	dst.stats.Exits = cloneStateMap(m.stats.Exits)
 	return nil
 }
 
@@ -267,10 +246,6 @@ func (m *Machine) accrue() {
 	e := WattSeconds(m.Power(), dt)
 	m.stats.Energy += e
 	if m.phase == Settled {
-		// Cloned machines start with nil maps (see CloneInto).
-		if m.stats.TimeIn == nil {
-			m.stats.TimeIn = make(map[State]time.Duration)
-		}
 		m.stats.TimeIn[m.state] += dt
 	} else {
 		m.stats.TransitTime += dt
@@ -315,9 +290,6 @@ func (m *Machine) Sleep(st State) error {
 		}
 	}
 	m.doneAt = m.eng.Now() + latency
-	if m.stats.Entries == nil {
-		m.stats.Entries = make(map[State]int)
-	}
 	m.stats.Entries[st]++
 	m.eng.ScheduleFunc(m.doneAt, func() { m.settle(settleIn) })
 	return nil
@@ -363,9 +335,6 @@ func (m *Machine) Wake() error {
 		}
 	}
 	m.doneAt = m.eng.Now() + exit
-	if m.stats.Exits == nil {
-		m.stats.Exits = make(map[State]int)
-	}
 	m.stats.Exits[from]++
 	m.eng.ScheduleFunc(m.doneAt, func() { m.settle(settleIn) })
 	return nil
@@ -415,20 +384,7 @@ func (m *Machine) settle(st State) {
 // the current virtual time.
 func (m *Machine) Stats() Stats {
 	m.accrue()
-	out := m.stats
-	out.TimeIn = make(map[State]time.Duration, len(m.stats.TimeIn))
-	for k, v := range m.stats.TimeIn {
-		out.TimeIn[k] = v
-	}
-	out.Entries = make(map[State]int, len(m.stats.Entries))
-	for k, v := range m.stats.Entries {
-		out.Entries[k] = v
-	}
-	out.Exits = make(map[State]int, len(m.stats.Exits))
-	for k, v := range m.stats.Exits {
-		out.Exits[k] = v
-	}
-	return out
+	return m.stats
 }
 
 // Energy returns total energy consumed up to the current virtual time.

@@ -275,6 +275,6 @@ func TestStatsSnapshotIsolated(t *testing.T) {
 	st.Entries[S3] = 99
 	st2 := m.Stats()
 	if st2.TimeIn[S0] != time.Second || st2.Entries[S3] == 99 {
-		t.Fatal("Stats snapshot shares maps with machine")
+		t.Fatal("Stats snapshot shares counters with machine")
 	}
 }

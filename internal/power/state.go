@@ -18,6 +18,9 @@ const (
 	// S5 — soft-off: the traditional "power down" used by prior DPM
 	// systems. Resume is a full boot taking minutes.
 	S5
+	// NumStates is the number of states, so per-state arrays can be
+	// indexed by State.
+	NumStates = int(S5) + 1
 )
 
 // String returns the ACPI-style name of the state.

@@ -1,7 +1,7 @@
 // Package prof wires runtime/pprof and runtime/trace capture into the
 // command-line tools, so hot-path work (the evaluate loop, the manager
-// control step, the sharded tick's goroutine handoffs) can be profiled
-// on real experiment runs rather than only in microbenchmarks.
+// control step, the drain replan) can be profiled on real experiment
+// runs rather than only in microbenchmarks.
 package prof
 
 import (
@@ -15,10 +15,11 @@ import (
 // Start begins CPU profiling into cpuPath and execution tracing into
 // tracePath (empty disables either) and returns a stop function that
 // ends them and, when memPath is non-empty, writes a heap profile
-// there. The execution trace is the tool for the sharded evaluation
-// tick: `go tool trace` shows the per-shard goroutine scheduling that
-// a sampling CPU profile flattens. Call stop exactly once, after the
-// workload finishes and before exit.
+// there. The execution trace is the tool for the experiment worker
+// pool: `go tool trace` shows how the concurrently running simulations
+// (one goroutine each) share the processors, which a sampling CPU
+// profile flattens. Call stop exactly once, after the workload
+// finishes and before exit.
 func Start(cpuPath, memPath, tracePath string) (stop func() error, err error) {
 	var cpuFile *os.File
 	if cpuPath != "" {

@@ -85,8 +85,8 @@ func (s *Series) Reset() {
 // bucket start; when the store fills, adjacent buckets fold pairwise
 // and the bucket width doubles, so memory stays O(n) for any run
 // length. Folding is a pure function of the append sequence, so a
-// capped series is still byte-identical across shard and worker counts
-// and to the full-scan test oracle. Must be called before the first
+// capped series is still byte-identical across worker counts and to
+// the full-scan test oracle. Must be called before the first
 // Append.
 func (s *Series) SetCap(n int) {
 	if len(s.points) > 0 || s.pendCount > 0 {

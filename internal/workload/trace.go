@@ -33,7 +33,7 @@ type Trace struct {
 	// first sample whose value differs from Samples[i], walking
 	// cyclically; nil means the trace is constant. Built lazily under
 	// nextOnce, because traces are shared read-only across concurrently
-	// running simulations and shard workers, and only once NextChange
+	// running simulations, and only once NextChange
 	// meets a sample equal to the next one: a trace whose every sample
 	// differs from the next never needs it.
 	nextOnce sync.Once

@@ -61,10 +61,6 @@ type ScenarioFile struct {
 	// after Events, in order).
 	Chaos []ChaosFile `json:"chaos,omitempty"`
 	Seed  uint64      `json:"seed,omitempty"`
-	// Shards splits the evaluation tick across host ranges inside the
-	// simulation (wall-clock only; results are byte-identical for every
-	// value — see Scenario.Shards).
-	Shards int `json:"shards,omitempty"`
 	// TelemetryCap bounds each recorded time series to this many stored
 	// samples (0 = unbounded — see Scenario.TelemetryCap).
 	TelemetryCap int `json:"telemetryCap,omitempty"`
@@ -368,7 +364,6 @@ func (f ScenarioFile) Build() (Scenario, error) {
 		VMs:          fleet,
 		Horizon:      time.Duration(f.HorizonHours * float64(time.Hour)),
 		Seed:         seed,
-		Shards:       f.Shards,
 		TelemetryCap: f.TelemetryCap,
 	}
 	for _, hc := range f.HostClasses {

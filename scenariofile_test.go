@@ -146,7 +146,8 @@ func TestParseScenarioRejectsUnknownKeys(t *testing.T) {
 		{"unknown nested manager", `{"hosts":4,"fleets":[{"kind":"flat","count":2}],"manager":{"periodMins":5}}`, "periodMins"},
 		{"unknown event field", `{"hosts":4,"fleets":[{"kind":"flat","count":2}],"events":[{"at":"1h","action":"crash","hostID":1}]}`, "hostID"},
 		{"unknown assert field", `{"hosts":4,"fleets":[{"kind":"flat","count":2}],"assert":[{"kind":"no-stranded-vm","grace":"1m"}]}`, "grace"},
-		{"evalWorkers", `{"hosts":4,"fleets":[{"kind":"flat","count":2}],"shards":2,"evalWorkers":2}`, "evalWorkers"},
+		{"evalWorkers", `{"hosts":4,"fleets":[{"kind":"flat","count":2}],"evalWorkers":2}`, "evalWorkers"},
+		{"shards", `{"hosts":4,"fleets":[{"kind":"flat","count":2}],"shards":2}`, "shards"},
 		{"manager incremental", `{"hosts":4,"fleets":[{"kind":"flat","count":2}],"manager":{"incremental":"off"}}`, "incremental"},
 		{"delta", `{"hosts":4,"fleets":[{"kind":"flat","count":2}],"delta":true}`, "delta"},
 		{"trailing data", `{"hosts":4,"fleets":[{"kind":"flat","count":2}]} {"more":1}`, ""},

@@ -73,7 +73,6 @@ func buildWorld(eng *sim.Engine, s Scenario, profile *Profile) (*cluster.Cluster
 		EvalStep:     s.EvalStep,
 		Migration:    s.Migration,
 		Horizon:      s.Horizon,
-		Shards:       s.Shards,
 		TelemetryCap: s.TelemetryCap,
 	})
 	if err != nil {
@@ -284,8 +283,6 @@ func (p *Prototype) compatible(sc Scenario) error {
 		mismatch = "Migration"
 	case sc.EvalStep != w.EvalStep:
 		mismatch = "EvalStep"
-	case sc.Shards != w.Shards:
-		mismatch = "Shards"
 	case sc.TelemetryCap != w.TelemetryCap:
 		mismatch = "TelemetryCap"
 	}
@@ -455,7 +452,6 @@ func (se *Session) CheckInvariants() error { return se.cl.CheckInvariants() }
 // outcome. The session cannot be advanced afterwards.
 func (se *Session) Result() *Result {
 	se.cl.Flush()
-	se.cl.Close() // retire the shard workers, if any
 	se.finished = true
 	horizon := se.Now()
 	if horizon == 0 {
