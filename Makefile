@@ -66,7 +66,10 @@ gate-names:
 # and the drain replay (consecutive replans with small changes between
 # them, its fuzz target's seed corpus included) must match the
 # map-based planner they replaced, and MinBins a fresh pack of every
-# prefix; the manager's per-host planning rows must match the
+# prefix; the drain's start path (start candidates off the live plan)
+# must start the moves, and count the refusals, of the per-VM loop it
+# replaced, with and without a per-step cap, a VM on backoff and a
+# control plane; the manager's per-host planning rows must match the
 # whole-fleet pass at every use in the parity worlds, the live drain
 # plans, the drain harness and the faulted experiments
 # (core.CheckPlanningRowsForAll), and a drain bin must follow the
@@ -83,7 +86,7 @@ gate-names:
 # Run explicitly in CI (it is also part of `make test`) so a violation
 # is unmissable.
 determinism:
-	$(GO) test -run 'TestRunAllMatchesGolden|TestScenarioLibraryMatchesGolden|TestFaultedExperimentsMatchGolden|TestHyperscaleQuickMatchesFullScan|TestPlaneDeterministicAcrossReruns|TestPlaneDeliveryOrderPinned|TestDeltaEvaluateBitIdentical|TestShardedEvaluateBitIdentical|TestSameInstantEvaluateMatchesFullScan|FuzzEvaluateMatchesFullScan|TestIncrementalPlanningParity|TestBinRowsTrackInboundDemand|TestPackMatchesOracle|TestMinBinsMatchesOracle|TestPlanDrainMatchesOracle|TestPlanDrainMatchesOracleLive|TestDrainReplayMatchesOracle|FuzzDrainReplay|TestForkMatchesColdStart|TestForkGridMatchesColdStart|TestConcurrentForksMatchColdStart|TestEngineMatchesReference|FuzzEngineMatchesReference|TestScenarioLibraryKeepsAccounting|TestForkedRunsKeepAccounting' -v \
+	$(GO) test -run 'TestRunAllMatchesGolden|TestScenarioLibraryMatchesGolden|TestFaultedExperimentsMatchGolden|TestHyperscaleQuickMatchesFullScan|TestPlaneDeterministicAcrossReruns|TestPlaneDeliveryOrderPinned|TestDeltaEvaluateBitIdentical|TestShardedEvaluateBitIdentical|TestSameInstantEvaluateMatchesFullScan|FuzzEvaluateMatchesFullScan|TestIncrementalPlanningParity|TestBinRowsTrackInboundDemand|TestPackMatchesOracle|TestMinBinsMatchesOracle|TestPlanDrainMatchesOracle|TestPlanDrainMatchesOracleLive|TestDrainReplayMatchesOracle|FuzzDrainReplay|TestDrainStartsMatchPerVMLoop|TestForkMatchesColdStart|TestForkGridMatchesColdStart|TestConcurrentForksMatchColdStart|TestEngineMatchesReference|FuzzEngineMatchesReference|TestScenarioLibraryKeepsAccounting|TestForkedRunsKeepAccounting' -v \
 		./internal/experiments/ ./internal/ctrlplane/ ./internal/cluster/ ./internal/core/ ./internal/sim/ ./cmd/scenario/ .
 
 bench:
@@ -184,8 +187,10 @@ bench-hyperscale-smoke:
 # 4096-VM mixed fleet (read at every invocation, and at every fifth as
 # nopm-drm reads) and on the hyperscale fixture, and one
 # migration-completion replan, on a wide drain with short first-fit
-# scans, on one shaped like hyper -quick's, whose scans are long, and
-# on that one with what a completion dirties changed before each op:
+# scans, on one shaped like hyper -quick's, whose scans are long, on
+# that one with what a completion dirties changed before each op, and
+# on that one as real completions, each freeing a destination slot so
+# the op starts moves:
 #
 #	make bench-manager LABEL=manager-post-incremental
 bench-manager: LABEL ?= manager
@@ -195,8 +200,9 @@ bench-manager:
 		| $(GO) run ./cmd/benchjson -label $(LABEL) -out BENCH_manager.json
 
 # The manager-cost gate without a measurement run: one iteration of the
-# control-step, MinBins, forecast-upkeep and drain-replan benchmarks
-# (so the fixtures cannot rot), the 0-alloc assertions for the cached
+# control-step, MinBins, forecast-upkeep and drain-replan benchmarks,
+# the completion case that starts moves included (so the fixtures
+# cannot rot), the 0-alloc assertions for the cached
 # and the recomputed control step and for an invocation that reads no
 # forecast, the parity property tests that hold the incremental planner
 # against its full-scan oracle and its planning rows against the
@@ -211,10 +217,12 @@ bench-manager-smoke:
 
 # Record the world-setup benchmarks (per-cell world construction and
 # end-to-end session creation, cold versus forked from a shared
-# prototype, at 256-host and 16384-host scale) into BENCH_setup.json.
-# The checked-in artifact holds the pre/post numbers of the
-# snapshot/fork rework; the acceptance bar is fork >= 5x cheaper than
-# cold world construction at quick scale:
+# prototype, at 256-host and 16384-host scale, and the per-VM-trace
+# fleet builds of the end-to-end benchmark's dc-policies and
+# fleet-static set-ups) into BENCH_setup.json. The checked-in artifact
+# holds the pre/post numbers of the snapshot/fork rework; the
+# acceptance bar is fork >= 5x cheaper than cold world construction at
+# quick scale:
 #
 #	make bench-setup LABEL=setup-post-fork
 # The bench output lands in a temp file and is recorded afterwards —
@@ -226,17 +234,20 @@ bench-setup:
 		-benchmem -benchtime=200x -count=3 -timeout 30m . > bench_setup_cold.tmp
 	$(GO) test -run '^$$' -bench '(BenchmarkWorldBuildVsFork|BenchmarkWorldForkVsColdStart)/fork' \
 		-benchmem -benchtime=200x -count=3 -timeout 30m . > bench_setup_fork.tmp
+	$(GO) test -run '^$$' -bench '^BenchmarkFleetBuild$$' \
+		-benchmem -benchtime=10x -count=3 -timeout 30m . > bench_setup_fleet.tmp
 	$(GO) run ./cmd/benchjson -label $(LABEL)-pre-cold -out BENCH_setup.json < bench_setup_cold.tmp
 	$(GO) run ./cmd/benchjson -label $(LABEL)-post-fork -out BENCH_setup.json < bench_setup_fork.tmp
-	rm -f bench_setup_cold.tmp bench_setup_fork.tmp
+	$(GO) run ./cmd/benchjson -label $(LABEL)-fleet-build -out BENCH_setup.json < bench_setup_fleet.tmp
+	rm -f bench_setup_cold.tmp bench_setup_fork.tmp bench_setup_fleet.tmp
 
-# The setup-cost gate without a measurement run: one iteration of both
-# setup benchmarks (so the fixtures cannot rot), the fork-vs-cold
-# byte-identity tests, the forked-tick 0-alloc assertion, and the
-# screened-placement regression test. CI runs this as its setup-gate
-# job; part of `make ci`.
+# The setup-cost gate without a measurement run: one iteration of the
+# setup benchmarks and the fleet builds (so the fixtures cannot rot),
+# the fork-vs-cold byte-identity tests, the forked-tick 0-alloc
+# assertion, and the screened-placement regression test. CI runs this
+# as its setup-gate job; part of `make ci`.
 bench-setup-smoke:
-	$(GO) test -run '^$$' -bench 'BenchmarkWorldBuildVsFork|BenchmarkWorldForkVsColdStart' \
+	$(GO) test -run '^$$' -bench 'BenchmarkWorldBuildVsFork|BenchmarkWorldForkVsColdStart|BenchmarkFleetBuild' \
 		-benchmem -benchtime=1x .
 	$(GO) test -run 'TestForkMatchesColdStart|TestForkGridMatchesColdStart|TestConcurrentForksMatchColdStart|TestForkedEvaluateSteadyStateAllocFree|TestPlaceInitialMatchesLegacyRetry' -v \
 		. ./internal/cluster/

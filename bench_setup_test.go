@@ -128,3 +128,29 @@ func BenchmarkWorldForkVsColdStart(b *testing.B) {
 		b.Run("fork/"+sz.name, func(b *testing.B) { benchFork(b, sc) })
 	}
 }
+
+// BenchmarkFleetBuild measures generating the VM fleets of the
+// end-to-end benchmark's dc-policies and fleet-static workloads, whose
+// set-up is almost all this fleet build: DiurnalFleet(2048) and
+// MixedFleet(4096), each VM with a private day of one-minute samples
+// (the setup fixtures above share pooled traces, so they never
+// generate per-VM ones).
+func BenchmarkFleetBuild(b *testing.B) {
+	for _, fc := range []struct {
+		name  string
+		fleet func(n int, seed uint64) []VMSpec
+		n     int
+	}{
+		{"diurnal-2048", DiurnalFleet, 2048},
+		{"mixed-4096", MixedFleet, 4096},
+	} {
+		b.Run(fc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if vms := fc.fleet(fc.n, 1); len(vms) != fc.n {
+					b.Fatalf("built %d VMs, want %d", len(vms), fc.n)
+				}
+			}
+		})
+	}
+}

@@ -190,22 +190,44 @@ func densePlan(m *Manager, forecasts []float64, c census) (Assignment, bool) {
 	if !m.planDrain(forecasts, c) {
 		return nil, false
 	}
-	assign := make(Assignment, len(m.drain.items))
-	for _, it := range m.drain.items {
-		dst, ok := m.drain.dest(vm.ID(it.Key))
+	plan := livePlan(&m.drain)
+	assign := make(Assignment, len(plan))
+	for _, e := range plan {
+		dst, ok := m.drain.dest(vm.ID(e.vm))
 		if !ok {
 			return nil, false
 		}
-		assign[it.Key] = int(dst)
+		assign[int(e.vm)] = int(dst)
 	}
 	return assign, true
 }
 
+// livePlan returns the drain plan's evacuees in processing order,
+// without its holes.
+func livePlan(d *drainScratch) []planned {
+	var out []planned
+	for _, e := range d.plan {
+		if e.mark != entryDead {
+			out = append(out, e)
+		}
+	}
+	return out
+}
+
+// planEvacuees returns the plan's evacuees as items, in its order.
+func planEvacuees(d *drainScratch) []Item {
+	var items []Item
+	for _, e := range livePlan(d) {
+		items = append(items, Item{Key: int(e.vm), CPU: e.cpu, MemGB: e.mem, Current: -1, Group: e.group})
+	}
+	return items
+}
+
 // orderReusable reports whether the order-reuse check should hit for
-// the items planDrain built: they are a subsequence of the previous
-// order that is still strictly ordered. The test holds the planner to
-// it — reuse exactly when reusable — and uses it to prove both
-// branches run.
+// the current evacuees: they are a subsequence of the previous order
+// that is still strictly ordered. The test holds the planner to it —
+// reuse exactly when reusable — and uses it to prove both branches
+// run.
 func orderReusable(prev []int, items []Item) bool {
 	pos := make(map[int]int, len(items))
 	for i, it := range items {
@@ -228,12 +250,12 @@ func orderReusable(prev []int, items []Item) bool {
 	return true
 }
 
-// lastOrder lists the keys of the drain's last pack: the previous
+// lastOrder lists the keys of the drain's plan: the previous
 // processing order.
 func lastOrder(d *drainScratch) []int {
-	keys := make([]int, len(d.last))
-	for j, e := range d.last {
-		keys[j] = e.key
+	var keys []int
+	for _, e := range livePlan(d) {
+		keys = append(keys, int(e.vm))
 	}
 	return keys
 }
@@ -472,11 +494,12 @@ func TestPlanDrainMatchesOracle(t *testing.T) {
 			if gotOK != wantOK || !sameAssignment(got, want) {
 				t.Fatalf("seed %d call %d: dense plan %v,%v; oracle %v,%v", seed, call, got, gotOK, want, wantOK)
 			}
-			reusable, sorted := orderReusable(prev, m.drain.items), m.drain.sorts != sorts
+			evacuees := planEvacuees(&m.drain)
+			reusable, sorted := orderReusable(prev, evacuees), m.drain.sorts != sorts
 			if reusable == sorted {
 				t.Fatalf("seed %d call %d: order reusable %v, but full sort run %v", seed, call, reusable, sorted)
 			}
-			if len(m.drain.items) > 1 {
+			if len(evacuees) > 1 {
 				if reusable {
 					hits++
 				} else {
@@ -570,7 +593,7 @@ func (h *replayHarness) plan(step int) {
 	h.t.Helper()
 	c := h.census()
 	d := &h.m.drain
-	prev, prevOK := slices.Clone(d.last), d.lastOK
+	prev, prevOK := livePlan(d), d.planOK
 	sorts, replays := d.sorts, d.replays
 	want, wantOK := oraclePlanDrain(h.m, h.m.fcv, c)
 	got, gotOK := densePlan(h.m, h.m.fcv, c)
@@ -594,12 +617,12 @@ func (h *replayHarness) plan(step int) {
 		return
 	}
 	h.cov.replays++
-	now := make(map[int]planned, len(d.last))
-	for _, e := range d.last {
-		now[e.key] = e
+	now := make(map[int32]planned, len(prev))
+	for _, e := range livePlan(d) {
+		now[e.vm] = e
 	}
 	for _, e := range prev {
-		switch n, ok := now[e.key]; {
+		switch n, ok := now[e.vm]; {
 		case !ok:
 			h.cov.dropped++
 		case n.cpu != e.cpu || n.mem != e.mem || n.group != e.group:
@@ -615,7 +638,7 @@ func (h *replayHarness) plan(step int) {
 
 // step applies change op (taken modulo the number of changes).
 func (h *replayHarness) step(op int) {
-	switch op % 7 {
+	switch op % 9 {
 	case 0:
 		h.startMove()
 	case 1:
@@ -631,6 +654,21 @@ func (h *replayHarness) step(op int) {
 		h.groupMove()
 	case 6:
 		h.rescale([]float64{1, 2, 3, 8}[h.rng.Intn(4)])
+	case 7:
+		// The dirty feed fires for a draining host with nothing changed:
+		// its segment is recomputed with the same VMs.
+		if id := h.randomHost(roleEvacuating); id != 0 {
+			h.cl.HostChanged(id)
+		}
+	case 8:
+		// An evacuee's forecast moves and comes back before the replan:
+		// its segment is recomputed, and it is set to its own value.
+		if plan := livePlan(&h.m.drain); len(plan) > 0 {
+			id := vm.ID(plan[h.rng.Intn(len(plan))].vm)
+			fc := h.m.fcv[id-1]
+			h.m.setForecast(id, fc+1)
+			h.m.setForecast(id, fc)
+		}
 	}
 }
 
@@ -645,11 +683,11 @@ func (h *replayHarness) rescale(scale float64) {
 // startMove starts one evacuee's move to its planned destination, or
 // to a random serving host if the last plan did not place it.
 func (h *replayHarness) startMove() {
-	items := h.m.drain.items
-	for try := 0; try < 4 && len(items) > 0; try++ {
-		vid := vm.ID(items[h.rng.Intn(len(items))].Key)
+	plan := livePlan(&h.m.drain)
+	for try := 0; try < 4 && len(plan) > 0; try++ {
+		vid := vm.ID(plan[h.rng.Intn(len(plan))].vm)
 		dst := h.randomHost(roleServing)
-		if h.m.drain.lastOK {
+		if h.m.drain.planOK {
 			// An infeasible plan's placement is only partly written.
 			dst, _ = h.m.drain.dest(vid)
 		}
@@ -676,7 +714,7 @@ func (h *replayHarness) finishMove() {
 // ahead of it in the last plan, so the order holds but the evacuee may
 // no longer fit its old bin.
 func (h *replayHarness) grow() {
-	last := h.m.drain.last
+	last := livePlan(&h.m.drain)
 	if len(last) == 0 {
 		return
 	}
@@ -685,7 +723,7 @@ func (h *replayHarness) grow() {
 	if j > 0 {
 		gap = last[j-1].cpu - last[j].cpu
 	}
-	if id := vm.ID(last[j].key); gap > 0 && h.m.fcv[id-1] == last[j].cpu {
+	if id := vm.ID(last[j].vm); gap > 0 && h.m.fcv[id-1] == last[j].cpu {
 		h.m.setForecast(id, h.m.fcv[id-1]+gap*h.rng.Range(0.5, 0.99))
 	}
 }
@@ -733,7 +771,7 @@ func (h *replayHarness) randomHost(r hostRole) host.ID {
 // evacuee and keep the order.
 func TestDrainReplayMatchesOracle(t *testing.T) {
 	var cov replayCoverage
-	weights := []int{0, 0, 0, 1, 1, 2, 3, 3, 3, 4, 5, 6}
+	weights := []int{0, 0, 0, 1, 1, 2, 3, 3, 3, 4, 5, 6, 7, 8}
 	for seed := uint64(1); seed <= 24; seed++ {
 		kind := PackFFD
 		if seed%4 == 0 {
@@ -763,13 +801,18 @@ func TestDrainReplayMatchesOracle(t *testing.T) {
 }
 
 // FuzzDrainReplay drives the replay harness with fuzzed change
-// sequences: each byte picks one change between two replans.
+// sequences: each byte picks one change between two replans. Changes
+// 7 and 8 leave the plan as it was and only mark it: a draining host's
+// segment recomputed with the same VMs, and a forecast moved and set
+// back to its own value.
 func FuzzDrainReplay(f *testing.F) {
 	f.Add(uint64(1), false, []byte{3, 0, 3, 3, 1, 0, 2, 3, 4, 3, 5, 0, 3})
 	f.Add(uint64(2), false, []byte{6, 0, 0, 3, 6, 3, 1, 1, 3, 4, 4, 3})
 	f.Add(uint64(3), true, []byte{0, 3, 1, 2, 4, 5, 6, 3})
 	f.Add(uint64(5), false, []byte{5, 3, 5, 3, 0, 1, 3, 3, 3, 2, 2, 0, 0, 1})
 	f.Add(uint64(8), false, []byte{4, 3, 4, 3, 0, 3, 1, 3, 6, 3, 0, 3})
+	f.Add(uint64(4), false, []byte{7, 0, 8, 3, 7, 1, 8, 8, 0, 7, 3, 1, 7, 2, 8, 0, 4, 7, 8})
+	f.Add(uint64(6), false, []byte{8, 7, 0, 7, 3, 8, 1, 7, 5, 8, 0, 7, 8, 3, 4, 7, 1, 8})
 	f.Fuzz(func(t *testing.T, seed uint64, bfd bool, ops []byte) {
 		if len(ops) > 64 {
 			ops = ops[:64]
@@ -874,8 +917,11 @@ func TestBinRowsTrackInboundDemand(t *testing.T) {
 }
 
 // drainShape sizes a drainReplanFixture: hosts 16-core/256 GB hosts
-// with vmsPerHost 2-vCPU VMs of memGB each, diurnal demand from base
-// cores up to half a core more, and the first evacuate hosts draining.
+// with vmsPerHost 2-vCPU VMs of memGB each, and the first evacuate hosts
+// draining. Each VM has its own diurnal trace (hourly samples), whose
+// trough is drawn from ±40% around base cores and whose peak is half a
+// core higher, so the evacuees' forecasts are distinct, as in
+// hyper -quick, and the packing order is not VM-ID order.
 type drainShape struct {
 	hosts, vmsPerHost, evacuate int
 	memGB, base                 float64
@@ -901,12 +947,10 @@ func drainReplanFixture(tb testing.TB, s drainShape) *Manager {
 		}
 	}
 	rng := sim.NewRNG(1)
-	traces := make([]*workload.Trace, 64)
-	for i := range traces {
-		traces[i] = workload.Diurnal(rng.Fork(), workload.DiurnalSpec{BaseCores: s.base, PeakCores: s.base + 0.5})
-	}
 	for i := 0; i < s.hosts*s.vmsPerHost; i++ {
-		cfg := vm.Config{VCPUs: 2, MemoryGB: s.memGB, Trace: traces[i%len(traces)]}
+		base := s.base * rng.Range(0.6, 1.4)
+		tr := workload.Diurnal(rng.Fork(), workload.DiurnalSpec{Interval: time.Hour, BaseCores: base, PeakCores: base + 0.5})
+		cfg := vm.Config{VCPUs: 2, MemoryGB: s.memGB, Trace: tr}
 		if i%8 == 0 {
 			// Distinct groups among each host's residents (host IDs
 			// repeat every s.hosts VMs), shared across hosts.
@@ -1045,39 +1089,52 @@ func TestDrainRefusalsWithoutFreeSlot(t *testing.T) {
 // continueMoves with every planned move refused) on two drains of
 // hyper -quick's size, 256 hosts and 4,096 VMs:
 //
-//   - wide: 32 hosts drain into 224 serving bins with room to spare,
-//     so first-fit scans are short;
-//   - hyper: shaped like hyper -quick's own drains, 181 hosts drain
-//     into 75 serving bins near the packing target, so scans are long;
+//   - wide: 32 hosts drain into the serving bins with room to spare, so
+//     first-fit scans are short;
+//   - hyper: shaped like hyper -quick's own drains, more hosts drain
+//     into fewer serving bins near the packing target, so scans are
+//     long;
 //   - hyper-churn: the hyper drain with, before each op, what a
 //     completion dirties: the dirty feed fires for one serving and one
 //     evacuating host (a move's two endpoints), and one evacuee's
 //     forecast moves by one ulp through the setter, so those rows are
-//     recomputed and the replay re-places that evacuee. The evacuee is
-//     the last of its equal-forecast run in the packing order and moves
+//     recomputed and the replay re-places that evacuee. The evacuee
+//     ends its run of equal forecasts in the packing order and moves
 //     down and back, so the order holds, as it does in most real
-//     replans. In the other two cases nothing changes between replans,
-//     so every row is clean and the replay has no dirty bin.
+//     replans;
+//   - hyper-start: the hyper drain, where each op runs the world to the
+//     next migration completion (see benchCompletions), so a
+//     destination slot is free at each replan and the op starts moves.
+//
+// In wide and hyper nothing changes between replans, so every row is
+// clean and the replay has no dirty bin.
 func BenchmarkDrainReplan(b *testing.B) {
+	hyper := drainShape{hosts: 256, vmsPerHost: 16, evacuate: 85, memGB: 4, base: 0.3}
 	for _, bc := range []struct {
 		name  string
 		shape drainShape
 		churn bool
+		start bool // time completions, not bare replans
 	}{
-		{"wide", drainShape{hosts: 256, vmsPerHost: 16, evacuate: 32, memGB: 8, base: 0.1}, false},
-		{"hyper", drainShape{hosts: 256, vmsPerHost: 16, evacuate: 85, memGB: 4, base: 0.3}, false},
-		{"hyper-churn", drainShape{hosts: 256, vmsPerHost: 16, evacuate: 85, memGB: 4, base: 0.3}, true},
+		{"wide", drainShape{hosts: 256, vmsPerHost: 16, evacuate: 32, memGB: 8, base: 0.1}, false, false},
+		{"hyper", hyper, false, false},
+		{"hyper-churn", hyper, true, false},
+		{"hyper-start", hyper, false, true},
 	} {
 		b.Run(bc.name, func(b *testing.B) {
+			if bc.start {
+				benchCompletions(b, bc.shape)
+				return
+			}
 			m := drainReplanFixture(b, bc.shape)
 			c := m.takeCensus()
 			serving := slices.Clone(c.serving)
 			evacuating := slices.Clone(c.evacuating)
 			var evacuees []vm.ID
-			last := m.drain.last
+			last := livePlan(&m.drain)
 			for j := range last {
 				if j == len(last)-1 || last[j+1].cpu < last[j].cpu {
-					evacuees = append(evacuees, vm.ID(last[j].key))
+					evacuees = append(evacuees, vm.ID(last[j].vm))
 				}
 			}
 			base := slices.Clone(m.fcv)
@@ -1098,4 +1155,55 @@ func BenchmarkDrainReplan(b *testing.B) {
 			}
 		})
 	}
+}
+
+// benchCompletions times migration completions on a drain of the
+// given shape: each op runs the world to the earliest in-flight
+// migration's end and stops after that one completion, whose replan
+// (the manager's completion hook, continueMoves) starts the moves the
+// freed slots admit. The op is what a completion costs: the cluster
+// commits the move and evaluates, and the replan plans and starts. The
+// fixture's own moves all end at one instant, and the first of them
+// land on hosts that have since entered maintenance, so each adds an
+// evacuee; set-up runs the world past that instant, off the clock, and
+// the fixture is rebuilt the same way every 256 ops, before its drain
+// thins out.
+func benchCompletions(b *testing.B, shape drainShape) {
+	var m *Manager
+	setup := func() {
+		m = drainReplanFixture(b, shape)
+		cl, eng := m.cl, m.cl.Engine()
+		cl.OnMigrationDone(func(vm.ID, host.ID) {
+			m.continueMoves()
+			eng.Stop()
+		})
+		for first := nextMigrationEnd(cl); nextMigrationEnd(cl) == first; {
+			eng.RunUntil(first)
+		}
+	}
+	setup()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		end := nextMigrationEnd(m.cl)
+		if end < 0 || i > 0 && i%256 == 0 {
+			b.StopTimer()
+			setup()
+			end = nextMigrationEnd(m.cl)
+			b.StartTimer()
+		}
+		m.cl.Engine().RunUntil(end)
+	}
+}
+
+// nextMigrationEnd returns the earliest end of an in-flight migration,
+// or -1 when none is in flight.
+func nextMigrationEnd(cl *cluster.Cluster) sim.Time {
+	var end sim.Time = -1
+	for _, mig := range cl.Migrations().Inflights() {
+		if end < 0 || mig.End < end {
+			end = mig.End
+		}
+	}
+	return end
 }

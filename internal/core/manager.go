@@ -26,8 +26,12 @@ type Stats struct {
 	// MigrationsConsolidation counts packing/evacuation moves (the
 	// extra overhead power management adds).
 	MigrationsConsolidation int
-	// MigrationsFailed counts rejected migration requests (slots full,
-	// memory pressure) — retried on later steps.
+	// MigrationsFailed counts refused start attempts (slots full,
+	// memory pressure, an anti-affinity clash, a nack over a control
+	// plane). It counts attempts, not distinct moves: every replan
+	// tries each planned drain move again and counts one refusal for
+	// each that does not start, so a move that waits for a slot is
+	// counted again at every migration completion until it starts.
 	MigrationsFailed int
 	Wakes            int
 	Sleeps           int
@@ -1084,50 +1088,17 @@ func (m *Manager) drainEvacuating() {
 		}
 		return
 	}
-	migrated := 0
-	migs := m.cl.Migrations()
-	// Without a control plane or a VM on migration backoff, every
-	// planned evacuee of a source is eligible: its segment lists them.
-	whole := m.cp == nil && len(m.migRetryAt) == 0
-	for _, src := range c.evacuating {
-		if whole && !migs.HasSlot(int(src.ID())) {
-			// The source has no free slot, so the loop below would count
-			// one refusal per evacuee, or stop at the first one once the
-			// per-step cap is reached, and start nothing.
-			if m.cfg.MaxMigrationsPerStep <= 0 || migrated < m.cfg.MaxMigrationsPerStep {
-				m.stats.MigrationsFailed += len(m.segRows[src.ID()-1].items)
-			}
-			continue
-		}
-		for _, vid := range src.VMs() {
-			if m.cl.Migrating(vid) || m.migrationHeld(vid) || m.migCmdPending(vid) {
-				continue
-			}
-			if m.cfg.MaxMigrationsPerStep > 0 && migrated >= m.cfg.MaxMigrationsPerStep {
-				break
-			}
-			dst, planned := m.drain.dest(vid)
-			if !planned {
-				continue
-			}
-			if m.cp == nil && !migs.CanStart(int(src.ID()), int(dst)) {
-				// StartMigration would refuse it with every slot of an
-				// endpoint taken, having changed nothing: count the
-				// refusal without the call. Over a control plane the
-				// order still goes out, and the refusal comes back as a
-				// nack.
-				m.stats.MigrationsFailed++
-				continue
-			}
-			if err := m.startMigration(vid, dst); err != nil {
-				m.stats.MigrationsFailed++
-				continue
-			}
-			m.stats.MigrationsConsolidation++
-			migrated++
-		}
+	if m.cp == nil && len(m.migRetryAt) == 0 {
+		m.startCandidates(c.evacuating)
+	} else {
+		m.startEach(c.evacuating)
 	}
-	// Park fully drained hosts, in ascending ID order.
+	m.parkDrained()
+}
+
+// parkDrained parks the evacuating hosts that have fully drained, in
+// ascending ID order.
+func (m *Manager) parkDrained() {
 	m.parkIDs = m.evacuating.appendTo(m.parkIDs[:0])
 	for _, id := range m.parkIDs {
 		if m.maintenance.has(id) {
@@ -1160,33 +1131,132 @@ func (m *Manager) drainEvacuating() {
 	}
 }
 
+// startCandidates starts the planned moves of a run without a control
+// plane and without a VM on migration backoff, where every evacuee of
+// a source is planned and eligible. A move is refused without a call
+// when its source or destination has no free slot, and starts only
+// take slots, so only the plan's start candidates — evacuees planned
+// into a bin whose host had a free slot — can start. They are tried in
+// the order the per-VM loop (startEach) visits evacuees, sources in
+// census order and each source's segment in VM-ID order, and the
+// loop's counts follow: a source with no free slot refuses its whole
+// segment, one with a free slot refuses every evacuee it does not
+// start, and once the per-step cap is reached the loop stops at the
+// next evacuee, counting nothing more.
+func (m *Manager) startCandidates(evacuating []*host.Host) {
+	d := &m.drain
+	migs := m.cl.Migrations()
+	limit := m.cfg.MaxMigrationsPerStep
+	migrated := 0
+	for si, src := range evacuating {
+		if limit > 0 && migrated >= limit {
+			return
+		}
+		seg := m.segRows[src.ID()-1].items
+		if !migs.HasSlot(int(src.ID())) {
+			m.stats.MigrationsFailed += len(seg)
+			continue
+		}
+		visited, starts := len(seg), 0
+		for i, cand := range d.cand[d.segOff[si]:d.segOff[si+1]] {
+			if !cand {
+				continue
+			}
+			vid := vm.ID(seg[i].Key)
+			dst, _ := d.dest(vid)
+			if !migs.CanStart(int(src.ID()), int(dst)) || m.startMigration(vid, dst) != nil {
+				continue
+			}
+			m.stats.MigrationsConsolidation++
+			migrated++
+			starts++
+			if limit > 0 && migrated >= limit {
+				visited = i + 1
+				break
+			}
+		}
+		m.stats.MigrationsFailed += visited - starts
+	}
+}
+
+// startEach starts the planned moves evacuee by evacuee: sources in
+// census order, each source's VMs in ascending ID order, skipping VMs
+// already moving, on backoff or with an order in flight, and counting
+// a refusal for each planned move that does not start, until the
+// per-step cap is reached. Without a control plane a move whose
+// endpoints have no free slot is counted without the call.
+func (m *Manager) startEach(evacuating []*host.Host) {
+	migrated := 0
+	migs := m.cl.Migrations()
+	for _, src := range evacuating {
+		for _, vid := range src.VMs() {
+			if m.cl.Migrating(vid) || m.migrationHeld(vid) || m.migCmdPending(vid) {
+				continue
+			}
+			if m.cfg.MaxMigrationsPerStep > 0 && migrated >= m.cfg.MaxMigrationsPerStep {
+				break
+			}
+			dst, planned := m.drain.dest(vid)
+			if !planned {
+				continue
+			}
+			if m.cp == nil && !migs.CanStart(int(src.ID()), int(dst)) {
+				// StartMigration would refuse it with every slot of an
+				// endpoint taken, having changed nothing: count the
+				// refusal without the call. Over a control plane the
+				// order still goes out, and the refusal comes back as a
+				// nack.
+				m.stats.MigrationsFailed++
+				continue
+			}
+			if err := m.startMigration(vid, dst); err != nil {
+				m.stats.MigrationsFailed++
+				continue
+			}
+			m.stats.MigrationsConsolidation++
+			migrated++
+		}
+	}
+}
+
 // planDrain packs the VMs sitting on evacuating hosts into the
 // residual capacity of the serving hosts, leaving the plan in m.drain
 // (see drainScratch.dest). Serving hosts' own VMs are pre-charged
 // against their bins (they stay put), each host's in ascending VM-ID
 // order; only evacuees are packing items, and none has a home bin.
 // Both come from the hosts' planning rows (see rows.go), which
-// recompute only the hosts that changed. A first-fit plan whose
-// evacuee order is reused replays the previous pack
-// (drainScratch.replay); any other runs the full pack. It reports
-// whether every evacuee found a destination.
+// recompute only the hosts that changed, and the rows' changes mark
+// the live plan. A first-fit plan whose order still holds replays the
+// previous pack (drainScratch.replay); any other runs the full pack,
+// after a full sort when the order does not hold. It reports whether
+// every evacuee found a destination.
 func (m *Manager) planDrain(forecasts []float64, c census) bool {
 	d := &m.drain
 	m.growRows()
 	hosts := m.trustedServing(c)
 	m.buildBins(&d.pk, hosts)
 	m.chargeResidents(forecasts, hosts)
-	d.items = m.appendEvacuees(d.items[:0], forecasts, c.evacuating)
+	d.noteStart(m.cl.Migrations())
+	reuse := m.refreshSegments(forecasts, c.evacuating)
+	var ok bool
+	switch {
+	case reuse && d.planOK && m.cfg.Packing == PackFFD:
+		d.replays++
+		ok = d.replay()
+	case reuse:
+		d.planItems()
+		ok = d.pk.pack(d.items, nil, m.cfg.Packing)
+		d.record(ok)
+	default:
+		d.sorts++
+		d.items, d.srcs = m.appendEvacuees(d.items[:0], d.srcs[:0], c.evacuating)
+		d.pk.sortItems(d.items)
+		ok = d.pk.pack(d.items, nil, m.cfg.Packing)
+		d.record(ok)
+	}
 	if m.rowCheck {
 		m.checkDrain(forecasts, hosts, c.evacuating)
 	}
-	d.noteStart()
-	if d.sortItems(m.cl.MaxVMID()) && d.lastOK && m.cfg.Packing == PackFFD {
-		d.replays++
-		return d.replay()
-	}
-	ok := d.pk.pack(d.items, nil, m.cfg.Packing)
-	d.record(ok)
 	return ok
 }
 

@@ -162,17 +162,6 @@ func (p *packer) sortItems(items []Item) {
 	p.order = order
 }
 
-// ordered reports whether order lists items strictly increasing under
-// cmpItems — which makes it the one sorted order of those items.
-func ordered(items []Item, order []int32) bool {
-	for j := 1; j < len(order); j++ {
-		if cmpItems(&items[order[j-1]], &items[order[j]]) >= 0 {
-			return false
-		}
-	}
-	return true
-}
-
 // pack assigns every item to a bin in the processing order: first, if
 // home is non-nil, each item stays on its home bin (home[i] is a bin
 // position; -1, or a position past the bins, for none) when it still

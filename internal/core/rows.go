@@ -232,33 +232,95 @@ func (m *Manager) chargeResidents(forecasts []float64, hosts []*host.Host) {
 	}
 }
 
-// appendEvacuees appends the evacuees of the evacuating hosts, host by
-// host in census order, each host's segment in ascending VM-ID order:
-// its VMs that are not migrating, which must all move. A clean segment
-// row is reused as is.
-func (m *Manager) appendEvacuees(items []Item, forecasts []float64, evacuating []*host.Host) []Item {
+// refreshSegments brings the evacuating hosts' segment rows up to date
+// — each host's VMs that are not migrating, which must all move, in
+// ascending VM-ID order — and marks in the live plan what changed
+// since it was packed. A clean row holds the same VMs, sizes and groups
+// as when it was computed, so only three things can change an entry:
+// a recomputed row (its old VMs are marked gone, then its new ones
+// present, kept or resized), a host that left the drain (its VMs are
+// gone), and a host that joined it (its VMs are looked up). It reports
+// whether the plan's order is still the sorted order of the current
+// evacuees: every one of them is in the plan, and the order holds.
+func (m *Manager) refreshSegments(forecasts []float64, evacuating []*host.Host) bool {
+	d := &m.drain
+	if n := int(m.cl.MaxVMID()); len(d.pos) < n {
+		d.pos = append(d.pos, make([]int32, n-len(d.pos))...)
+		d.segAt = append(d.segAt, make([]int32, n-len(d.segAt))...)
+	}
+	d.compact()
+	d.resized = d.resized[:0]
+	redo, left := d.noteSources(evacuating, len(m.cl.Hosts()))
+	if left {
+		for _, id := range d.prevSrc {
+			if d.srcAt[id-1] == 0 {
+				d.markGone(m.segRows[id-1].items, id)
+			}
+		}
+	}
+	joined := len(redo)
 	for _, h := range evacuating {
 		r := &m.segRows[h.ID()-1]
-		if !m.inc || !r.clean {
-			seg := r.items[:0]
-			for _, v := range h.Residents() {
-				if m.cl.Migrating(v.ID()) {
-					continue
-				}
-				seg = append(seg, Item{
-					Key:     int(v.ID()),
-					CPU:     forecasts[v.ID()-1],
-					MemGB:   v.MemoryGB(),
-					Current: -1, // must move
-					Group:   v.Group(),
-				})
-			}
-			r.items = seg
-			r.clean = true
+		if m.inc && r.clean {
+			continue
 		}
-		items = append(items, r.items...)
+		if !slices.Contains(redo[:joined], h) {
+			d.markGone(r.items, h.ID())
+			redo = append(redo, h)
+		}
+		seg := r.items[:0]
+		for _, v := range h.Residents() {
+			if m.cl.Migrating(v.ID()) {
+				continue
+			}
+			d.segAt[v.ID()-1] = int32(len(seg))
+			seg = append(seg, Item{
+				Key:     int(v.ID()),
+				CPU:     forecasts[v.ID()-1],
+				MemGB:   v.MemoryGB(),
+				Current: -1, // must move
+				Group:   v.Group(),
+			})
+		}
+		r.items = seg
+		r.clean = true
 	}
-	return items
+	d.redo = redo
+	if n := len(m.cl.Hosts()); len(d.segBase) < n {
+		d.segBase = append(d.segBase, make([]int32, n-len(d.segBase))...)
+	}
+	d.segOff = append(d.segOff[:0], 0)
+	for _, h := range evacuating {
+		off := d.segOff[len(d.segOff)-1]
+		d.segBase[h.ID()-1] = off
+		d.segOff = append(d.segOff, off+int32(len(m.segRows[h.ID()-1].items)))
+	}
+	if n := int(d.segOff[len(evacuating)]); cap(d.cand) < n {
+		d.cand = make([]bool, n, 2*n)
+	}
+	d.cand = d.cand[:d.segOff[len(evacuating)]]
+	clear(d.cand)
+	for _, h := range redo {
+		if !d.markPresent(m.segRows[h.ID()-1].items, h.ID()) {
+			return false
+		}
+	}
+	return d.ordered()
+}
+
+// appendEvacuees appends the evacuees of the evacuating hosts, host by
+// host in census order, each host's segment in ascending VM-ID order,
+// and each evacuee's host to srcs. The segment rows must be current
+// (refreshSegments).
+func (m *Manager) appendEvacuees(items []Item, srcs []int32, evacuating []*host.Host) ([]Item, []int32) {
+	for _, h := range evacuating {
+		seg := m.segRows[h.ID()-1].items
+		items = append(items, seg...)
+		for range seg {
+			srcs = append(srcs, int32(h.ID()))
+		}
+	}
+	return items, srcs
 }
 
 // rowCheckAll makes every manager built while it is set check its rows
@@ -268,10 +330,11 @@ var rowCheckAll atomic.Bool
 // CheckPlanningRowsForAll makes every manager built from now on, until
 // restore is called, hold each row-backed value to the whole-fleet pass
 // at every use: hostForecastLoads' loads, and planDrain's bin start
-// states and evacuee items, bit for bit. A difference panics. It is for
-// tests, including those whose managers are built out of their reach
-// (the experiments build theirs through the root package); nothing
-// else calls it, and not while other tests build managers in parallel.
+// states and live plan's evacuees, bit for bit. A difference panics.
+// It is for tests, including those whose managers are built out of
+// their reach (the experiments build theirs through the root package);
+// nothing else calls it, and not while other tests build managers in
+// parallel.
 func CheckPlanningRowsForAll() (restore func()) {
 	rowCheckAll.Store(true)
 	return func() { rowCheckAll.Store(false) }
@@ -299,9 +362,10 @@ func (m *Manager) checkLoads(forecasts []float64) {
 	}
 }
 
-// checkDrain compares planDrain's bins and items with the whole-fleet
-// pass: every serving host's residents charged to its freshly built
-// bin, every evacuating host's residents read into items.
+// checkDrain compares planDrain's bin start states and plan with the
+// whole-fleet pass: every serving host's residents charged to its
+// freshly built bin, and every evacuating host's residents, each one
+// in the plan once with its host, sizes and group.
 func (m *Manager) checkDrain(forecasts []float64, hosts, evacuating []*host.Host) {
 	var pk packer
 	m.buildBins(&pk, hosts)
@@ -318,23 +382,34 @@ func (m *Manager) checkDrain(forecasts []float64, hosts, evacuating []*host.Host
 			}
 		}
 	}
+	d := &m.drain
 	for b := range pk.bins {
-		got, want := &m.drain.pk.bins[b], &pk.bins[b]
+		got, want := &d.start[b], &pk.bins[b]
 		if got.key != want.key || math.Float64bits(got.cpuCap) != math.Float64bits(want.cpuCap) ||
 			math.Float64bits(got.memCap) != math.Float64bits(want.memCap) || !slices.Equal(got.groups, want.groups) {
 			panic(fmt.Sprintf("core: planning rows: bin %d is %+v, whole-fleet pass %+v", b, *got, *want))
 		}
 	}
-	var items []Item
+	n := 0
 	for _, h := range evacuating {
 		for _, v := range h.Residents() {
 			if m.cl.Migrating(v.ID()) {
 				continue
 			}
-			items = append(items, Item{Key: int(v.ID()), CPU: forecasts[v.ID()-1], MemGB: v.MemoryGB(), Current: -1, Group: v.Group()})
+			n++
+			want := planned{vm: int32(v.ID()), src: int32(h.ID()), cpu: forecasts[v.ID()-1], mem: v.MemoryGB(), group: v.Group()}
+			j, ok := d.find(v.ID())
+			if !ok {
+				panic(fmt.Sprintf("core: planning rows: evacuee %+v is not in the plan", want))
+			}
+			got := d.plan[j]
+			got.bin, got.mark = 0, entryKept
+			if got != want {
+				panic(fmt.Sprintf("core: planning rows: plan entry %+v, whole-fleet pass %+v", got, want))
+			}
 		}
 	}
-	if !slices.Equal(items, m.drain.items) {
-		panic(fmt.Sprintf("core: planning rows: evacuees %v, whole-fleet pass %v", m.drain.items, items))
+	if live := len(d.plan) - d.dead; live != n {
+		panic(fmt.Sprintf("core: planning rows: the plan holds %d evacuees, whole-fleet pass %d", live, n))
 	}
 }

@@ -66,7 +66,7 @@ func Diurnal(rng *sim.RNG, spec DiurnalSpec) *Trace {
 	mid := (spec.PeakCores + spec.BaseCores) / 2
 	for i := range samples {
 		at := time.Duration(i)*spec.Interval + shift
-		hour := math.Mod(at.Hours(), 24)
+		hour := wrapHour(at.Hours())
 		// Raised cosine with maximum at PeakHour.
 		v := mid + amp*math.Cos(2*math.Pi*(hour-spec.PeakHour)/24)
 		if spec.WeekendScale > 0 && spec.WeekendScale < 1 {
@@ -84,6 +84,20 @@ func Diurnal(rng *sim.RNG, spec DiurnalSpec) *Trace {
 		samples[i] = v
 	}
 	return &Trace{Interval: spec.Interval, Samples: samples}
+}
+
+// wrapHour returns math.Mod(h, 24) bit for bit, without the call for
+// the hours a trace of up to two days reads: on (-24, 24) the hour is
+// its own remainder, and on [24, 48) h-24 is exact (both operands
+// within a factor of two of each other).
+func wrapHour(h float64) float64 {
+	switch {
+	case h > -24 && h < 24:
+		return h
+	case h >= 24 && h < 48:
+		return h - 24
+	}
+	return math.Mod(h, 24)
 }
 
 // SpikeSpec parameterizes a flash-crowd overlay.

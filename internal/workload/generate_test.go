@@ -1,11 +1,44 @@
 package workload
 
 import (
+	"math"
 	"testing"
 	"time"
 
 	"agilepower/internal/sim"
 )
+
+// TestWrapHourMatchesMod pins Diurnal's hour wrap to the expression it
+// replaced, math.Mod(at.Hours(), 24), bit for bit: at every sample
+// time of one-day and seven-day traces, shifted by phase jitter of
+// both signs (the extremes, one nanosecond off them and off zero, and
+// random shifts), and at the boundaries of its exact ranges.
+func TestWrapHourMatchesMod(t *testing.T) {
+	const jitter = 90 * time.Minute
+	shifts := []time.Duration{-jitter, -jitter + 1, -1, 0, 1, jitter - 1, jitter, -24 * time.Hour, 24 * time.Hour}
+	rng := sim.NewRNG(1)
+	for i := 0; i < 64; i++ {
+		shifts = append(shifts, time.Duration(rng.Range(-float64(jitter), float64(jitter))))
+	}
+	check := func(h float64) {
+		t.Helper()
+		if got, want := wrapHour(h), math.Mod(h, 24); math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("wrapHour(%v) = %v, math.Mod gives %v", h, got, want)
+		}
+	}
+	for _, days := range []int{1, 7} {
+		for _, shift := range shifts {
+			n := int(time.Duration(days) * 24 * time.Hour / time.Minute)
+			for i := 0; i < n; i++ {
+				check((time.Duration(i)*time.Minute + shift).Hours())
+			}
+		}
+	}
+	for _, h := range []float64{-48, -24, math.Nextafter(-24, 0), math.Copysign(0, -1), 0, math.Nextafter(24, 0), 24,
+		math.Nextafter(48, 0), 48, math.Nextafter(48, 100), 1e9, -1e9} {
+		check(h)
+	}
+}
 
 func TestDiurnalShape(t *testing.T) {
 	rng := sim.NewRNG(1)
